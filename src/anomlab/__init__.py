@@ -19,6 +19,7 @@ from .errors import (
     DivergenceError,
     DomainError,
     ExtensionError,
+    FloatOverflowError,
     FormatError,
     FrameError,
     GapError,

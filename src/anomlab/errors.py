@@ -90,6 +90,10 @@ class UnsupportedCoefficientsError(DomainError):
     """Operation requires finite mu_N coefficients."""
 
 
+class FloatOverflowError(DomainError):
+    """A result overflows the float64 range."""
+
+
 class EvaluationError(DomainError):
     """A user-supplied callable failed during evaluation."""
 

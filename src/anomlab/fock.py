@@ -8,11 +8,21 @@ integer arithmetic. The polarization marks the first k modes as the plus
 side; the vacuum fills every minus mode (a filled sea) and is annihilated
 by psi*(u) for u in the minus subspace and by psi(v) for v in the plus one.
 
+Operators are assembled from index tables that depend only on the mode
+count and are built once per FockSpace: the occupation numbers, the rows,
+columns and signs of every creator c_i*, and the nonzero pattern of every
+hop c_i* c_j (i != j) laid out row by row, each row opened by its diagonal
+slot. Creation operators are one scatter from the creator tables; d_gamma(X)
+is one gather of X through the hop tables plus occupation . diag(X) minus
+the sea trace on the diagonal.
+
 Second quantization d_gamma(X) is the normal-ordered bilinear sum with its
-vacuum expectation subtracted; the commutation rule [d_gamma(X), psi*(v)] =
-psi*(X v) and the zero vacuum expectation are re-verified after every
-construction. The Schwinger term is the scalar by which d_gamma fails to be
-a Lie homomorphism, read off a brute-force commutator.
+vacuum expectation subtracted; the commutation rule [d_gamma(X), c_j*] =
+sum_i X_ij c_i* (for every j, as sparse products against the creator tables)
+and the zero vacuum expectation are re-verified after every construction.
+The Schwinger term is the scalar by which d_gamma fails to be a Lie
+homomorphism, read off the sparse defect operator. dGamma(X) preserves the
+particle number, so its exponential is taken one number sector at a time.
 
 Vacuum lines sit over Hermitian backgrounds: the line of a spectral window
 (lo, hi) is spanned by the wedge of its eigenvectors, tracked here as the
@@ -39,7 +49,6 @@ from .errors import (
 )
 from .linalg import (
     Polarization,
-    as_matrix,
     as_square,
     determinant,
     hermitian_eigensystem,
@@ -52,35 +61,30 @@ SCALARNESS_TOL = 1e-9
 LEVEL_MARGIN = 1e-8
 UNITARY_TOL = 1e-10
 WITNESS_TOL = 1e-10
+_CHECK_ROWS = 512  # rows per block of the commutation check; bounds its temporaries
 
 
-def _creator(mode: int, modes: int) -> sparse.csr_matrix:
-    """Creation operator on one mode as a 0/+-1 sparse matrix."""
-    dim = 1 << modes
-    below = (1 << mode) - 1
-    masks = np.arange(dim)
-    empty = masks[(masks >> mode) & 1 == 0]
-    signs = np.where(_popcount(empty & below) & 1, -1.0, 1.0)
-    rows = empty | (1 << mode)
-    return sparse.csr_matrix((signs, (rows, empty)), shape=(dim, dim))
-
-
-def _popcount(a: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(a)
-    v = a.copy()
-    while np.any(v):
-        out += v & 1
-        v >>= 1
-    return out
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FockSpace:
-    """Occupation-basis Fock space over m polarized modes."""
+    """Occupation-basis Fock space over m polarized modes, with its index tables.
+
+    creator_rows / creator_cols / creator_signs have shape (m, 2^(m-1)): row
+    i lists the entries of c_i*. The hop tables list the nonzero pattern of
+    d_gamma in CSR layout: row t spans hop_indptr[t]:hop_indptr[t+1] and
+    starts with its diagonal slot; every other entry is the hop c_i* c_j
+    with flat pair index i*m + j in hop_pairs.
+    """
 
     modes: int
     pol: Polarization
-    creators: tuple
+    occupation: np.ndarray
+    creator_rows: np.ndarray
+    creator_cols: np.ndarray
+    creator_signs: np.ndarray
+    hop_indptr: np.ndarray
+    hop_cols: np.ndarray
+    hop_pairs: np.ndarray
+    hop_signs: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -92,16 +96,48 @@ class FockSpace:
         return ((1 << self.modes) - 1) ^ ((1 << self.pol.plus_dim) - 1)
 
 
+def _tables(modes: int) -> dict:
+    """Occupation, creator and hop tables of the m-mode Fock space."""
+    dim = 1 << modes
+    states = np.arange(dim, dtype=np.int32)
+    bits = np.int32(1) << np.arange(modes, dtype=np.int32)
+    occ = (states[:, None] & bits) != 0
+    # Jordan-Wigner sign of mode i in state t: (-1)^(occupied modes below i)
+    jw = 1 - 2 * (np.bitwise_count(states[:, None] & (bits - 1)) & 1).astype(np.int8)
+
+    mode, col = np.nonzero(~occ.T)  # mode-major, states ascending
+    creator_cols = col.astype(np.int32).reshape(modes, dim // 2)
+    creator_signs = jw[col, mode].reshape(modes, dim // 2)
+
+    # row t holds c_i* c_j for i filled and j empty in t, after a diagonal
+    # slot at pair (0, 0) whose value d_gamma overwrites
+    hop = occ[:, :, None] & ~occ[:, None, :]
+    hop[:, 0, 0] = True
+    row, i, j = np.nonzero(hop)
+    hop_signs = jw[row, i] * jw[row, j] * np.where(i < j, -1, 1)
+    hop_indptr = np.zeros(dim + 1, dtype=np.int32)
+    np.cumsum(hop.sum(axis=(1, 2)), out=hop_indptr[1:])
+    return {
+        "occupation": occ.astype(np.int8),
+        "creator_rows": creator_cols | bits[:, None],
+        "creator_cols": creator_cols,
+        "creator_signs": creator_signs,
+        "hop_indptr": hop_indptr,
+        "hop_cols": (row ^ bits[i] ^ bits[j]).astype(np.int32),
+        "hop_pairs": (i * modes + j).astype(np.int16),
+        "hop_signs": hop_signs.astype(np.int8),
+    }
+
+
 def build_car(modes, pol: Polarization) -> FockSpace:
-    """Construct the CAR generators for `modes` modes split by `pol`."""
+    """Construct the CAR tables for `modes` modes split by `pol`."""
     if not isinstance(modes, (int, np.integer)) or isinstance(modes, bool):
         raise SizeError(f"mode count must be an integer, got {modes!r}")
     if not 1 <= modes <= MAX_MODES:
         raise SizeError(f"mode count must lie in [1, {MAX_MODES}], got {modes}")
     if pol.dim != modes:
         raise ShapeError(f"polarization dim {pol.dim} does not match mode count {modes}")
-    creators = tuple(_creator(i, int(modes)) for i in range(int(modes)))
-    return FockSpace(modes=int(modes), pol=pol, creators=creators)
+    return FockSpace(modes=int(modes), pol=pol, **_tables(int(modes)))
 
 
 def _one_particle_vector(space: FockSpace, v) -> np.ndarray:
@@ -114,11 +150,9 @@ def _one_particle_vector(space: FockSpace, v) -> np.ndarray:
 def creation(space: FockSpace, v) -> np.ndarray:
     """Dense matrix of psi*(v) = sum_i v_i c_i (linear in v)."""
     vec = _one_particle_vector(space, v)
-    out = sparse.csr_matrix((space.dim, space.dim), dtype=np.complex128)
-    for coeff, c in zip(vec, space.creators):
-        if coeff != 0:
-            out = out + coeff * c
-    return out.toarray()
+    out = np.zeros((space.dim, space.dim), dtype=np.complex128)
+    out[space.creator_rows, space.creator_cols] = vec[:, None] * space.creator_signs
+    return out
 
 
 def annihilation(space: FockSpace, u) -> np.ndarray:
@@ -133,9 +167,8 @@ def apply_creation(space: FockSpace, v, state: np.ndarray) -> np.ndarray:
     if st.shape[0] != space.dim:
         raise ShapeError(f"state must have length {space.dim}")
     out = np.zeros_like(st)
-    for coeff, c in zip(vec, space.creators):
-        if coeff != 0:
-            out += coeff * c.dot(st)
+    terms = vec[:, None] * space.creator_signs * st[space.creator_cols]
+    np.add.at(out, space.creator_rows, terms)
     return out
 
 
@@ -152,15 +185,75 @@ class FockOperator:
     matrix: np.ndarray
 
 
-def _d_gamma_sparse(space: FockSpace, x: np.ndarray) -> sparse.csr_matrix:
-    raw = sparse.csr_matrix((space.dim, space.dim), dtype=np.complex128)
-    for i in range(space.modes):
-        ci = space.creators[i]
-        for j in range(space.modes):
-            if x[i, j] != 0:
-                raw = raw + x[i, j] * (ci @ space.creators[j].T)
-    sea_trace = sum(x[i, i] for i in range(space.modes) if (space.sea_mask >> i) & 1)
-    return raw - sea_trace * sparse.identity(space.dim, dtype=np.complex128, format="csr")
+def _check_commutation(space: FockSpace, op: sparse.csr_matrix, x: np.ndarray) -> None:
+    """Raise unless [op, c_j*] = sum_i x_ij c_i* for every j, to 1e-10.
+
+    Block j of a dim x m*dim matrix holds the identity for mode j, so all
+    modes are checked by the same few sparse products, taken over blocks of
+    _CHECK_ROWS rows to keep their temporaries to a few MB.
+    """
+    m, dim = space.modes, space.dim
+    # the creators side by side, [c_0* | ... | c_{m-1}*], and stacked so that
+    # row t*m + j of `stack` is row t of c_j*
+    signs = space.creator_signs.ravel().astype(np.float64)
+    rows, cols = space.creator_rows, space.creator_cols
+    modes = np.arange(m, dtype=np.int32)[:, None]
+    side = sparse.csr_matrix((signs, (rows.ravel(), (cols + modes * dim).ravel())), shape=(dim, m * dim))
+    stack = sparse.csr_matrix((signs, ((rows * m + modes).ravel(), cols.ravel())), shape=(m * dim, dim))
+    # block j of the target is sum_i x_ij c_i*: side's entries reweighted per block
+    mode, col = np.divmod(side.indices, dim)
+    target = sparse.csr_matrix(
+        (
+            (x[mode] * side.data[:, None]).ravel(),
+            (col[:, None] + np.arange(m, dtype=np.int32) * dim).ravel(),
+            side.indptr * m,
+        ),
+        shape=(dim, m * dim),
+    )
+    for lo in range(0, dim, _CHECK_ROWS):
+        hi = min(lo + _CHECK_ROWS, dim)
+        # rows t*m .. t*m + m-1 of stack @ op, laid side by side, are row t of [c_j* op]_j
+        right = stack[lo * m:hi * m] @ op
+        offsets = np.repeat(np.arange((hi - lo) * m, dtype=np.int32) % m * dim, np.diff(right.indptr))
+        right = sparse.csr_matrix(
+            (right.data, offsets + right.indices, right.indptr[::m]), shape=(hi - lo, m * dim)
+        )
+        defect = op[lo:hi] @ side - right - target[lo:hi]
+        if defect.nnz:
+            worst = int(np.argmax(np.abs(defect.data)))
+            dev = abs(defect.data[worst])
+            if dev > DGAMMA_TOL:
+                raise InternalConsistencyError(
+                    f"commutation defect {dev:.3e} on mode {defect.indices[worst] // dim} "
+                    f"exceeds {DGAMMA_TOL}"
+                )
+
+
+def _d_gamma_csr(space: FockSpace, x: np.ndarray) -> sparse.csr_matrix:
+    """Verified d_gamma(x) as a CSR matrix on the hop tables.
+
+    Checks the commutation rule for every mode and a zero vacuum
+    expectation, both to 1e-10.
+    """
+    dim = space.dim
+    diag = np.diag(x)
+    data = x.ravel()[space.hop_pairs] * space.hop_signs
+    data[space.hop_indptr[:-1]] = space.occupation @ diag - diag[space.pol.plus_dim:].sum()
+    op = sparse.csr_matrix((data, space.hop_cols, space.hop_indptr), shape=(dim, dim))
+    _check_commutation(space, op, x)
+    expectation = data[space.hop_indptr[space.sea_mask]]
+    if abs(expectation) > DGAMMA_TOL:
+        raise InternalConsistencyError(
+            f"vacuum expectation {expectation!r} exceeds {DGAMMA_TOL}"
+        )
+    return op
+
+
+def _one_particle_operator(space: FockSpace, x) -> np.ndarray:
+    xm = as_square(x)
+    if xm.shape[0] != space.modes:
+        raise ShapeError(f"one-particle operator must be {space.modes}x{space.modes}")
+    return xm
 
 
 def d_gamma(space: FockSpace, x) -> FockOperator:
@@ -169,43 +262,24 @@ def d_gamma(space: FockSpace, x) -> FockOperator:
     Defined by [d_gamma(x), psi*(v)] = psi*(x v) together with a vanishing
     vacuum expectation; both are re-verified to 1e-10 after construction.
     """
-    xm = as_square(x)
-    if xm.shape[0] != space.modes:
-        raise ShapeError(f"one-particle operator must be {space.modes}x{space.modes}")
-    op = _d_gamma_sparse(space, xm)
-    for j in range(space.modes):
-        cj = space.creators[j]
-        comm = op @ cj - cj @ op
-        target = sparse.csr_matrix((space.dim, space.dim), dtype=np.complex128)
-        for i in range(space.modes):
-            if xm[i, j] != 0:
-                target = target + xm[i, j] * space.creators[i]
-        dev = abs(comm - target).max() if (comm - target).nnz else 0.0
-        if dev > DGAMMA_TOL:
-            raise InternalConsistencyError(
-                f"commutation defect {dev:.3e} on mode {j} exceeds {DGAMMA_TOL}"
-            )
-    vac_idx = space.sea_mask
-    expectation = op[vac_idx, vac_idx]
-    if abs(expectation) > DGAMMA_TOL:
-        raise InternalConsistencyError(
-            f"vacuum expectation {expectation!r} exceeds {DGAMMA_TOL}"
-        )
-    return FockOperator(space=space, matrix=op.toarray())
+    xm = _one_particle_operator(space, x)
+    return FockOperator(space=space, matrix=_d_gamma_csr(space, xm).toarray())
 
 
 def schwinger_detail(space: FockSpace, x, y) -> dict:
-    """Schwinger scalar plus its scalarness residue."""
-    xm = as_square(x)
-    ym = as_square(y)
-    if xm.shape != ym.shape:
-        raise ShapeError(f"operand shapes differ: {xm.shape} vs {ym.shape}")
-    dx = d_gamma(space, xm).matrix
-    dy = d_gamma(space, ym).matrix
-    dxy = d_gamma(space, xm @ ym - ym @ xm).matrix
+    """Schwinger scalar plus its scalarness residue.
+
+    The defect [dG(x), dG(y)] - dG([x, y]) is formed from the verified sparse
+    operators; the residue is its Frobenius distance from the scalar.
+    """
+    xm = _one_particle_operator(space, x)
+    ym = _one_particle_operator(space, y)
+    dx = _d_gamma_csr(space, xm)
+    dy = _d_gamma_csr(space, ym)
+    dxy = _d_gamma_csr(space, xm @ ym - ym @ xm)
     s = dx @ dy - dy @ dx - dxy
-    c = complex(np.trace(s)) / space.dim
-    residue = float(np.linalg.norm(s - c * np.eye(space.dim), "fro"))
+    c = complex(s.diagonal().sum()) / space.dim
+    residue = float(np.linalg.norm((s - c * sparse.identity(space.dim, format="csr")).data))
     if residue > SCALARNESS_TOL:
         raise InternalConsistencyError(
             f"defect operator is not scalar: residue {residue:.3e}"
@@ -268,13 +342,23 @@ def schwinger_over_backgrounds(x, y, backgrounds) -> list:
 
 
 def bogoliubov_implement(space: FockSpace, x) -> FockOperator:
-    """exp(d_gamma(x)) for anti-Hermitian x; conjugation implements exp(x)."""
+    """exp(d_gamma(x)) for anti-Hermitian x; conjugation implements exp(x).
+
+    Every hop keeps the particle number, so d_gamma(x) is block diagonal over
+    the number sectors and is exponentiated one C(m, k) x C(m, k) block at a time.
+    """
     xm = as_square(x)
     dev = float(np.max(np.abs(xm + xm.conj().T)))
     if dev > UNITARY_TOL:
         raise SymmetryError(f"generator is not anti-Hermitian within {UNITARY_TOL}")
-    gen = d_gamma(space, xm)
-    return FockOperator(space=space, matrix=matrix_exponential(gen.matrix))
+    gen = d_gamma(space, xm).matrix
+    out = np.zeros_like(gen)
+    number = space.occupation.sum(axis=1)
+    for k in range(space.modes + 1):
+        sector = np.flatnonzero(number == k)
+        block = np.ix_(sector, sector)
+        out[block] = matrix_exponential(gen[block])
+    return FockOperator(space=space, matrix=out)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    FloatOverflowError,
     InvalidOrderError,
     ShapeError,
     SymmetryError,
@@ -218,7 +219,10 @@ def determinant(a) -> complex:
 
 
 def matrix_exponential(a) -> np.ndarray:
-    """exp(A) by scaling and squaring around a Taylor-series core."""
+    """exp(A) by scaling and squaring around a Taylor-series core.
+
+    Raises FloatOverflowError when the result does not fit in float64.
+    """
     m = as_square(a)
     n = m.shape[0]
     norm = float(np.linalg.norm(m, np.inf))
@@ -234,8 +238,13 @@ def matrix_exponential(a) -> np.ndarray:
         # series truncates once the term is far below machine precision
         if np.linalg.norm(term, np.inf) <= 1e-20 * max(1.0, np.linalg.norm(out, np.inf)):
             break
-    for _ in range(s):
-        out = out @ out
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(s):
+            out = out @ out
+    if not np.all(np.isfinite(out)):
+        raise FloatOverflowError(
+            f"matrix exponential overflows float64 (input inf-norm {norm:.6g})"
+        )
     return out
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _GUARD = 1 << 59
+_PRODUCT_LIMIT = 1 << 62  # a guarded entry plus such a product stays below 2^63
 
 
 class _Overflow(Exception):
@@ -76,6 +77,15 @@ def _reduce(a, track_u, track_v, track_vinv, object_mode):
             if m is not None and np.max(np.abs(m), initial=0) > _GUARD:
                 raise _Overflow
 
+    def check_products(q, *blocks, terms=1):
+        # sums of `terms` products q * entry could wrap int64 before guard() sees them
+        if object_mode:
+            return
+        qmax = int(np.max(np.abs(q))) * terms
+        for block in blocks:
+            if block is not None and qmax * int(np.max(np.abs(block), initial=0)) >= _PRODUCT_LIMIT:
+                raise _Overflow
+
     def swap_rows(i, j):
         if i == j:
             return
@@ -94,6 +104,7 @@ def _reduce(a, track_u, track_v, track_vinv, object_mode):
 
     pivot = _pivot_object if object_mode else _pivot_int64
 
+    guard()
     t = 0
     limit = min(rows, cols)
     while t < limit:
@@ -112,6 +123,7 @@ def _reduce(a, track_u, track_v, track_vinv, object_mode):
             if np.any(col != 0):
                 q = col // p
                 if np.any(q != 0):
+                    check_products(q, a[t, :], None if u is None else u[t, :])
                     a[t + 1:, :] -= q[:, None] * a[t, :]
                     if u is not None:
                         u[t + 1:, :] -= q[:, None] * u[t, :]
@@ -128,6 +140,9 @@ def _reduce(a, track_u, track_v, track_vinv, object_mode):
                 p = a[t, t]
                 q = row // p
                 if np.any(q != 0):
+                    check_products(q, a[:, t], None if v is None else v[:, t])
+                    # the vinv update sums up to len(q) such products
+                    check_products(q, None if vinv is None else vinv[t + 1:, :], terms=len(q))
                     a[:, t + 1:] -= a[:, t:t + 1] * q[None, :]
                     if v is not None:
                         v[:, t + 1:] -= v[:, t:t + 1] * q[None, :]

@@ -5,7 +5,9 @@ measures a violation per case, and compares it against a named tolerance.
 Exact integer checks report violation 0.0 or 1.0 against threshold 0.0.
 Reports serialize as JSON lines, one object per case plus a summary; the
 summary's wall_time and started fields are the only nondeterministic
-content for a fixed seed.
+content for a fixed seed. A suite that raises keeps the cases recorded
+before it and ends with a failed case of violation inf whose `error` field
+holds the exception class and message.
 """
 
 from __future__ import annotations
@@ -140,6 +142,7 @@ class CaseRecord:
     inputs: str
     violation: float
     threshold: float
+    error: str | None = None
 
     @property
     def passed(self) -> bool:
@@ -168,8 +171,9 @@ class Report:
         return self.failures == 0
 
     def to_lines(self) -> list:
-        lines = [
-            {
+        lines = []
+        for c in self.cases:
+            line = {
                 "kind": "case",
                 "suite": c.suite,
                 "name": c.name,
@@ -178,8 +182,9 @@ class Report:
                 "threshold": c.threshold,
                 "pass": c.passed,
             }
-            for c in self.cases
-        ]
+            if c.error is not None:
+                line["error"] = c.error
+            lines.append(line)
         lines.append(
             {
                 "kind": "summary",
@@ -207,6 +212,7 @@ def report_to_text(report: Report) -> str:
         if not c.passed:
             rows.append(
                 f"  FAIL {c.name} [{c.inputs}]: violation {c.violation:.3e} > {c.threshold:.1e}"
+                + (f" ({c.error})" if c.error is not None else "")
             )
     return "\n".join(rows)
 
@@ -231,6 +237,19 @@ class _Recorder:
     def add_exact(self, name: str, inputs, ok: bool):
         self.add(name, inputs, 0.0 if ok else 1.0, "exact")
 
+    def add_error(self, exc: Exception):
+        message = f"{type(exc).__name__}: {exc}"
+        self.cases.append(
+            CaseRecord(
+                suite=self.suite,
+                name="error",
+                inputs=digest(message),
+                violation=math.inf,
+                threshold=float(self.tolerances["exact"]),
+                error=message,
+            )
+        )
+
 
 def resolve_tolerances(overrides=None) -> dict:
     tol = dict(DEFAULT_TOLERANCES)
@@ -252,7 +271,10 @@ def run_suite(name: str, seed: int, tolerances=None) -> Report:
     rng = inst.generator(seed)
     started = datetime.now(timezone.utc).isoformat(timespec="seconds")
     t0 = time.perf_counter()
-    _SUITE_FUNCS[name](rng, rec)
+    try:
+        _SUITE_FUNCS[name](rng, rec)
+    except Exception as exc:  # one raising case must not cost the cases before it
+        rec.add_error(exc)
     report = Report(suite=name, seed=int(seed), tolerances=tol, cases=rec.cases)
     report.wall_time = time.perf_counter() - t0
     report.started = started
@@ -409,7 +431,7 @@ def _suite_fock(rng, rec):
         space = build_car(m, Polarization(m, m // 2))
         worst = 0.0
         eye = np.eye(space.dim)
-        mats = [c.toarray() for c in space.creators]
+        mats = [creation(space, e) for e in np.eye(m)]
         for i in range(m):
             for j in range(m):
                 cc = mats[i] @ mats[j] + mats[j] @ mats[i]

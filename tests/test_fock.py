@@ -1,14 +1,17 @@
 """CAR representation, second quantization, and spectral vacuum lines."""
 
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from anomlab.errors import (
     CoverMembershipError,
     DomainError,
     GapError,
+    InternalConsistencyError,
     ShapeError,
     SizeError,
     SymmetryError,
@@ -23,6 +26,7 @@ from anomlab.fock import (
     d_gamma,
     gerbe_triple_check,
     line_transition,
+    schwinger_detail,
     schwinger_over_backgrounds,
     schwinger_term,
     vacuum,
@@ -148,6 +152,59 @@ def test_d_gamma_matches_brute_force():
         np.testing.assert_allclose(
             d_gamma(space, x).matrix, _brute_d_gamma(x, modes, plus), atol=1e-12
         )
+
+
+@pytest.mark.parametrize("modes", range(1, 7))
+def test_table_d_gamma_matches_brute_force_every_polarization(modes):
+    rng = np.random.default_rng(420 + modes)
+    for plus in range(modes + 1):
+        x = _random_complex(rng, modes)
+        np.testing.assert_allclose(
+            d_gamma(_space(modes, plus), x).matrix,
+            _brute_d_gamma(x, modes, plus),
+            atol=1e-12,
+        )
+
+
+@pytest.mark.parametrize("modes", range(1, 7))
+def test_schwinger_detail_matches_dense_defect(modes):
+    rng = np.random.default_rng(430 + modes)
+    for plus in range(modes + 1):
+        x = _random_anti_hermitian(rng, modes)
+        y = _random_anti_hermitian(rng, modes)
+        dx = _brute_d_gamma(x, modes, plus)
+        dy = _brute_d_gamma(y, modes, plus)
+        defect = dx @ dy - dy @ dx - _brute_d_gamma(x @ y - y @ x, modes, plus)
+        value = complex(np.trace(defect)) / 2**modes
+        residue = np.linalg.norm(defect - value * np.eye(2**modes), "fro")
+        detail = schwinger_detail(_space(modes, plus), x, y)
+        np.testing.assert_allclose(detail["value"], value, atol=1e-10)
+        assert abs(detail["residue"] - residue) < 1e-12
+
+
+@pytest.mark.parametrize("modes", range(1, 6))
+def test_sector_bogoliubov_matches_full_exponential(modes):
+    rng = np.random.default_rng(440 + modes)
+    for plus in range(modes + 1):
+        x = _random_anti_hermitian(rng, modes, scale=1.0)
+        full = scipy.linalg.expm(_brute_d_gamma(x, modes, plus))
+        np.testing.assert_allclose(
+            bogoliubov_implement(_space(modes, plus), x).matrix, full, atol=1e-10
+        )
+
+
+def test_flipped_hop_sign_fails_the_commutation_check():
+    rng = np.random.default_rng(450)
+    space = _space(4, 2)
+    x = _random_complex(rng, 4)
+    d_gamma(space, x)
+    hops = np.setdiff1d(np.arange(space.hop_cols.size), space.hop_indptr[:-1])
+    for k in rng.choice(hops, size=5, replace=False):
+        signs = space.hop_signs.copy()
+        signs[k] = -signs[k]
+        broken = dataclasses.replace(space, hop_signs=signs)
+        with pytest.raises(InternalConsistencyError, match="commutation defect"):
+            d_gamma(broken, x)
 
 
 def test_schwinger_fixture_raising_lowering():

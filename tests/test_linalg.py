@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from anomlab.errors import InvalidOrderError, ShapeError, SymmetryError
+from anomlab.errors import (
+    DomainError,
+    FloatOverflowError,
+    InvalidOrderError,
+    ShapeError,
+    SymmetryError,
+)
 from anomlab.linalg import (
     Polarization,
     as_square,
@@ -174,6 +180,14 @@ def test_matrix_exponential_inverse_pair():
     m = _random_complex(rng, 4)
     prod = matrix_exponential(m) @ matrix_exponential(-m)
     np.testing.assert_allclose(prod, np.eye(4), atol=1e-12)
+
+
+def test_matrix_exponential_overflow_is_a_typed_error():
+    with pytest.raises(FloatOverflowError, match="overflow"):
+        matrix_exponential([[800.0]])
+    assert issubclass(FloatOverflowError, DomainError)
+    # large but representable results still come back finite
+    np.testing.assert_allclose(matrix_exponential([[700.0]]), [[np.exp(700.0)]], rtol=1e-10)
 
 
 def test_matrix_rank_with_tolerance():

@@ -8,6 +8,7 @@ import pytest
 
 from anomlab.errors import (
     DivergenceError,
+    FloatOverflowError,
     InvalidOrderError,
     ShapeError,
     SingularDeterminantError,
@@ -190,3 +191,9 @@ def test_shape_mismatch_rejected():
         gamma_p(np.eye(2) * 0.1, np.eye(3) * 0.1, 2)
     with pytest.raises(ShapeError):
         omega_p(np.eye(2) * 0.1, np.eye(3) * 0.1, 2)
+
+
+def test_overflowing_remainder_is_a_typed_error():
+    # log det_5 of 30 * ones(6, 6) is about +2.6e8: the value cannot be represented
+    with pytest.raises(FloatOverflowError):
+        det_p(30.0 * np.ones((6, 6)), 5)

@@ -72,6 +72,27 @@ def test_object_fallback_on_large_entries():
     assert res.factors == [10**30]
 
 
+def test_products_beyond_int64_take_the_exact_path():
+    # entries fit in int64, but q * row during elimination would wrap
+    res = _check_form([[-5, 3856983384684412], [4386803920442610, -1]])
+    assert res.factors == [1, 16919829833015585940390207595315]
+
+
+def test_fuzz_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    rng = np.random.default_rng(603)
+    for _ in range(300):
+        n = int(rng.integers(2, 4))
+        mat = rng.integers(-(2**57), 2**57, size=(n, n))
+        if rng.random() < 0.5:
+            mat[rng.integers(n), rng.integers(n)] = int(rng.integers(-9, 10))
+        res = _check_form(mat)
+        oracle = sympy_snf(sympy.Matrix(mat.tolist()), domain=sympy.ZZ)
+        assert res.factors == [abs(int(oracle[i, i])) for i in range(n)], mat.tolist()
+
+
 def test_bad_input_rejected():
     with pytest.raises(ValueError):
         smith_normal_form([1, 2, 3])

@@ -1,9 +1,13 @@
 """Verification suite plumbing: records, tolerances, determinism."""
 
+import json
+import math
+
 import numpy as np
 import pytest
 
-from anomlab.errors import DomainError
+from anomlab import cli, suites
+from anomlab.errors import DomainError, InternalConsistencyError
 from anomlab.suites import (
     DEFAULT_TOLERANCES,
     SUITE_NAMES,
@@ -88,3 +92,32 @@ def test_run_suites_wraps_single_suite():
     reports = run_suites("detp", 0)
     assert [r.suite for r in reports] == ["detp"]
     assert SUITE_NAMES == ("detp", "grassmann", "fock", "groupoid", "cohomology")
+
+
+def test_raising_suite_is_recorded_and_the_run_goes_on(monkeypatch, tmp_path):
+    def passing(rng, rec):
+        rec.add("ok", {"i": 0}, 0.0, "exact")
+
+    def raising(rng, rec):
+        rec.add("before", {"i": 1}, 0.0, "exact")
+        raise InternalConsistencyError("routes disagree")
+
+    for name in SUITE_NAMES:
+        monkeypatch.setitem(suites._SUITE_FUNCS, name, passing)
+    monkeypatch.setitem(suites._SUITE_FUNCS, "fock", raising)
+    out = tmp_path / "all.jsonl"
+    assert cli.main(["verify", "--suite", "all", "--seed", "7", "--out", str(out)]) == 1
+    lines = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [r["suite"] for r in lines if r["kind"] == "summary"] == list(SUITE_NAMES)
+    cases = [r for r in lines if r["kind"] == "case" and r["suite"] == "fock"]
+    assert [c["name"] for c in cases] == ["before", "error"]
+    assert cases[0]["pass"] and "error" not in cases[0]
+    assert cases[1]["violation"] == math.inf and not cases[1]["pass"]
+    assert cases[1]["error"] == "InternalConsistencyError: routes disagree"
+    assert "routes disagree" in report_to_text(run_suite("fock", 7))
+
+    merged = tmp_path / "merged.jsonl"
+    assert cli.main(["report", str(out), "--out", str(merged)]) == 1
+    summary = json.loads(merged.read_text().splitlines()[-1])
+    assert summary["kind"] == "merged"
+    assert summary["failures"] == 1 and not summary["pass"]
