@@ -44,20 +44,26 @@ ETA_MAX_STEP = 1e-2
 
 @dataclass
 class FiniteGroupoid:
-    """Tabulated groupoid: labels plus index tables.
+    """Tabulated groupoid: labels plus integer index tables.
 
-    source/target/inverse are per-arrow lists of indices, identity is a
-    per-object list of arrow indices, compose maps composable index pairs
-    (x, y) with source[x] == target[y] to the index of x*y.
+    source/target/inverse are per-arrow int arrays and identity a per-object
+    int array of arrow indices. compose is a dense A x A int table (A arrows):
+    compose[x, y] is the index of x*y where source[x] == target[y], and -1
+    off that composable set. The table has A^2 entries, the same count the
+    definedness check in axioms_check walks.
     """
 
     objects: list
     arrows: list
-    source: list
-    target: list
-    identity: list
-    inverse: list
-    compose: dict
+    source: np.ndarray
+    target: np.ndarray
+    identity: np.ndarray
+    inverse: np.ndarray
+    compose: np.ndarray
+
+    def __post_init__(self):
+        for name in ("source", "target", "identity", "inverse", "compose"):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=np.int64))
 
     @property
     def n_objects(self) -> int:
@@ -67,80 +73,88 @@ class FiniteGroupoid:
     def n_arrows(self) -> int:
         return len(self.arrows)
 
-    def composable_pairs(self):
-        return sorted(self.compose.keys())
+    def composable_pairs(self) -> np.ndarray:
+        """(P, 2) array of composable (x, y), lexicographic: the level-2 nerve order."""
+        return np.argwhere(self.compose >= 0)
 
-    def composable_triples(self):
-        """All (x, y, z) with (x, y) and (y, z) composable."""
-        by_target = {}
-        for z in range(self.n_arrows):
-            by_target.setdefault(self.target[z], []).append(z)
-        for (x, y) in self.composable_pairs():
-            for z in by_target.get(self.source[y], ()):
-                yield x, y, z
+
+def _triple_rows(compose: np.ndarray):
+    """Per left arrow x: arrays (y, z) of the composable triples (x, y, z), lexicographic.
+
+    One row at a time keeps the temporaries at O(A^2) instead of O(A^3).
+    """
+    for x in range(compose.shape[0]):
+        ys = np.flatnonzero(compose[x] >= 0)
+        yi, z = np.nonzero(compose[ys] >= 0)
+        yield x, ys[yi], z
 
 
 def axioms_check(g: FiniteGroupoid) -> list:
     """Exhaustively check the groupoid axioms; returns diagnostics, empty when sound."""
     bad = []
     n_obj, n_arr = g.n_objects, g.n_arrows
-    if len(g.source) != n_arr or len(g.target) != n_arr or len(g.inverse) != n_arr:
+    src, tgt, ident, inv, comp = g.source, g.target, g.identity, g.inverse, g.compose
+    if len(src) != n_arr or len(tgt) != n_arr or len(inv) != n_arr or comp.shape != (n_arr, n_arr):
         return [f"table lengths disagree with arrow count {n_arr}"]
-    if len(g.identity) != n_obj:
-        return [f"identity table length {len(g.identity)} != object count {n_obj}"]
-    for x in range(n_arr):
-        if not (0 <= g.source[x] < n_obj and 0 <= g.target[x] < n_obj):
+    if len(ident) != n_obj:
+        return [f"identity table length {len(ident)} != object count {n_obj}"]
+    ends_bad = (src < 0) | (src >= n_obj) | (tgt < 0) | (tgt >= n_obj)
+    inv_bad = (inv < 0) | (inv >= n_arr)
+    for x in np.flatnonzero(ends_bad | inv_bad):
+        if ends_bad[x]:
             bad.append(f"arrow {x} has out-of-range endpoints")
-        if not 0 <= g.inverse[x] < n_arr:
+        if inv_bad[x]:
             bad.append(f"arrow {x} has out-of-range inverse")
-    for o in range(n_obj):
-        e = g.identity[o]
+    for o, e in enumerate(ident.tolist()):
         if not 0 <= e < n_arr:
             bad.append(f"object {o} has out-of-range identity")
-        elif g.source[e] != o or g.target[e] != o:
+        elif src[e] != o or tgt[e] != o:
             bad.append(f"identity of object {o} is not an endomorphism of it")
     if bad:
         return bad
 
     # compose must be defined exactly on pairs with s(x) = t(y)
-    for x in range(n_arr):
-        for y in range(n_arr):
-            defined = (x, y) in g.compose
-            should = g.source[x] == g.target[y]
-            if defined != should:
-                verb = "missing" if should else "spurious"
-                bad.append(f"compose entry {verb} for pair ({x}, {y})")
+    should = src[:, None] == tgt[None, :]
+    for x, y in np.argwhere((comp >= 0) != should):
+        verb = "missing" if should[x, y] else "spurious"
+        bad.append(f"compose entry {verb} for pair ({x}, {y})")
     if bad:
         return bad
 
-    for (x, y), xy in g.compose.items():
-        if not 0 <= xy < n_arr:
-            bad.append(f"product of ({x}, {y}) out of range")
-            continue
-        if g.source[xy] != g.source[y] or g.target[xy] != g.target[x]:
-            bad.append(f"product of ({x}, {y}) has wrong endpoints")
+    pairs = g.composable_pairs()
+    xs, ys = pairs[:, 0], pairs[:, 1]
+    xy = comp[xs, ys]
+    out_of_range = xy >= n_arr
+    xy = np.where(out_of_range, 0, xy)
+    wrong_ends = ~out_of_range & ((src[xy] != src[ys]) | (tgt[xy] != tgt[xs]))
+    for i in np.flatnonzero(out_of_range | wrong_ends):
+        what = "out of range" if out_of_range[i] else "has wrong endpoints"
+        bad.append(f"product of ({xs[i]}, {ys[i]}) {what}")
     if bad:
         return bad
 
-    for x, y, z in g.composable_triples():
-        left = g.compose[(g.compose[(x, y)], z)]
-        right = g.compose[(x, g.compose[(y, z)])]
-        if left != right:
-            bad.append(f"associativity fails on ({x}, {y}, {z})")
+    for x, y, z in _triple_rows(comp):
+        failed = comp[comp[x, y], z] != comp[x, comp[y, z]]
+        bad.extend(f"associativity fails on ({x}, {y[i]}, {z[i]})" for i in np.flatnonzero(failed))
 
-    for x in range(n_arr):
-        et, es = g.identity[g.target[x]], g.identity[g.source[x]]
-        if g.compose.get((et, x)) != x:
+    arrows = np.arange(n_arr)
+    et, es = ident[tgt], ident[src]
+    left_bad = comp[et, arrows] != arrows
+    right_bad = comp[arrows, es] != arrows
+    inv_ends_bad = (src[inv] != tgt) | (tgt[inv] != src)
+    right_inv_bad = ~inv_ends_bad & (comp[arrows, inv] != et)
+    left_inv_bad = ~inv_ends_bad & (comp[inv, arrows] != es)
+    for x in np.flatnonzero(left_bad | right_bad | inv_ends_bad | right_inv_bad | left_inv_bad):
+        if left_bad[x]:
             bad.append(f"left identity fails on arrow {x}")
-        if g.compose.get((x, es)) != x:
+        if right_bad[x]:
             bad.append(f"right identity fails on arrow {x}")
-        ix = g.inverse[x]
-        if g.source[ix] != g.target[x] or g.target[ix] != g.source[x]:
+        if inv_ends_bad[x]:
             bad.append(f"inverse of arrow {x} has wrong endpoints")
             continue
-        if g.compose.get((x, ix)) != g.identity[g.target[x]]:
+        if right_inv_bad[x]:
             bad.append(f"x * x^-1 is not the identity for arrow {x}")
-        if g.compose.get((ix, x)) != g.identity[g.source[x]]:
+        if left_inv_bad[x]:
             bad.append(f"x^-1 * x is not the identity for arrow {x}")
     return bad
 
@@ -148,50 +162,37 @@ def axioms_check(g: FiniteGroupoid) -> list:
 def groupoid_from_compose(objects, arrows, source, target, compose) -> FiniteGroupoid:
     """Build a groupoid from endpoint and composition tables alone.
 
-    Identities and inverses are derived from the tables; raises if no
-    consistent choice exists.
+    compose is the dense A x A table of FiniteGroupoid. Identities and
+    inverses are derived from the tables; raises if no consistent choice
+    exists.
     """
-    n_obj, n_arr = len(objects), len(arrows)
-    identity = [-1] * n_obj
-    for o in range(n_obj):
-        candidates = [
-            e
-            for e in range(n_arr)
-            if source[e] == o
-            and target[e] == o
-            and all(
-                compose.get((x, e)) == x for x in range(n_arr) if source[x] == o
-            )
-            and all(
-                compose.get((e, y)) == y for y in range(n_arr) if target[y] == o
-            )
-        ]
-        if len(candidates) != 1:
-            raise GroupoidAxiomError(
-                f"object {o} has {len(candidates)} identity candidates"
-            )
-        identity[o] = candidates[0]
-    inverse = [-1] * n_arr
-    for x in range(n_arr):
-        candidates = [
-            y
-            for y in range(n_arr)
-            if compose.get((x, y)) == identity[target[x]]
-            and compose.get((y, x)) == identity[source[x]]
-        ]
-        if len(candidates) != 1:
-            raise GroupoidAxiomError(
-                f"arrow {x} has {len(candidates)} inverse candidates"
-            )
-        inverse[x] = candidates[0]
+    src = np.asarray(source, dtype=np.int64)
+    tgt = np.asarray(target, dtype=np.int64)
+    comp = np.asarray(compose, dtype=np.int64)
+    arrows_ix = np.arange(len(arrows))
+    # e is a unit when x*e = x for every x out of s(e) and e*y = y for every y into t(e)
+    right_unit = np.all((comp == arrows_ix[:, None]) | (src[:, None] != src[None, :]), axis=0)
+    left_unit = np.all((comp == arrows_ix[None, :]) | (tgt[None, :] != tgt[:, None]), axis=1)
+    units = np.flatnonzero((src == tgt) & right_unit & left_unit)
+    counts = np.bincount(src[units], minlength=len(objects))
+    if np.any(counts != 1):
+        o = np.argmax(counts != 1)
+        raise GroupoidAxiomError(f"object {o} has {counts[o]} identity candidates")
+    identity = np.empty(len(objects), dtype=np.int64)
+    identity[src[units]] = units
+    is_inverse = (comp == identity[tgt][:, None]) & (comp.T == identity[src][:, None])
+    counts = is_inverse.sum(axis=1)
+    if np.any(counts != 1):
+        x = np.argmax(counts != 1)
+        raise GroupoidAxiomError(f"arrow {x} has {counts[x]} inverse candidates")
     g = FiniteGroupoid(
         objects=list(objects),
         arrows=list(arrows),
-        source=list(source),
-        target=list(target),
+        source=src,
+        target=tgt,
         identity=identity,
-        inverse=inverse,
-        compose=dict(compose),
+        inverse=np.argmax(is_inverse, axis=1),
+        compose=comp,
     )
     bad = axioms_check(g)
     if bad:
@@ -255,28 +256,20 @@ def action_groupoid(points, group: FiniteGroup, action) -> FiniteGroupoid:
     """
     check_right_action(points, group, action)
     n, m = len(points), group.order
+    act = np.asarray(action, dtype=np.int64).reshape(n, m)
+    mult = np.asarray(group.mult, dtype=np.int64).reshape(m, m)
     arrows = [(points[a], group.elements[g]) for a in range(n) for g in range(m)]
-    source = [a for a in range(n) for _ in range(m)]
-    target = [action[a][g] for a in range(n) for g in range(m)]
-    identity = [a * m + group.identity for a in range(n)]
-    inverse = [
-        action[a][g] * m + group.inverse[g] for a in range(n) for g in range(m)
-    ]
-    compose = {}
-    for a in range(n):
-        for g1 in range(m):
-            y = a * m + g1
-            mid = action[a][g1]
-            for g2 in range(m):
-                x = mid * m + g2
-                compose[(x, y)] = a * m + group.mult[g1][g2]
+    y = np.arange(n * m).reshape(n, m)  # y = (a, g1)
+    x = act[:, :, None] * m + np.arange(m)  # x = (a.g1, g2)
+    compose = np.full((n * m, n * m), -1, dtype=np.int64)
+    compose[x, y[:, :, None]] = np.arange(n)[:, None, None] * m + mult
     return FiniteGroupoid(
         objects=list(points),
         arrows=arrows,
-        source=source,
-        target=target,
-        identity=identity,
-        inverse=inverse,
+        source=np.repeat(np.arange(n), m),
+        target=act.reshape(-1),
+        identity=np.arange(n) * m + group.identity,
+        inverse=(act * m + np.asarray(group.inverse, dtype=np.int64)).reshape(-1),
         compose=compose,
     )
 
@@ -321,42 +314,58 @@ class PhaseCocycle:
                 ) from None
         return complex(np.exp(2j * math.pi * self.exponent(x, y) / self.modulus))
 
+    def values_at(self, pairs) -> np.ndarray:
+        """Values on a (P, 2) array of pairs: int exponents, or complex phases if continuous."""
+        try:
+            vals = [self.values[pair] for pair in map(tuple, np.asarray(pairs).tolist())]
+        except KeyError as exc:
+            raise MissingValueError(f"cocycle has no value on pair {exc.args[0]}") from None
+        return np.array(vals, dtype=np.complex128 if self.continuous else np.int64)
+
 
 def zero_cocycle(g: FiniteGroupoid, modulus) -> PhaseCocycle:
-    if modulus is None:
-        return PhaseCocycle(None, {pair: 1.0 + 0.0j for pair in g.compose})
-    return PhaseCocycle(modulus, {pair: 0 for pair in g.compose})
+    zero = 1.0 + 0.0j if modulus is None else 0
+    return PhaseCocycle(modulus, {pair: zero for pair in map(tuple, g.composable_pairs().tolist())})
+
+
+def _value_table(g: FiniteGroupoid, c: PhaseCocycle) -> np.ndarray:
+    """c as an A x A table over g.compose, zero off the composable set."""
+    pairs = g.composable_pairs()
+    table = np.zeros(g.compose.shape, dtype=np.complex128 if c.continuous else np.int64)
+    table[pairs[:, 0], pairs[:, 1]] = c.values_at(pairs)
+    return table
 
 
 def cocycle_check(g: FiniteGroupoid, c: PhaseCocycle) -> float:
     """Maximal violation of c(x,y) c(xy,z) = c(x,yz) c(y,z) over all triples."""
+    table, compose, modulus = _value_table(g, c), g.compose, c.modulus
     worst = 0.0
-    for x, y, z in g.composable_triples():
-        xy = g.compose[(x, y)]
-        yz = g.compose[(y, z)]
-        if c.continuous:
-            lhs = c.phase(x, y) * c.phase(xy, z)
-            rhs = c.phase(x, yz) * c.phase(y, z)
-            worst = max(worst, abs(lhs - rhs))
+    shifts = set()
+    for x, y, z in _triple_rows(compose):
+        xy, yz = compose[x, y], compose[y, z]
+        if modulus is None:
+            dev = np.abs(table[x, y] * table[xy, z] - table[x, yz] * table[y, z])
+            worst = max(worst, float(dev.max(initial=0.0)))
         else:
-            k = (c.exponent(x, y) + c.exponent(xy, z)
-                 - c.exponent(x, yz) - c.exponent(y, z)) % c.modulus
-            if k:
-                worst = max(worst, abs(np.exp(2j * math.pi * k / c.modulus) - 1.0))
-    return worst
+            k = (table[x, y] + table[xy, z] - table[x, yz] - table[y, z]) % modulus
+            shifts.update(k[k != 0].tolist())
+    for k in shifts:
+        worst = max(worst, abs(np.exp(2j * math.pi * k / modulus) - 1.0))
+    return float(worst)
 
 
 def coboundary_twist(g: FiniteGroupoid, c: PhaseCocycle, b) -> PhaseCocycle:
     """Twist c by the coboundary of a 1-cochain b on arrows: c(x,y) b(x) b(y) / b(xy)."""
+    pairs = g.composable_pairs()
+    x, y = pairs[:, 0], pairs[:, 1]
+    xy = g.compose[x, y]
     if c.continuous:
-        values = {}
-        for (x, y), xy in g.compose.items():
-            values[(x, y)] = c.phase(x, y) * complex(b[x]) * complex(b[y]) / complex(b[xy])
-        return PhaseCocycle(None, values)
-    values = {}
-    for (x, y), xy in g.compose.items():
-        values[(x, y)] = (c.exponent(x, y) + int(b[x]) + int(b[y]) - int(b[xy])) % c.modulus
-    return PhaseCocycle(c.modulus, values)
+        b = np.asarray(b, dtype=np.complex128)
+        values = c.values_at(pairs) * b[x] * b[y] / b[xy]
+    else:
+        b = np.asarray(b, dtype=np.int64)
+        values = (c.values_at(pairs) + b[x] + b[y] - b[xy]) % c.modulus
+    return PhaseCocycle(c.modulus, dict(zip(map(tuple, pairs.tolist()), values.tolist())))
 
 
 @dataclass
@@ -394,10 +403,10 @@ class CentralExtension:
         """Product of (arrow, phase) pairs; phases are exponents or complex."""
         x, lam = first
         y, mu = second
-        try:
-            xy = self.base.compose[(x, y)]
-        except KeyError:
-            raise DomainError(f"pair ({x}, {y}) is not composable") from None
+        n_arr = self.base.n_arrows
+        xy = int(self.base.compose[x, y]) if 0 <= x < n_arr and 0 <= y < n_arr else -1
+        if xy < 0:
+            raise DomainError(f"pair ({x}, {y}) is not composable")
         if self.cocycle.continuous:
             return xy, complex(lam) * complex(mu) * self.cocycle.phase(x, y)
         return xy, (int(lam) + int(mu) + self.cocycle.exponent(x, y)) % self.modulus
@@ -405,9 +414,6 @@ class CentralExtension:
 
 def central_extend(g: FiniteGroupoid, c: PhaseCocycle) -> CentralExtension:
     """Build the central extension twisted by c; c must be a valid 2-cocycle."""
-    for pair in g.compose:
-        if pair not in c.values:
-            raise MissingValueError(f"cocycle has no value on pair {pair}")
     violation = cocycle_check(g, c)
     limit = 0.0 if not c.continuous else CONTINUOUS_TOL
     if violation > limit:
@@ -417,36 +423,27 @@ def central_extend(g: FiniteGroupoid, c: PhaseCocycle) -> CentralExtension:
     if c.continuous:
         return CentralExtension(base=g, cocycle=c, total=None)
 
-    n = c.modulus
-    arrows = [(g.arrows[x], k) for x in range(g.n_arrows) for k in range(n)]
-    source = [g.source[x] for x in range(g.n_arrows) for _ in range(n)]
-    target = [g.target[x] for x in range(g.n_arrows) for _ in range(n)]
+    n, n_arr = c.modulus, g.n_arrows
+    table = _value_table(g, c)
+    k = np.arange(n)
+    x, y = g.composable_pairs().T
+    compose = np.full((n_arr, n, n_arr, n), -1, dtype=np.int64)
+    # (x, s) * (y, t) = (xy, s + t + c(x, y))
+    compose[x[:, None, None], k[:, None], y[:, None, None], k] = (
+        g.compose[x, y][:, None, None] * n + (k[:, None] + k + table[x, y][:, None, None]) % n
+    )
     # a non-normalized cocycle shifts the identity and inverse phases
-    identity = []
-    for o in range(g.n_objects):
-        e = g.identity[o]
-        identity.append(e * n + (-c.exponent(e, e)) % n)
-    inverse = []
-    for x in range(g.n_arrows):
-        ix = g.inverse[x]
-        et = g.identity[g.target[x]]
-        base_shift = (-c.exponent(x, ix) - c.exponent(et, et)) % n
-        for k in range(n):
-            inverse.append(ix * n + (base_shift - k) % n)
-    compose = {}
-    for (x, y), xy in g.compose.items():
-        cxy = c.exponent(x, y)
-        for k in range(n):
-            for l in range(n):
-                compose[(x * n + k, y * n + l)] = xy * n + (k + l + cxy) % n
+    e, ix = g.identity, g.inverse
+    et = e[g.target]
+    inverse_shift = (-table[np.arange(n_arr), ix] - table[et, et]) % n
     total = FiniteGroupoid(
         objects=list(g.objects),
-        arrows=arrows,
-        source=source,
-        target=target,
-        identity=identity,
-        inverse=inverse,
-        compose=compose,
+        arrows=[(g.arrows[a], s) for a in range(n_arr) for s in range(n)],
+        source=np.repeat(g.source, n),
+        target=np.repeat(g.target, n),
+        identity=e * n + (-table[e, e]) % n,
+        inverse=(ix[:, None] * n + (inverse_shift[:, None] - k) % n).reshape(-1),
+        compose=compose.reshape(n_arr * n, n_arr * n),
     )
     bad = axioms_check(total)
     if bad:
@@ -466,24 +463,20 @@ def centrality_check(ext) -> float:
     worst = 0.0
     if getattr(ext, "total", None) is not None:
         n = ext.modulus
-        g = ext.base
-        for (x, y) in g.composable_pairs():
-            ref = ext.total.compose[(x * n, y * n)]
-            for s in range(n):
-                for t in range(n):
-                    lhs = ext.total.compose[(x * n + s, y * n + t)]
-                    rhs = ext.phase_shift(s + t, ref)
-                    if lhs != rhs:
-                        xy_l, k_l = divmod(lhs, n)
-                        xy_r, k_r = divmod(rhs, n)
-                        if xy_l != xy_r:
-                            worst = max(worst, 2.0)
-                        else:
-                            dev = abs(np.exp(2j * math.pi * (k_l - k_r) / n) - 1.0)
-                            worst = max(worst, dev)
-        return worst
+        x, y = ext.base.composable_pairs().T
+        n_arr = ext.base.n_arrows
+        # (x_p, s) * (y_p, t) against (x_p, 0) * (y_p, 0) shifted by s + t
+        xy_l, k_l = np.divmod(ext.total.compose.reshape(n_arr, n, n_arr, n)[x, :, y, :], n)
+        xy_r = xy_l[:, :1, :1]
+        k_r = (k_l[:, :1, :1] + np.arange(n)[:, None] + np.arange(n)) % n
+        if np.any(xy_l != xy_r):
+            worst = 2.0
+        for d in np.unique((k_l - k_r)[xy_l == xy_r]).tolist():
+            if d:
+                worst = max(worst, abs(np.exp(2j * math.pi * d / n) - 1.0))
+        return float(worst)
     grid = [complex(np.exp(2j * math.pi * j / 8)) for j in range(8)]
-    for (x, y) in ext.base.composable_pairs():
+    for x, y in ext.base.composable_pairs().tolist():
         base_xy, base_phase = ext.multiply((x, 1.0), (y, 1.0))
         for s in grid:
             for t in grid:

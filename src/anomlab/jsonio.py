@@ -57,6 +57,13 @@ def _expect(obj, key, kinds, where):
     return val
 
 
+def _integer(val, field):
+    """val itself when it is a JSON integer; bool, float and str are format errors."""
+    if isinstance(val, bool) or not isinstance(val, int):
+        raise FormatError(f"{field} must be an integer, got {type(val).__name__}")
+    return val
+
+
 def matrix_to_obj(m) -> dict:
     arr = np.asarray(m, dtype=np.complex128)
     if arr.ndim != 2:
@@ -66,8 +73,8 @@ def matrix_to_obj(m) -> dict:
 
 
 def matrix_from_obj(obj) -> np.ndarray:
-    rows = _expect(obj, "rows", int, "matrix")
-    cols = _expect(obj, "cols", int, "matrix")
+    rows = _integer(_expect(obj, "rows", None, "matrix"), "matrix: rows")
+    cols = _integer(_expect(obj, "cols", None, "matrix"), "matrix: cols")
     data = _expect(obj, "data", list, "matrix")
     if rows < 0 or cols < 0:
         raise FormatError("matrix: negative dimensions")
@@ -90,8 +97,8 @@ def matrix_from_obj(obj) -> np.ndarray:
 
 
 def polarization_from_obj(obj) -> Polarization:
-    dim = _expect(obj, "dim", int, "polarization")
-    plus = _expect(obj, "plus_dim", int, "polarization")
+    dim = _integer(_expect(obj, "dim", None, "polarization"), "polarization: dim")
+    plus = _integer(_expect(obj, "plus_dim", None, "polarization"), "polarization: plus_dim")
     return Polarization(dim=dim, plus_dim=plus)
 
 
@@ -107,7 +114,7 @@ def frame_to_obj(frame: Frame) -> dict:
 
 def frame_from_obj(obj) -> Frame:
     m = matrix_from_obj(obj)
-    plus = _expect(obj, "plus_dim", int, "frame")
+    plus = _integer(_expect(obj, "plus_dim", None, "frame"), "frame: plus_dim")
     if m.shape[1] != plus:
         raise FormatError(
             f"frame: matrix has {m.shape[1]} columns but plus_dim is {plus}"
@@ -131,7 +138,7 @@ def group_from_obj(obj) -> FiniteGroup:
     table = []
     for row in mult:
         for v in row:
-            if not isinstance(v, int) or not 0 <= v < n:
+            if not 0 <= _integer(v, "group: mult entry") < n:
                 raise FormatError(f"group: mult entry {v!r} out of range")
         table.append(tuple(row))
     identity = None
@@ -167,12 +174,15 @@ def _label(x):
 
 
 def groupoid_to_obj(g: FiniteGroupoid) -> dict:
+    pairs = g.composable_pairs()
+    products = g.compose[pairs[:, 0], pairs[:, 1]]
     return {
         "objects": [_label(o) for o in g.objects],
         "arrows": [
-            {"id": i, "src": g.source[i], "tgt": g.target[i]} for i in range(g.n_arrows)
+            {"id": i, "src": s, "tgt": t}
+            for i, (s, t) in enumerate(zip(g.source.tolist(), g.target.tolist()))
         ],
-        "compose": [[x, y, xy] for (x, y), xy in sorted(g.compose.items())],
+        "compose": np.column_stack([pairs, products]).tolist(),
     }
 
 
@@ -185,8 +195,8 @@ def groupoid_from_obj(obj) -> FiniteGroupoid:
     source, target = [], []
     for i, rec in enumerate(arrow_recs):
         aid = _expect(rec, "id", None, f"groupoid arrow {i}")
-        src = _expect(rec, "src", int, f"groupoid arrow {i}")
-        tgt = _expect(rec, "tgt", int, f"groupoid arrow {i}")
+        src = _integer(_expect(rec, "src", None, f"groupoid arrow {i}"), f"groupoid arrow {i}: src")
+        tgt = _integer(_expect(rec, "tgt", None, f"groupoid arrow {i}"), f"groupoid arrow {i}: tgt")
         if not 0 <= src < n_obj or not 0 <= tgt < n_obj:
             raise FormatError(f"groupoid arrow {i}: endpoint out of range")
         if isinstance(aid, (list, dict)):
@@ -197,7 +207,7 @@ def groupoid_from_obj(obj) -> FiniteGroupoid:
     if len(set(ids)) != len(ids):
         raise FormatError("groupoid: duplicate arrow ids")
     pos = {aid: i for i, aid in enumerate(ids)}
-    compose = {}
+    compose = np.full((len(ids), len(ids)), -1, dtype=np.int64)
     for i, triple in enumerate(compose_recs):
         if not isinstance(triple, list) or len(triple) != 3:
             raise FormatError(f"groupoid compose entry {i}: expected [x, y, xy]")
@@ -205,9 +215,9 @@ def groupoid_from_obj(obj) -> FiniteGroupoid:
             x, y, xy = (pos[t] for t in triple)
         except KeyError as exc:
             raise FormatError(f"groupoid compose entry {i}: unknown arrow id {exc}") from None
-        if (x, y) in compose:
+        if compose[x, y] >= 0:
             raise FormatError(f"groupoid compose entry {i}: duplicate pair")
-        compose[(x, y)] = xy
+        compose[x, y] = xy
     return groupoid_from_compose(objects, ids, source, target, compose)
 
 
@@ -216,9 +226,9 @@ def cocycle_to_obj(g: FiniteGroupoid, c: PhaseCocycle) -> dict:
     for (x, y) in sorted(c.values):
         v = c.values[(x, y)]
         if c.continuous:
-            values.append([x, y, [float(complex(v).real), float(complex(v).imag)]])
+            values.append([int(x), int(y), [float(complex(v).real), float(complex(v).imag)]])
         else:
-            values.append([x, y, int(v)])
+            values.append([int(x), int(y), int(v)])
     return {"modulus": c.modulus, "values": values}
 
 
@@ -232,8 +242,8 @@ def cocycle_from_obj(obj, g: FiniteGroupoid) -> PhaseCocycle:
         if not isinstance(rec, list) or len(rec) != 3:
             raise FormatError(f"cocycle entry {i}: expected [x, y, value]")
         x, y, val = rec
-        if not isinstance(x, int) or not isinstance(y, int):
-            raise FormatError(f"cocycle entry {i}: arrow indices must be integers")
+        _integer(x, f"cocycle entry {i}: arrow index")
+        _integer(y, f"cocycle entry {i}: arrow index")
         if not 0 <= x < g.n_arrows or not 0 <= y < g.n_arrows:
             raise FormatError(f"cocycle entry {i}: arrow index out of range")
         if modulus is None:
@@ -241,11 +251,9 @@ def cocycle_from_obj(obj, g: FiniteGroupoid) -> PhaseCocycle:
                 raise FormatError(f"cocycle entry {i}: continuous value must be [re, im]")
             values[(x, y)] = complex(val[0], val[1])
         else:
-            if not isinstance(val, int):
-                raise FormatError(f"cocycle entry {i}: exponent must be an integer")
-            values[(x, y)] = val
-    if modulus is not None and not isinstance(modulus, int):
-        raise FormatError("cocycle: modulus must be an integer or null")
+            values[(x, y)] = _integer(val, f"cocycle entry {i}: exponent")
+    if modulus is not None:
+        _integer(modulus, "cocycle: modulus")
     return PhaseCocycle(modulus, values)
 
 
@@ -267,14 +275,14 @@ def cover_to_obj(data: LocalExtensionData, modulus: int, source_cocycle=None) ->
     }
     if source_cocycle is not None:
         obj["source_cocycle"] = [
-            [x, y, int(k)] for (x, y), k in sorted(source_cocycle.items())
+            [int(x), int(y), int(k)] for (x, y), k in sorted(source_cocycle.items())
         ]
     return obj
 
 
 def cover_from_obj(obj):
     """Returns (LocalExtensionData, modulus, source_values_or_None)."""
-    modulus = _expect(obj, "modulus", int, "cover")
+    modulus = _integer(_expect(obj, "modulus", None, "cover"), "cover: modulus")
     group = group_from_obj(_expect(obj, "group", dict, "cover"))
     points = _expect(obj, "points", list, "cover")
     action = _expect(obj, "action", list, "cover")
@@ -282,26 +290,25 @@ def cover_from_obj(obj):
         not isinstance(row, list) or len(row) != group.order for row in action
     ):
         raise FormatError("cover: action table must be |points| x |group|")
+    for row in action:
+        for v in row:
+            _integer(v, "cover: action entry")
     charts_raw = _expect(obj, "charts", list, "cover")
     charts = []
     for i, chart in enumerate(charts_raw):
         if not isinstance(chart, list) or not all(
-            isinstance(v, int) and 0 <= v < group.order for v in chart
+            0 <= _integer(v, f"cover: chart {i} entry") < group.order for v in chart
         ):
             raise FormatError(f"cover: chart {i} must list group element indices")
         charts.append(set(chart))
     phi = {}
     for i, rec in enumerate(_expect(obj, "transitions", list, "cover")):
-        keys = ("a", "b", "g", "x", "k")
-        if not isinstance(rec, dict) or any(k not in rec for k in keys):
-            raise FormatError(f"cover: transition {i} missing fields")
-        phi[(rec["a"], rec["b"], rec["g"], rec["x"])] = int(rec["k"])
+        a, b, g, x, k = _record(rec, ("a", "b", "g", "x", "k"), f"cover: transition {i}")
+        phi[(a, b, g, x)] = k
     omega = {}
     for i, rec in enumerate(_expect(obj, "local_cocycles", list, "cover")):
-        keys = ("a", "b", "c", "f", "g", "x", "k")
-        if not isinstance(rec, dict) or any(k not in rec for k in keys):
-            raise FormatError(f"cover: local cocycle {i} missing fields")
-        omega[(rec["a"], rec["b"], rec["c"], rec["f"], rec["g"], rec["x"])] = int(rec["k"])
+        a, b, c, f, g, x, k = _record(rec, ("a", "b", "c", "f", "g", "x", "k"), f"cover: local cocycle {i}")
+        omega[(a, b, c, f, g, x)] = k
     data = LocalExtensionData(
         group=group, points=points, action=action, cover=charts, phi=phi, omega=omega
     )
@@ -311,5 +318,13 @@ def cover_from_obj(obj):
         for i, rec in enumerate(obj["source_cocycle"]):
             if not isinstance(rec, list) or len(rec) != 3:
                 raise FormatError(f"cover: source cocycle entry {i} malformed")
-            source[(rec[0], rec[1])] = int(rec[2])
+            x, y, k = (_integer(v, f"cover: source cocycle entry {i}") for v in rec)
+            source[(x, y)] = k
     return data, modulus, source
+
+
+def _record(rec, keys, where) -> tuple:
+    """The integer fields keys of one cover record, in that order."""
+    if not isinstance(rec, dict) or any(k not in rec for k in keys):
+        raise FormatError(f"{where} missing fields")
+    return tuple(_integer(rec[k], f"{where} field {k!r}") for k in keys)

@@ -1,10 +1,14 @@
 """Nerve of a finite groupoid and cohomology with mu_N coefficients.
 
 Level p of the nerve holds chains (g_1, ..., g_p) of arrows with
-s(g_i) = t(g_(i+1)), enumerated lexicographically by arrow index; level 0
-holds the objects. Face i composes the pair at slot i (dropping an end
-arrow for i = 0 or p, where on level 1 the faces are source and target);
-degeneracy i inserts an identity arrow.
+s(g_i) = t(g_(i+1)), stored as an (n_p, p) int array whose rows run
+lexicographically by arrow index; level 0 holds the object indices. So
+level 2 equals the groupoid's composable_pairs(), and a cochain on it is
+indexed like a cocycle's values_at that array. Face i composes the pair at
+slot i by a gather through the compose table (dropping an end arrow for
+i = 0 or p, where on level 1 the faces are source and target); degeneracy
+i inserts an identity arrow. Face and degeneracy maps are int arrays of
+row positions, found by searchsorted on the sorted rows.
 
 Cochains take values in Z_N written additively. The coboundary is the
 alternating face sum, the complex is the unnormalized one, and cohomology
@@ -41,8 +45,7 @@ MAX_CELLS = 1_000_000
 class Nerve:
     groupoid: FiniteGroupoid
     p_max: int
-    levels: list  # levels[0]: object indices; levels[p]: arrow tuples
-    index: list  # per level, cell -> position
+    levels: list  # levels[0]: object indices; levels[p]: (n_p, p) int array of chains
     faces: list  # faces[p][i][pos] -> position in level p-1, for 1 <= p <= p_max
     degeneracies: list  # degeneracies[p][i][pos] -> position in level p+1, p < p_max
 
@@ -60,82 +63,66 @@ def nerve(g: FiniteGroupoid, p_max: int) -> Nerve:
     if bad:
         raise GroupoidAxiomError("nerve needs a sound groupoid: " + bad[0])
 
-    levels = [list(range(g.n_objects))]
-    index = [{o: o for o in range(g.n_objects)}]
+    levels = [np.arange(g.n_objects)]
     total = g.n_objects
     if p_max >= 1:
-        arrows_by_target = {}
-        for x in range(g.n_arrows):
-            arrows_by_target.setdefault(g.target[x], []).append(x)
-        levels.append([(x,) for x in range(g.n_arrows)])
-        index.append({(x,): x for x in range(g.n_arrows)})
+        levels.append(np.arange(g.n_arrows)[:, None])
         total += g.n_arrows
         for p in range(2, p_max + 1):
-            prev_by_first = {}
-            for cell in levels[p - 1]:
-                prev_by_first.setdefault(cell[0], []).append(cell)
-            cells = []
-            # ascending head, then ascending second arrow, then the previous
-            # level's own order keeps the whole level lexicographic
-            for head in range(g.n_arrows):
-                for nxt in arrows_by_target.get(g.source[head], ()):
-                    for rest in prev_by_first.get(nxt, ()):
-                        cells.append((head,) + rest)
-            total += len(cells)
+            # rows stay lexicographic: ascending head, then the previous level's order
+            heads, rest = np.nonzero(g.compose[:, levels[p - 1][:, 0]] >= 0)
+            total += len(heads)
             if total > MAX_CELLS:
                 raise CapacityError(f"nerve exceeds {MAX_CELLS} cells at level {p}")
-            levels.append(cells)
-            index.append({c: i for i, c in enumerate(cells)})
+            levels.append(np.column_stack([heads, levels[p - 1][rest]]))
 
+    radix = max(g.n_arrows, 1)
+
+    def position(p, chains):
+        """Row of each chain in level p; read as base-A numbers, rows ascend."""
+        if p == 0:
+            return chains[:, 0]
+        weights = radix ** np.arange(p - 1, -1, -1)
+        return np.searchsorted(levels[p] @ weights, chains @ weights)
+
+    ident, source, target = g.identity, g.source, g.target
     faces = [None]
     for p in range(1, p_max + 1):
+        cells = levels[p]
         maps = []
         for i in range(p + 1):
-            table = []
-            for cell in levels[p]:
-                table.append(index[p - 1][_face(g, cell, i)])
-            maps.append(table)
+            if p == 1:
+                face = (source if i == 0 else target)[cells]
+            elif i == 0:
+                face = cells[:, 1:]
+            elif i == p:
+                face = cells[:, :-1]
+            else:
+                merged = g.compose[cells[:, i - 1], cells[:, i]]
+                face = np.column_stack([cells[:, : i - 1], merged, cells[:, i + 1:]])
+            maps.append(position(p - 1, face))
         faces.append(maps)
 
     degeneracies = []
     for p in range(0, p_max):
+        cells = levels[p]
         maps = []
         for i in range(p + 1):
-            table = []
-            for cell in levels[p]:
-                table.append(index[p + 1][_degenerate(g, cell, i, p)])
-            maps.append(table)
+            if p == 0:
+                chain = ident[cells][:, None]
+            else:
+                e = ident[target[cells[:, 0]]] if i == 0 else ident[source[cells[:, i - 1]]]
+                chain = np.column_stack([cells[:, :i], e, cells[:, i:]])
+            maps.append(position(p + 1, chain))
         degeneracies.append(maps)
 
     return Nerve(
         groupoid=g,
         p_max=int(p_max),
         levels=levels,
-        index=index,
         faces=faces,
         degeneracies=degeneracies,
     )
-
-
-def _face(g: FiniteGroupoid, cell, i: int):
-    p = len(cell)
-    if p == 1:
-        return g.source[cell[0]] if i == 0 else g.target[cell[0]]
-    if i == 0:
-        return cell[1:]
-    if i == p:
-        return cell[:-1]
-    merged = g.compose[(cell[i - 1], cell[i])]
-    return cell[: i - 1] + (merged,) + cell[i + 1:]
-
-
-def _degenerate(g: FiniteGroupoid, cell, i: int, p: int):
-    if p == 0:
-        return (g.identity[cell],)
-    if i == 0:
-        return (g.identity[g.target[cell[0]]],) + cell
-    e = g.identity[g.source[cell[i - 1]]]
-    return cell[:i] + (e,) + cell[i:]
 
 
 @dataclass
@@ -296,9 +283,7 @@ def cocycle_vector(nv: Nerve, cocycle) -> np.ndarray:
     """Exponent vector of a mu_N phase cocycle over the level-2 cells."""
     if cocycle.continuous:
         raise UnsupportedCoefficientsError("only mu_N cocycles vectorize over the nerve")
-    return np.array(
-        [cocycle.exponent(cell[0], cell[1]) for cell in nv.levels[2]], dtype=np.int64
-    )
+    return cocycle.values_at(nv.levels[2])
 
 
 def extension_class(ext: CentralExtension) -> CohomologyClass:

@@ -33,8 +33,11 @@ from anomlab.groupoid import (
 from anomlab.instances import (
     cyclic_group,
     generator,
+    group_catalog,
     point_groupoid,
     random_cover_instance,
+    random_groupoid_cocycle,
+    translation_groupoid,
 )
 from anomlab.nerve import extension_class
 
@@ -54,14 +57,15 @@ def test_action_groupoid_structure():
     g = _swap_groupoid()
     assert g.n_objects == 2
     assert g.n_arrows == 4
-    assert g.source == [0, 0, 1, 1]
-    assert g.target == [0, 1, 1, 0]
-    assert g.identity == [0, 2]
+    assert g.source.tolist() == [0, 0, 1, 1]
+    assert g.target.tolist() == [0, 1, 1, 0]
+    assert g.identity.tolist() == [0, 2]
     # arrow 1 is (p, s): p.s = q, so its inverse starts at q
     assert g.inverse[1] == 3
     assert axioms_check(g) == []
     assert len(list(g.composable_pairs())) == 8
-    assert len(list(g.composable_triples())) == 16
+    defined = g.compose >= 0
+    assert int(np.sum(defined[:, :, None] & defined[None, :, :])) == 16  # composable triples
 
 
 def test_composable_pairs_source_target_convention():
@@ -76,11 +80,67 @@ def test_composable_pairs_source_target_convention():
 def test_axioms_check_reports_mutations():
     g = _swap_groupoid()
     broken = groupoid_from_compose(
-        g.objects, g.arrows, g.source, g.target, dict(g.compose)
+        g.objects, g.arrows, g.source, g.target, g.compose.copy()
     )
     assert axioms_check(broken) == []
     broken.inverse[1] = 1
     assert axioms_check(broken)
+
+
+def _sound_by_definition(g):
+    """The groupoid axioms read straight off the tables, one plain loop each."""
+    n_obj, n_arr = g.n_objects, g.n_arrows
+    src, tgt, e, inv = (t.tolist() for t in (g.source, g.target, g.identity, g.inverse))
+    comp = g.compose.tolist()
+    if not all(0 <= o < n_obj for o in src + tgt) or not all(0 <= x < n_arr for x in e + inv):
+        return False
+    for x in range(n_arr):
+        for y in range(n_arr):
+            xy = comp[x][y]
+            if (xy >= 0) != (src[x] == tgt[y]):  # defined exactly on composable pairs
+                return False
+            if xy >= 0 and not (xy < n_arr and src[xy] == src[y] and tgt[xy] == tgt[x]):
+                return False
+    for x in range(n_arr):
+        for y in range(n_arr):
+            for z in range(n_arr):
+                if src[x] == tgt[y] and src[y] == tgt[z]:
+                    if comp[comp[x][y]][z] != comp[x][comp[y][z]]:
+                        return False
+    for o in range(n_obj):
+        if src[e[o]] != o or tgt[e[o]] != o:
+            return False
+    for x in range(n_arr):
+        if comp[e[tgt[x]]][x] != x or comp[x][e[src[x]]] != x:
+            return False
+        if comp[x][inv[x]] != e[tgt[x]] or comp[inv[x]][x] != e[src[x]]:
+            return False
+    return True
+
+
+def test_axioms_check_agrees_with_definition():
+    rng = generator(211)
+    catalog = group_catalog()
+    sound = [point_groupoid(grp) for grp in catalog.values()]
+    sound += [translation_groupoid(grp) for grp in catalog.values()]
+    for name, modulus in (("Z3", 3), ("S3", 4), ("D4", 8)):
+        base = point_groupoid(catalog[name])
+        c = random_groupoid_cocycle(rng, base, catalog[name], ["*"], [[0] * catalog[name].order], modulus)
+        sound.append(central_extend(base, c).total)
+    for g in sound:
+        assert _sound_by_definition(g) and axioms_check(g) == []
+    small = [_swap_groupoid(), point_groupoid(catalog["S3"]), translation_groupoid(catalog["Z3"]), sound[-3]]
+    mutants = 0
+    for g in small:
+        for table in ("compose", "inverse", "identity"):
+            for _ in range(20):
+                broken = groupoid_from_compose(g.objects, g.arrows, g.source, g.target, g.compose.copy())
+                flat = getattr(broken, table).reshape(-1)
+                i = int(rng.integers(flat.size))
+                flat[i] = (flat[i] + 1 + int(rng.integers(g.n_arrows + 1))) % (g.n_arrows + 2) - 1
+                assert _sound_by_definition(broken) == (axioms_check(broken) == [])
+                mutants += 1
+    assert mutants >= 200
 
 
 def test_group_axioms_check():
@@ -172,7 +232,7 @@ def test_centrality_check_detects_mutation():
     g = point_groupoid(_z2())
     ext = central_extend(g, _carry_cocycle_z2(g))
     assert centrality_check(ext) == 0.0
-    pair = next(iter(ext.total.compose))
+    pair = tuple(ext.total.composable_pairs()[0])
     ext.total.compose[pair] = ext.phase_shift(1, ext.total.compose[pair])
     assert centrality_check(ext) > 0.0
 
@@ -183,7 +243,8 @@ def test_coboundary_twist_stays_cocycle_and_shifts_values():
     b = [1, 2, 3, 0]
     twisted = coboundary_twist(g, c, b)
     assert cocycle_check(g, twisted) == 0.0
-    for (x, y), xy in g.compose.items():
+    for x, y in g.composable_pairs():
+        xy = g.compose[x, y]
         assert twisted.exponent(x, y) == (b[x] + b[y] - b[xy]) % 4
     cont = coboundary_twist(g, zero_cocycle(g, None), [1.0, 1j, -1.0, -1j])
     assert cocycle_check(g, cont) < 1e-12
@@ -193,7 +254,7 @@ def test_central_extend_input_errors():
     g = point_groupoid(_z2())
     with pytest.raises(MissingValueError):
         central_extend(g, PhaseCocycle(2, {}))
-    bad = {pair: 0 for pair in g.composable_pairs()}
+    bad = {pair: 0 for pair in map(tuple, g.composable_pairs().tolist())}
     bad[(0, 0)] = 1  # c(e,e) alone violates the cocycle identity
     with pytest.raises(ExtensionError):
         central_extend(g, PhaseCocycle(2, bad))

@@ -100,11 +100,11 @@ def test_groupoid_roundtrip():
     g = translation_groupoid(cyclic_group(2))
     obj = groupoid_to_obj(g)
     again = groupoid_from_obj(obj)
-    assert again.source == g.source
-    assert again.target == g.target
-    assert again.identity == g.identity
-    assert again.inverse == g.inverse
-    assert again.compose == g.compose
+    np.testing.assert_array_equal(again.source, g.source)
+    np.testing.assert_array_equal(again.target, g.target)
+    np.testing.assert_array_equal(again.identity, g.identity)
+    np.testing.assert_array_equal(again.inverse, g.inverse)
+    np.testing.assert_array_equal(again.compose, g.compose)
 
 
 def test_groupoid_schema_validation():
@@ -121,7 +121,7 @@ def test_groupoid_schema_validation():
 def test_cocycle_roundtrip_discrete_and_continuous():
     g = point_groupoid(cyclic_group(2))
     c = PhaseCocycle(2, {pair: 1 if pair == (1, 1) else 0
-                         for pair in g.composable_pairs()})
+                         for pair in map(tuple, g.composable_pairs().tolist())})
     again = cocycle_from_obj(cocycle_to_obj(g, c), g)
     assert again.modulus == 2
     assert again.values == c.values
@@ -174,3 +174,49 @@ def test_cover_schema_validation():
         del broken[0]["k"]
         with pytest.raises(FormatError):
             cover_from_obj({**obj, "local_cocycles": broken})
+
+
+def _arrow_field(field, value):
+    obj = groupoid_to_obj(point_groupoid(cyclic_group(2)))
+    obj["arrows"][0][field] = value
+    return groupoid_from_obj(obj)
+
+
+def _cover_with(key, value):
+    _, _, _, _, cocycle, data, modulus = random_cover_instance(generator(805))
+    obj = cover_to_obj(data, modulus, source_cocycle=cocycle.values)
+    obj[key] = value(obj) if callable(value) else value
+    return cover_from_obj(obj)
+
+
+_Z2 = point_groupoid(cyclic_group(2))
+
+# bools pass isinstance(v, int), and floats and numeric strings pass int(v)
+NON_INTEGER_FIELDS = {
+    "matrix rows": lambda: matrix_from_obj({"rows": True, "cols": 1, "data": [[1.0, 0.0]]}),
+    "matrix cols": lambda: matrix_from_obj({"rows": 1, "cols": True, "data": [[1.0, 0.0]]}),
+    "polarization dim": lambda: polarization_from_obj({"dim": 2, "plus_dim": True}),
+    "frame plus_dim": lambda: frame_from_obj({**matrix_to_obj(np.eye(2, 1)), "plus_dim": True}),
+    "group mult": lambda: group_from_obj({"elements": ["e", "s"], "mult": [[False, True], [True, False]]}),
+    "arrow src": lambda: _arrow_field("src", False),
+    "arrow tgt": lambda: _arrow_field("tgt", False),
+    "cocycle index": lambda: cocycle_from_obj({"modulus": 2, "values": [[True, 0, 1]]}, _Z2),
+    "cocycle exponent": lambda: cocycle_from_obj({"modulus": 2, "values": [[0, 0, True]]}, _Z2),
+    "cocycle modulus": lambda: cocycle_from_obj({"modulus": True, "values": [[0, 0, 0]]}, _Z2),
+    "cover modulus": lambda: _cover_with("modulus", True),
+    "cover action": lambda: _cover_with("action", lambda obj: [[0.0] + obj["action"][0][1:]] + obj["action"][1:]),
+    "cover chart": lambda: _cover_with("charts", lambda obj: [[True]] + obj["charts"]),
+    "cover transition": lambda: _cover_with(
+        "transitions", [{"a": 0, "b": 1, "g": 0, "x": 0, "k": 1.7}]
+    ),
+    "cover local cocycle": lambda: _cover_with(
+        "local_cocycles", lambda obj: [{**obj["local_cocycles"][0], "k": "1"}] + obj["local_cocycles"][1:]
+    ),
+    "cover source cocycle": lambda: _cover_with("source_cocycle", [[0, 0, 1.5]]),
+}
+
+
+@pytest.mark.parametrize("field", sorted(NON_INTEGER_FIELDS))
+def test_integer_fields_reject_bool_float_and_str(field):
+    with pytest.raises(FormatError, match="must be an integer"):
+        NON_INTEGER_FIELDS[field]()

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from anomlab.errors import (
     DomainError,
@@ -167,12 +166,16 @@ def test_hermitian_eigensystem_rejects_non_hermitian():
 
 @pytest.mark.parametrize("scale", [0.01, 1.0, 40.0])
 def test_matrix_exponential_matches_scipy(scale):
-    # scale 40 exercises the scaling-and-squaring branch
+    # reference: the closed form V diag(e^w) V* of a Hermitian H = V diag(w) V*,
+    # and V diag(e^(iw)) V* for the anti-Hermitian iH; scale 40 needs squaring
     rng = np.random.default_rng(int(scale * 7) + 3)
-    m = scale * _random_complex(rng, 5)
-    np.testing.assert_allclose(
-        matrix_exponential(m), scipy.linalg.expm(m), rtol=1e-10, atol=1e-10
-    )
+    a = scale * _random_complex(rng, 5)
+    h = (a + a.conj().T) / 2
+    w, v = np.linalg.eigh(h)
+    for m, spectrum in ((h, np.exp(w)), (1j * h, np.exp(1j * w))):
+        np.testing.assert_allclose(
+            matrix_exponential(m), (v * spectrum) @ v.conj().T, rtol=1e-10, atol=1e-10
+        )
 
 
 def test_matrix_exponential_inverse_pair():

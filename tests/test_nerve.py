@@ -168,7 +168,7 @@ def test_degree_one_cohomology():
 def test_extension_class_detects_nontrivial_extension():
     g = point_groupoid(_z2())
     carry = PhaseCocycle(
-        2, {pair: 1 if pair == (1, 1) else 0 for pair in g.composable_pairs()}
+        2, {pair: 1 if pair == (1, 1) else 0 for pair in map(tuple, g.composable_pairs().tolist())}
     )
     nontrivial = extension_class(central_extend(g, carry))
     assert nontrivial.orders == (2,)
