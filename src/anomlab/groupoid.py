@@ -546,15 +546,16 @@ def validate_local_data(data: LocalExtensionData, modulus: int) -> None:
     check_right_action(data.points, group, data.action)
 
     npts = len(data.points)
+    charts = [data.charts_containing(g) for g in range(m)]
     # gluing condition across every overlapping choice of chart indices
     for a in range(npts):
         for f in range(m):
-            alphas = data.charts_containing(f)
+            alphas = charts[f]
             af = data.action[a][f]
             for g in range(m):
-                betas = data.charts_containing(g)
+                betas = charts[g]
                 fg = group.mult[f][g]
-                gammas = data.charts_containing(fg)
+                gammas = charts[fg]
                 base = {
                     (al, be, ga): _omega_lookup(data, al, be, ga, f, g, a)
                     for al in alphas
@@ -584,12 +585,12 @@ def validate_local_data(data: LocalExtensionData, modulus: int) -> None:
                 for g3 in range(m):
                     g23 = group.mult[g2][g3]
                     g123 = group.mult[g12][g3]
-                    for al in data.charts_containing(g1):
-                        for be in data.charts_containing(g2):
-                            for ga in data.charts_containing(g12):
-                                for de in data.charts_containing(g3):
-                                    for ep in data.charts_containing(g23):
-                                        for ze in data.charts_containing(g123):
+                    for al in charts[g1]:
+                        for be in charts[g2]:
+                            for ga in charts[g12]:
+                                for de in charts[g3]:
+                                    for ep in charts[g23]:
+                                        for ze in charts[g123]:
                                             lhs = (
                                                 _omega_lookup(data, ga, de, ze, g12, g3, a)
                                                 + _omega_lookup(data, al, be, ga, g1, g2, a)

@@ -443,12 +443,8 @@ def refined_cover(rng, group: FiniteGroup, points, action, cocycle: PhaseCocycle
 
 def random_cover_instance(rng, max_points=3, max_order=6, max_modulus=6, n_charts=3) -> tuple:
     """Full round-trip fixture: groupoid, source cocycle, refined cover, modulus."""
-    names = [
-        name
-        for name, grp in sorted(group_catalog().items())
-        if grp.order <= max_order
-    ]
     catalog = group_catalog()
+    names = [name for name, grp in sorted(catalog.items()) if grp.order <= max_order]
     group = catalog[names[int(rng.integers(len(names)))]]
     points, action = random_right_action(rng, group, max_points)
     gpd = action_groupoid(points, group, action)

@@ -3,9 +3,19 @@
 Produces S = U A V with U, V unimodular and S diagonal with a divisibility
 chain d_1 | d_2 | ... Pivots are chosen by smallest nonzero absolute value
 with row-major tie-break, which keeps coefficient growth negligible on the
-near-unimodular face matrices this package feeds in. Arithmetic runs on
-int64 with an overflow guard and falls back to exact object (big-int)
-arrays if the guard ever trips.
+near-unimodular face matrices this package feeds in. Each elimination step
+reads and writes only the entries it changes: the rows (row clear) or
+columns (column clear) whose quotient is nonzero, in A and in the
+transforms. The pivot column is clear by the time of the column clear, so
+that step changes only row t of A and row t of V^-1.
+
+Arithmetic runs on int64 and falls back to exact object (big-int) arrays
+when a guard trips. Two guards keep every stored entry at most 2^59, so no
+int64 sum wraps: before each multiply, max|q| times the largest entry it
+multiplies (times the number of summed terms for V^-1) must stay below
+2^62; after each write, the entries just written must stay at most 2^59.
+The input is scanned once at the start; entries not written since then
+keep their bound, so they need no second look.
 """
 
 from __future__ import annotations
@@ -35,6 +45,16 @@ class SNFResult:
 
 def _pivot_int64(a: np.ndarray, t: int):
     sub = a[t:, t:]
+    # a unit is a smallest entry, so the first one in row-major order is the
+    # pivot; scan row blocks of doubling height to stop early
+    start, height = 0, 8
+    while start < sub.shape[0]:
+        units = np.abs(sub[start:start + height]) == 1
+        k = int(np.argmax(units))
+        if units.flat[k]:
+            i, j = divmod(k, sub.shape[1])
+            return start + i + t, j + t
+        start, height = start + height, 2 * height
     rows, cols = np.nonzero(sub)
     if rows.size == 0:
         return None
@@ -68,22 +88,21 @@ def _reduce(a, track_u, track_v, track_vinv, object_mode):
     v = eye(cols) if track_v else None
     vinv = eye(cols) if track_vinv else None
 
-    def guard():
-        if object_mode:
-            return
-        if np.max(np.abs(a), initial=0) > _GUARD:
+    def guard(block):
+        # every stored entry stays <= _GUARD: the input is scanned once, then each block just written
+        if not object_mode and np.abs(block).max(initial=0) > _GUARD:
             raise _Overflow
-        for m in (u, v, vinv):
-            if m is not None and np.max(np.abs(m), initial=0) > _GUARD:
-                raise _Overflow
 
     def check_products(q, *blocks, terms=1):
-        # sums of `terms` products q * entry could wrap int64 before guard() sees them
+        # sums of `terms` products q * entry could wrap int64 before guard() sees them;
+        # no stored entry exceeds _GUARD, so small quotients need no scan
         if object_mode:
             return
-        qmax = int(np.max(np.abs(q))) * terms
+        qmax = int(np.abs(q).max()) * terms
+        if qmax * _GUARD < _PRODUCT_LIMIT:
+            return
         for block in blocks:
-            if block is not None and qmax * int(np.max(np.abs(block), initial=0)) >= _PRODUCT_LIMIT:
+            if block is not None and qmax * int(np.abs(block).max(initial=0)) >= _PRODUCT_LIMIT:
                 raise _Overflow
 
     def swap_rows(i, j):
@@ -104,7 +123,7 @@ def _reduce(a, track_u, track_v, track_vinv, object_mode):
 
     pivot = _pivot_object if object_mode else _pivot_int64
 
-    guard()
+    guard(a)
     t = 0
     limit = min(rows, cols)
     while t < limit:
@@ -118,54 +137,62 @@ def _reduce(a, track_u, track_v, track_vinv, object_mode):
             if u is not None:
                 u[t, :] = -u[t, :]
         while True:
+            # rows and columns before t are clear, so row t is zero left of t
             p = a[t, t]
+            q = a[t + 1:, t] // p
+            hit = q.nonzero()[0]
+            if hit.size:
+                q = q[hit]
+                hit += t + 1
+                check_products(q, a[t, :], None if u is None else u[t, :])
+                a[hit, t:] -= q[:, None] * a[t, t:]
+                guard(a[hit, t:])
+                if u is not None:
+                    u[hit, :] -= q[:, None] * u[t, :]
+                    guard(u[hit, :])
             col = a[t + 1:, t]
-            if np.any(col != 0):
-                q = col // p
-                if np.any(q != 0):
-                    check_products(q, a[t, :], None if u is None else u[t, :])
-                    a[t + 1:, :] -= q[:, None] * a[t, :]
-                    if u is not None:
-                        u[t + 1:, :] -= q[:, None] * u[t, :]
-                    guard()
-                col = a[t + 1:, t]
-                if np.any(col != 0):
-                    # positive remainder smaller than the pivot: promote it
-                    nz = np.nonzero(col)[0]
-                    k = int(nz[np.argmin(col[nz])])
-                    swap_rows(t, t + 1 + k)
-                    continue
+            nz = col.nonzero()[0]
+            if nz.size:
+                # positive remainder smaller than the pivot: promote it
+                k = int(nz[np.argmin(col[nz])])
+                swap_rows(t, t + 1 + k)
+                continue
+            # column t is now zero off the pivot, so clearing row t changes only
+            # row t of a, the hit columns of v and row t of vinv
+            q = a[t, t + 1:] // p
+            hit = q.nonzero()[0]
+            if hit.size:
+                check_products(q, a[:, t], None if v is None else v[:, t])
+                # the vinv update sums up to len(q) such products
+                check_products(q, None if vinv is None else vinv[t + 1:, :], terms=len(q))
+                q = q[hit]
+                hit += t + 1
+                a[t, hit] -= p * q
+                guard(a[t, hit])
+                if v is not None:
+                    v[:, hit] -= v[:, t:t + 1] * q[None, :]
+                    guard(v[:, hit])
+                if vinv is not None:
+                    vinv[t, :] = vinv[t, :] + q @ vinv[hit, :]
+                    guard(vinv[t, :])
             row = a[t, t + 1:]
-            if np.any(row != 0):
-                p = a[t, t]
-                q = row // p
-                if np.any(q != 0):
-                    check_products(q, a[:, t], None if v is None else v[:, t])
-                    # the vinv update sums up to len(q) such products
-                    check_products(q, None if vinv is None else vinv[t + 1:, :], terms=len(q))
-                    a[:, t + 1:] -= a[:, t:t + 1] * q[None, :]
-                    if v is not None:
-                        v[:, t + 1:] -= v[:, t:t + 1] * q[None, :]
-                    if vinv is not None:
-                        vinv[t, :] = vinv[t, :] + q @ vinv[t + 1:, :]
-                    guard()
-                row = a[t, t + 1:]
-                if np.any(row != 0):
-                    nz = np.nonzero(row)[0]
-                    k = int(nz[np.argmin(row[nz])])
-                    swap_cols(t, t + 1 + k)
-                    continue
-            # pivot row and column are clear; force divisibility of the rest
+            nz = row.nonzero()[0]
+            if nz.size:
+                k = int(nz[np.argmin(row[nz])])
+                swap_cols(t, t + 1 + k)
+                continue
+            # pivot row and column are clear; force divisibility of the rest (a unit divides all)
             rest = a[t + 1:, t + 1:]
-            if rest.size:
+            if a[t, t] != 1 and rest.size:
                 rem = rest % a[t, t]
                 if np.any(rem != 0):
                     bad_rows = np.nonzero(np.any(rem != 0, axis=1))[0]
                     i2 = int(bad_rows[0])
                     a[t, :] += a[t + 1 + i2, :]
+                    guard(a[t, :])
                     if u is not None:
                         u[t, :] = u[t, :] + u[t + 1 + i2, :]
-                    guard()
+                        guard(u[t, :])
                     continue
             break
         t += 1

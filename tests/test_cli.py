@@ -7,8 +7,14 @@ import numpy as np
 import pytest
 
 from anomlab.cli import main
-from anomlab.groupoid import axioms_check
-from anomlab.instances import cyclic_group, point_groupoid
+from anomlab.groupoid import action_groupoid, axioms_check
+from anomlab.instances import (
+    coset_right_action,
+    cyclic_group,
+    group_catalog,
+    point_groupoid,
+    subgroups,
+)
 from anomlab.jsonio import (
     dump_json,
     groupoid_from_obj,
@@ -145,6 +151,64 @@ def test_compute_h2(tmp_path, capsys):
     capsys.readouterr()
     assert main(["compute", "h2", "--groupoid", str(gfile), "--modulus", "3"]) == 0
     assert json.loads(capsys.readouterr().out)["trivial"] is True
+
+
+# Exact outputs pinned as literals: H^2 orders per (group, groupoid, modulus),
+# where "coset-k" is the action on the cosets of the first subgroup of order k.
+H2_ORDERS = {
+    ("D4", "point", 2): [2, 2, 2],
+    ("D4", "point", 4): [2, 2, 2],
+    ("D4", "coset-2", 2): [2],
+    ("D4", "coset-2", 4): [2],
+    ("D4", "coset-4", 2): [2, 2, 2],
+    ("D4", "coset-4", 4): [2, 2, 2],
+    ("Z2xZ4", "point", 2): [2, 2, 2],
+    ("Z2xZ4", "point", 4): [2, 2, 4],
+    ("Z2xZ4", "coset-2", 2): [2],
+    ("Z2xZ4", "coset-2", 4): [2],
+    ("Z2xZ4", "coset-4", 2): [2],
+    ("Z2xZ4", "coset-4", 4): [4],
+}
+
+
+def test_compute_h2_orders_are_pinned(tmp_path, capsys):
+    catalog = group_catalog()
+    for (name, kind, modulus), orders in H2_ORDERS.items():
+        group = catalog[name]
+        if kind == "point":
+            gpd = point_groupoid(group)
+        else:
+            k = int(kind.split("-")[1])
+            sub = next(s for s in subgroups(group) if len(s) == k)
+            points, action = coset_right_action(group, sub)
+            gpd = action_groupoid(points, group, action)
+        gfile = tmp_path / f"{name}-{kind}.json"
+        dump_json(groupoid_to_obj(gpd), gfile)
+        assert main(["compute", "h2", "--groupoid", str(gfile), "--modulus", str(modulus)]) == 0
+        assert json.loads(capsys.readouterr().out)["orders"] == orders, (name, kind, modulus)
+
+
+# (orders, vector) of the glued class, which equals the source class, for
+# `generate refined-cover --seed s` read back by `compute glue`
+GLUE_CLASSES = {
+    0: ([2, 2], [1, 1]),
+    1: ([2], [0]),
+    2: ([2], [0]),
+    3: ([2], [0]),
+    4: ([], []),
+    5: ([], []),
+}
+
+
+def test_compute_glue_class_vectors_are_pinned(tmp_path, capsys):
+    for seed, (orders, vector) in GLUE_CLASSES.items():
+        cover = tmp_path / f"cover{seed}.json"
+        assert main(["generate", "refined-cover", "--seed", str(seed), "--out", str(cover)]) == 0
+        assert main(["compute", "glue", "--data", str(cover)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        expected = {"orders": orders, "vector": vector}
+        assert payload["class"] == expected, seed
+        assert payload["source_class"] == expected, seed
 
 
 def test_generate_is_byte_deterministic(tmp_path):

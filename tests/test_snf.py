@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from anomlab.instances import group_catalog, point_groupoid, translation_groupoid
+from anomlab.nerve import coboundary_matrix, nerve
 from anomlab.snf import smith_normal_form, solve_mod
 
 
@@ -20,19 +22,26 @@ def _int_det(m):
     return total
 
 
-def _check_form(mat):
+def _exact_matmul(x, y):
+    """x @ y in Python integers, summing over the nonzeros of x only."""
+    x = np.asarray(x, dtype=object)
+    y = np.asarray(y, dtype=object)
+    out = np.zeros((x.shape[0], y.shape[1]), dtype=object)
+    for i, k in zip(*np.nonzero(x)):
+        out[i] += x[i, k] * y[k]
+    return out
+
+
+def _check_transforms(mat):
+    """U A V = S, V V^-1 = I and the divisibility chain, in exact arithmetic."""
     res = smith_normal_form(mat, want_u=True, want_v=True, want_vinv=True)
     a = np.asarray(mat, dtype=object)
-    s = np.array(res.u, dtype=object) @ a @ np.array(res.v, dtype=object)
-    k = min(a.shape)
+    s = _exact_matmul(res.u, _exact_matmul(a, res.v))
     expected = np.zeros(a.shape, dtype=object)
-    for i in range(k):
+    for i in range(min(a.shape)):
         expected[i, i] = res.factors[i]
     assert np.array_equal(s, expected)
-    # unimodular transforms and a genuine inverse for v
-    assert abs(_int_det(np.array(res.u, dtype=object))) == 1
-    assert abs(_int_det(np.array(res.v, dtype=object))) == 1
-    vv = np.array(res.v, dtype=object) @ np.array(res.vinv, dtype=object)
+    vv = _exact_matmul(res.v, res.vinv)
     assert np.array_equal(vv, np.eye(a.shape[1], dtype=object))
     # nonnegative factors with a divisibility chain
     nonzero = [f for f in res.factors if f != 0]
@@ -40,6 +49,14 @@ def _check_form(mat):
     for first, second in zip(nonzero, nonzero[1:]):
         assert second % first == 0
     assert res.rank == len(nonzero)
+    return res
+
+
+def _check_form(mat):
+    res = _check_transforms(mat)
+    # unimodular transforms
+    assert abs(_int_det(np.array(res.u, dtype=object))) == 1
+    assert abs(_int_det(np.array(res.v, dtype=object))) == 1
     return res
 
 
@@ -78,6 +95,34 @@ def test_products_beyond_int64_take_the_exact_path():
     assert res.factors == [1, 16919829833015585940390207595315]
 
 
+def test_growth_past_the_guard_takes_the_exact_path():
+    # unit quotients double the last column step by step; int64 would wrap
+    # and report a factor 3 here without the post-write guard
+    x = 576460752303423000
+    mat = [
+        [0, 1, -1, 1, -1, 0, -1, x - 153],
+        [0, 0, -1, 0, 0, -1, -1, x - 153],
+        [-1, 1, 0, -1, -1, 1, -1, -x - 175],
+        [0, 0, 0, -1, 0, 1, -1, -x - 140],
+        [-1, 0, 1, 1, 0, 1, -1, -x + 199],
+        [-1, 0, -1, 0, 1, 1, 1, x - 58],
+        [-1, -1, -1, 1, -1, 1, 1, -x + 321],
+    ]
+    # factors alone: with transforms tracked, their product checks trip first
+    assert smith_normal_form(mat).factors == [1] * 7
+    assert _check_transforms(mat).factors == [1] * 7
+
+
+def test_pivot_rule_fixes_the_transforms():
+    # smallest |entry|, row-major tie-break: the class vectors that
+    # `compute glue` prints are written in the basis these transforms give
+    res = _check_form([[2, 1, -1, 0], [1, 0, 1, 3], [-1, 1, 2, 1]])
+    assert res.factors == [1, 1, 2]
+    assert res.u.tolist() == [[1, 0, 0], [0, 1, 0], [-1, 3, 1]]
+    assert res.v.tolist() == [[0, 1, 1, -4], [1, -2, 0, 3], [0, 0, 2, -5], [0, 0, -1, 3]]
+    assert res.vinv.tolist() == [[2, 1, -1, 0], [1, 0, 1, 3], [0, 0, 3, 5], [0, 0, 1, 2]]
+
+
 def test_fuzz_against_sympy():
     sympy = pytest.importorskip("sympy")
     from sympy.matrices.normalforms import smith_normal_form as sympy_snf
@@ -91,6 +136,18 @@ def test_fuzz_against_sympy():
         res = _check_form(mat)
         oracle = sympy_snf(sympy.Matrix(mat.tolist()), domain=sympy.ZZ)
         assert res.factors == [abs(int(oracle[i, i])) for i in range(n)], mat.tolist()
+
+
+def test_coboundary_matrices_reduce_exactly():
+    # the matrices cohomology_group reduces, up to 1296 x 216 (d^2 of the
+    # translation groupoid of S3); determinants are too slow at these sizes
+    catalog = group_catalog()
+    groupoids = [point_groupoid(g) for _, g in sorted(catalog.items())]
+    groupoids.append(translation_groupoid(catalog["S3"]))
+    for gpd in groupoids:
+        nv = nerve(gpd, 3)
+        for d in range(3):
+            _check_transforms(coboundary_matrix(nv, d))
 
 
 def test_bad_input_rejected():
