@@ -16,7 +16,7 @@ import sys
 from . import jsonio
 from .errors import AnomlabError, DomainError, FormatError
 from .fock import build_car, schwinger_detail
-from .groupoid import PhaseCocycle, centrality_check, glue_local_data
+from .groupoid import PhaseCocycle, centrality_check, given_entries, glue_local_data
 from .instances import (
     generator,
     random_action_instance,
@@ -202,7 +202,9 @@ def _cmd_compute(args, parser) -> int:
             "arrows": ext.base.n_arrows,
             "centrality": centrality_check(ext),
             "class": {"orders": list(cls.orders), "vector": list(cls.vector)},
-            "inputs": {"data": digest(sorted((str(k), v) for k, v in data.omega.items()))},
+            "inputs": {
+                "data": digest(sorted((str(k), v) for k, v in given_entries(data.omega, data.omega_given)))
+            },
         }
         if source is not None:
             src_cls = reducer.reduce(

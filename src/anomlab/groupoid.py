@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import (
     ActionAxiomError,
+    CapacityError,
     CocycleError,
     DescentError,
     DomainError,
@@ -33,6 +34,7 @@ from .errors import (
     GroupoidAxiomError,
     InternalConsistencyError,
     MissingValueError,
+    ShapeError,
     UnsupportedCoefficientsError,
 )
 from .linalg import as_square, matrix_exponential
@@ -249,6 +251,18 @@ def check_right_action(points, group: FiniteGroup, action) -> None:
                     )
 
 
+def action_pairs(action, m: int) -> np.ndarray:
+    """Composable pairs "g1 then g2" of the action groupoid, as an (n, m, m, 2) array.
+
+    Entry [a, g1, g2] is (x, y) with y = (a, g1) and x = (a.g1, g2), arrow
+    (a, g) having index a * m + g as in action_groupoid.
+    """
+    act = np.asarray(action, dtype=np.int64).reshape(-1, m)
+    y = np.arange(act.size).reshape(-1, m, 1)
+    x = act[:, :, None] * m + np.arange(m)
+    return np.stack(np.broadcast_arrays(x, y), axis=-1)
+
+
 def action_groupoid(points, group: FiniteGroup, action) -> FiniteGroupoid:
     """Groupoid of a right G-action on a finite set.
 
@@ -259,10 +273,9 @@ def action_groupoid(points, group: FiniteGroup, action) -> FiniteGroupoid:
     act = np.asarray(action, dtype=np.int64).reshape(n, m)
     mult = np.asarray(group.mult, dtype=np.int64).reshape(m, m)
     arrows = [(points[a], group.elements[g]) for a in range(n) for g in range(m)]
-    y = np.arange(n * m).reshape(n, m)  # y = (a, g1)
-    x = act[:, :, None] * m + np.arange(m)  # x = (a.g1, g2)
+    pairs = action_pairs(act, m)
     compose = np.full((n * m, n * m), -1, dtype=np.int64)
-    compose[x, y[:, :, None]] = np.arange(n)[:, None, None] * m + mult
+    compose[pairs[..., 0], pairs[..., 1]] = np.arange(n)[:, None, None] * m + mult
     return FiniteGroupoid(
         objects=list(points),
         arrows=arrows,
@@ -291,6 +304,12 @@ class PhaseCocycle:
                 raise DomainError(f"modulus must be a positive integer or None, got {self.modulus!r}")
             self.modulus = int(self.modulus)
             self.values = {k: int(v) % self.modulus for k, v in self.values.items()}
+
+    @classmethod
+    def on_pairs(cls, modulus, pairs, values) -> "PhaseCocycle":
+        """Cocycle taking values[i] on pair i of an (..., 2) array of arrow pairs."""
+        keys = map(tuple, np.asarray(pairs).reshape(-1, 2).tolist())
+        return cls(modulus, dict(zip(keys, np.ravel(values).tolist())))
 
     @property
     def continuous(self) -> bool:
@@ -365,7 +384,7 @@ def coboundary_twist(g: FiniteGroupoid, c: PhaseCocycle, b) -> PhaseCocycle:
     else:
         b = np.asarray(b, dtype=np.int64)
         values = (c.values_at(pairs) + b[x] + b[y] - b[xy]) % c.modulus
-    return PhaseCocycle(c.modulus, dict(zip(map(tuple, pairs.tolist()), values.tolist())))
+    return PhaseCocycle.on_pairs(c.modulus, pairs, values)
 
 
 @dataclass
@@ -488,123 +507,204 @@ def centrality_check(ext) -> float:
     return worst
 
 
+MAX_LOCAL_CELLS = 1_000_000
+
+
 @dataclass
 class LocalExtensionData:
     """Chart-local description of a central extension over an action groupoid.
 
-    cover is a list of charts (subsets of group element indices) whose union
-    is the whole group. phi[(alpha, beta, g, a)] is the transition exponent
-    between charts alpha and beta at group element g over point a, with
-    phi[(alpha, alpha, ...)] implicitly zero. omega[(alpha, beta, gamma, f,
-    g, a)] is the local multiplication cocycle for f in chart alpha, g in
-    chart beta, f g in chart gamma, evaluated over point a.
+    cover is a list of C charts (sets of group element indices) whose union
+    is the whole group. phi[alpha, beta, g, a] is the transition exponent
+    between charts alpha and beta at element g over point a, implicitly zero
+    when alpha == beta. omega[alpha, beta, gamma, f, g, a] is the local
+    cocycle for f in chart alpha, g in chart beta and f g in chart gamma over
+    point a. Both are int64 arrays; phi_given and omega_given mark the
+    entries supplied. Given entries outside required_entries are never read.
     """
 
     group: FiniteGroup
     points: list
     action: list
     cover: list
-    phi: dict
-    omega: dict
+    phi: np.ndarray
+    phi_given: np.ndarray
+    omega: np.ndarray
+    omega_given: np.ndarray
 
-    def charts_containing(self, g: int) -> list:
-        return [i for i, chart in enumerate(self.cover) if g in chart]
+    @classmethod
+    def blank(cls, group: FiniteGroup, points, action, cover) -> "LocalExtensionData":
+        """Zero tables with no entry given, shaped for the cover, group and points."""
+        c, m, n = len(cover), group.order, len(points)
+        if c**3 * m * m * n > MAX_LOCAL_CELLS:
+            raise CapacityError(
+                f"local tables of {c} charts, {m} elements and {n} points exceed {MAX_LOCAL_CELLS} entries"
+            )
+        phi, omega = np.zeros((c, c, m, n), dtype=np.int64), np.zeros((c, c, c, m, m, n), dtype=np.int64)
+        return cls(group, points, action, cover, phi, phi.astype(bool), omega, omega.astype(bool))
 
-
-def _phi_lookup(data: LocalExtensionData, alpha: int, beta: int, g: int, a: int) -> int:
-    if alpha == beta:
-        return 0
-    try:
-        return data.phi[(alpha, beta, g, a)]
-    except KeyError:
-        raise MissingValueError(
-            f"transition phi[{alpha},{beta}] missing at element {g}, point {a}"
-        ) from None
-
-
-def _omega_lookup(data, alpha, beta, gamma, f, g, a) -> int:
-    try:
-        return data.omega[(alpha, beta, gamma, f, g, a)]
-    except KeyError:
-        raise MissingValueError(
-            f"local cocycle omega[{alpha},{beta};{gamma}] missing at ({f}, {g}), point {a}"
-        ) from None
+    def membership(self) -> np.ndarray:
+        """(C, |G|) bool table: entry (i, g) is set when chart i holds element g."""
+        m = self.group.order
+        return np.array([[g in chart for g in range(m)] for chart in self.cover], dtype=bool).reshape(-1, m)
 
 
-def validate_local_data(data: LocalExtensionData, modulus: int) -> None:
-    """Check cover, action, gluing, and local cocycle conditions exactly."""
+def given_entries(values: np.ndarray, given: np.ndarray) -> list:
+    """(index tuple, value) of every given entry of a local table, indices ascending."""
+    return list(zip(map(tuple, np.argwhere(given).tolist()), values[given].tolist()))
+
+
+def required_entries(data: LocalExtensionData) -> tuple:
+    """Bool masks (phi, omega) of the entries validation reads, shaped like the tables.
+
+    phi wherever alpha != beta and g lies in both charts; omega wherever f
+    lies in alpha, g in beta and f g in gamma; both at every point.
+    """
+    mem = data.membership()
+    mult = np.asarray(data.group.mult, dtype=np.int64).reshape(mem.shape[1], -1)
+    n = len(data.points)
+    phi = mem[:, None] & mem[None, :] & ~np.eye(len(mem), dtype=bool)[:, :, None]
+    omega = mem[:, None, None, :, None] & mem[None, :, None, None, :] & mem[:, mult][None, None]
+    return np.repeat(phi[..., None], n, axis=-1), np.repeat(omega[..., None], n, axis=-1)
+
+
+def _chart_choices(mem: np.ndarray, mult: np.ndarray) -> tuple:
+    """Chart choices (alpha, beta, gamma) for f, g and f g, over (f, g, choice).
+
+    Returns alpha, beta, gamma and valid, each (m, m, K). The charts holding
+    each element are listed ascending and padded to the longest list, so the
+    valid choices of (f, g) come in lexicographic chart order.
+    """
+    counts = mem.sum(axis=0)
+    k = int(counts.max())
+    charts = np.argsort(~mem, axis=0, kind="stable")[:k].T
+    held = np.arange(k) < counts[:, None]
+    j1, j2, j3 = (j.ravel() for j in np.indices((k, k, k)))
+    alpha, beta, gamma = np.broadcast_arrays(
+        charts[:, None, j1], charts[None, :, j2], charts[mult][:, :, j3]
+    )
+    valid = held[:, None, j1] & held[None, :, j2] & held[mult][:, :, j3]
+    return alpha, beta, gamma, valid
+
+
+def _transitions_between(table, a, choices, act, mult) -> tuple:
+    """table at the three chart pairs of two choices, each over (f, g, choice, choice').
+
+    They are (alpha, alpha') at f over a, (beta, beta') at g over a.f and
+    (gamma, gamma') at f g over a: the transitions the pairwise descent
+    condition compares two choices by, in the order it reads them.
+    """
+    alpha, beta, gamma = choices
+    m = len(mult)
+    f = np.arange(m)[:, None, None, None]
+    g = np.arange(m)[None, :, None, None]
+    return (
+        table[alpha[..., :, None], alpha[..., None, :], f, a],
+        table[beta[..., :, None], beta[..., None, :], g, act[a, f]],
+        table[gamma[..., :, None], gamma[..., None, :], mult[f, g], a],
+    )
+
+
+def _first_missing(data, a, choices, valid, pairs, act, mult):
+    """MissingValueError for the first absent required entry over point a, or None.
+
+    The order is the loop's: per (f, g) it reads omega in every valid
+    choice, then the three transitions of every pair of choices in turn.
+    """
+    m, k = len(mult), valid.shape[-1]
+    f, g = np.arange(m)[:, None, None], np.arange(m)[None, :, None]
+    phi_present = data.phi_given | np.eye(len(data.cover), dtype=bool)[:, :, None, None]
+    omega_missing = valid & ~data.omega_given[(*choices, f, g, a)]
+    present = np.stack(np.broadcast_arrays(*_transitions_between(phi_present, a, choices, act, mult)), axis=-1)
+    phi_missing = pairs[..., None] & ~present
+    missing = np.concatenate([omega_missing, phi_missing.reshape(m, m, -1)], axis=-1)
+    if not missing.any():
+        return None
+    f, g, j = np.unravel_index(np.argmax(missing), missing.shape)
+    if j < k:
+        al, be, ga = (ch[f, g, j] for ch in choices)
+        return MissingValueError(f"local cocycle omega[{al},{be};{ga}] missing at ({f}, {g}), point {a}")
+    k1, k2, slot = np.unravel_index(j - k, (k, k, 3))
+    ch = choices[slot]
+    element, point = ((f, a), (g, act[a, f]), (mult[f, g], a))[slot]
+    return MissingValueError(
+        f"transition phi[{ch[f, g, k1]},{ch[f, g, k2]}] missing at element {element}, point {point}"
+    )
+
+
+def validate_local_data(data: LocalExtensionData, modulus: int) -> np.ndarray:
+    """Check cover, action, gluing, and local cocycle conditions exactly.
+
+    Returns omega in least-index charts, indexed [a, g1, g2]: the glued
+    cocycle on the pair "g1 then g2" over point a. Four steps, each raising
+    for the first failure in the order of the pairwise loop over points,
+    elements and chart choices: (1) cover and action; (2) presence of every
+    required entry; (3) descent between every two chart choices of (f, g),
+    one broadcast per point; (4) the local cocycle identity. Once (3) holds,
+    omega in any choice differs from omega in least-index charts by phi
+    terms that cancel in the identity, so (4) fails for some choice exactly
+    when it fails in least-index charts, the charts the loop tries first.
+    """
     if not isinstance(modulus, (int, np.integer)) or modulus < 1:
         raise DomainError(f"modulus must be a positive integer, got {modulus!r}")
     n = int(modulus)
     group = data.group
     m = group.order
-    covered = set()
-    for chart in data.cover:
-        covered.update(chart)
-    if covered != set(range(m)):
+    if set().union(*data.cover) != set(range(m)):
         raise DomainError("cover does not exhaust the group")
     check_right_action(data.points, group, data.action)
+    c, npts = len(data.cover), len(data.points)
+    phi_shape, omega_shape = (c, c, m, npts), (c, c, c, m, m, npts)
+    shapes = {data.phi.shape, data.phi_given.shape}, {data.omega.shape, data.omega_given.shape}
+    if shapes != ({phi_shape}, {omega_shape}):
+        raise ShapeError(f"local tables must have shapes {phi_shape} and {omega_shape}")
 
-    npts = len(data.points)
-    charts = [data.charts_containing(g) for g in range(m)]
-    # gluing condition across every overlapping choice of chart indices
-    for a in range(npts):
-        for f in range(m):
-            alphas = charts[f]
-            af = data.action[a][f]
-            for g in range(m):
-                betas = charts[g]
-                fg = group.mult[f][g]
-                gammas = charts[fg]
-                base = {
-                    (al, be, ga): _omega_lookup(data, al, be, ga, f, g, a)
-                    for al in alphas
-                    for be in betas
-                    for ga in gammas
-                }
-                for (al, be, ga), val in base.items():
-                    for (al2, be2, ga2), val2 in base.items():
-                        correction = (
-                            _phi_lookup(data, al, al2, f, a)
-                            + _phi_lookup(data, be, be2, g, af)
-                            - _phi_lookup(data, ga, ga2, fg, a)
-                        )
-                        if (val - val2 - correction) % n:
-                            raise DescentError(
-                                "gluing fails between chart choices "
-                                f"({al},{be},{ga}) and ({al2},{be2},{ga2}) "
-                                f"at point {a}, elements ({f}, {g})"
-                            )
+    mem = data.membership()
+    mult = np.asarray(group.mult, dtype=np.int64).reshape(m, m)
+    act = np.asarray(data.action, dtype=np.int64).reshape(npts, m)
+    *choices, valid = _chart_choices(mem, mult)
+    if valid.size * valid.shape[-1] > MAX_LOCAL_CELLS:
+        raise CapacityError(f"descent compares more than {MAX_LOCAL_CELLS} pairs of chart choices per point")
+    pairs = valid[..., :, None] & valid[..., None, :]
 
-    # local cocycle condition for every consistent chart assignment
+    need_phi, need_omega = required_entries(data)
+    if np.any(need_phi & ~data.phi_given) or np.any(need_omega & ~data.omega_given):
+        for a in range(npts):
+            error = _first_missing(data, a, choices, valid, pairs, act, mult)
+            if error is not None:
+                raise error
+
+    om = data.omega % n
+    ph = data.phi % n
+    ph[np.arange(c), np.arange(c)] = 0
+    f, g = np.arange(m)[:, None, None], np.arange(m)[None, :, None]
     for a in range(npts):
-        for g1 in range(m):
-            a1 = data.action[a][g1]
-            for g2 in range(m):
-                g12 = group.mult[g1][g2]
-                for g3 in range(m):
-                    g23 = group.mult[g2][g3]
-                    g123 = group.mult[g12][g3]
-                    for al in charts[g1]:
-                        for be in charts[g2]:
-                            for ga in charts[g12]:
-                                for de in charts[g3]:
-                                    for ep in charts[g23]:
-                                        for ze in charts[g123]:
-                                            lhs = (
-                                                _omega_lookup(data, ga, de, ze, g12, g3, a)
-                                                + _omega_lookup(data, al, be, ga, g1, g2, a)
-                                            )
-                                            rhs = (
-                                                _omega_lookup(data, al, ep, ze, g1, g23, a)
-                                                + _omega_lookup(data, be, de, ep, g2, g3, a1)
-                                            )
-                                            if (lhs - rhs) % n:
-                                                raise CocycleError(
-                                                    "local cocycle identity fails at point "
-                                                    f"{a}, elements ({g1}, {g2}, {g3}), charts "
-                                                    f"({al},{be},{ga},{de},{ep},{ze})"
-                                                )
+        vals = om[(*choices, f, g, a)]
+        t0, t1, t2 = _transitions_between(ph, a, choices, act, mult)
+        bad = pairs & ((vals[..., :, None] - vals[..., None, :] - t0 - t1 + t2) % n != 0)
+        if bad.any():
+            f0, g0, k1, k2 = np.unravel_index(np.argmax(bad), bad.shape)
+            one, two = (",".join(str(ch[f0, g0, k]) for ch in choices) for k in (k1, k2))
+            raise DescentError(
+                f"gluing fails between chart choices ({one}) and ({two}) "
+                f"at point {a}, elements ({f0}, {g0})"
+            )
+
+    least = np.argmax(mem, axis=0)
+    e = np.arange(m)
+    w = np.moveaxis(om[least[:, None], least, least[mult], e[:, None], e], -1, 0)
+    a = np.arange(npts)[:, None, None, None]
+    g1, g2, g3 = e[:, None, None], e[:, None], e
+    g12, g23 = mult[g1, g2], mult[g2, g3]
+    bad = (w[a, g12, g3] + w[a, g1, g2] - w[a, g1, g23] - w[act[a, g1], g2, g3]) % n != 0
+    if bad.any():
+        a, g1, g2, g3 = np.unravel_index(np.argmax(bad), bad.shape)
+        g12, g23 = mult[g1, g2], mult[g2, g3]
+        charts = ",".join(str(least[x]) for x in (g1, g2, g12, g3, g23, mult[g12, g3]))
+        raise CocycleError(
+            f"local cocycle identity fails at point {a}, elements ({g1}, {g2}, {g3}), charts ({charts})"
+        )
+    return w
 
 
 def glue_local_data(data: LocalExtensionData, modulus: int) -> CentralExtension:
@@ -613,25 +713,11 @@ def glue_local_data(data: LocalExtensionData, modulus: int) -> CentralExtension:
     Each group element is read in its least-index chart; the global cocycle
     over a composable pair is the local omega in those canonical charts.
     """
-    validate_local_data(data, modulus)
-    n = int(modulus)
-    group = data.group
-    m = group.order
-    chart_of = [min(data.charts_containing(g)) for g in range(m)]
-    base = action_groupoid(data.points, group, data.action)
-    values = {}
-    for a in range(len(data.points)):
-        for g1 in range(m):
-            y = a * m + g1
-            mid = data.action[a][g1]
-            for g2 in range(m):
-                x = mid * m + g2
-                g12 = group.mult[g1][g2]
-                values[(x, y)] = _omega_lookup(
-                    data, chart_of[g1], chart_of[g2], chart_of[g12], g1, g2, a
-                )
+    values = validate_local_data(data, modulus)
+    base = action_groupoid(data.points, data.group, data.action)
+    pairs = action_pairs(data.action, data.group.order)
     # central_extend validates the assembled cocycle and the total groupoid
-    return central_extend(base, PhaseCocycle(n, values))
+    return central_extend(base, PhaseCocycle.on_pairs(int(modulus), pairs, values))
 
 
 def eta_from_omega(omega, x, y, point, h: float) -> float:

@@ -26,10 +26,12 @@ from .groupoid import (
     LocalExtensionData,
     PhaseCocycle,
     action_groupoid,
+    action_pairs,
     check_right_action,
     coboundary_twist,
     cocycle_check,
     group_axioms_check,
+    required_entries,
 )
 from .linalg import Polarization, singular_values
 
@@ -338,16 +340,9 @@ def inflate_group_cocycle(gpd: FiniteGroupoid, group: FiniteGroup, points, actio
     on the action groupoid that pair is keyed (x, y) with y = (a, g1) and
     x = (a.g1, g2).
     """
-    m = group.order
-    values = {}
-    for a in range(len(points)):
-        for g1 in range(m):
-            y = a * m + g1
-            mid = action[a][g1]
-            for g2 in range(m):
-                x = mid * m + g2
-                values[(x, y)] = int(table[g1][g2])
-    return PhaseCocycle(modulus, values)
+    pairs = action_pairs(action, group.order)
+    values = np.broadcast_to(np.asarray(table, dtype=np.int64), pairs.shape[:-1])
+    return PhaseCocycle.on_pairs(modulus, pairs, values)
 
 
 def random_groupoid_cocycle(rng, gpd: FiniteGroupoid, group: FiniteGroup, points, action, modulus) -> PhaseCocycle:
@@ -384,61 +379,37 @@ def refined_cover(rng, group: FiniteGroup, points, action, cocycle: PhaseCocycle
     n = int(cocycle.modulus)
     m = group.order
     npts = len(points)
-    membership = [[] for _ in range(n_charts)]
+    mem = np.zeros((n_charts, m), dtype=bool)
     for g in range(m):
-        owners = [i for i in range(n_charts) if rng.random() < 0.5]
-        if not owners:
-            owners = [int(rng.integers(n_charts))]
-        for i in owners:
-            membership[i].append(g)
-    cover = [set(chart) for chart in membership if chart]
+        owners = rng.random(n_charts) < 0.5
+        if not owners.any():
+            owners[int(rng.integers(n_charts))] = True
+        mem[:, g] = owners
+    mem = mem[mem.any(axis=1)]
+    cover = [set(np.flatnonzero(row).tolist()) for row in mem]
+    data = LocalExtensionData.blank(group, list(points), [list(row) for row in action], cover)
 
-    chi = {}
-    for alpha, chart in enumerate(cover):
-        for g in chart:
-            for a in range(npts):
-                chi[(alpha, a, g)] = int(rng.integers(n))
+    # chart phases chi[alpha, g, a], drawn chart by chart, element by element, point by point
+    chi = np.zeros((len(cover), m, npts), dtype=np.int64)
+    chi[mem] = rng.integers(n, size=(int(mem.sum()), npts))
+    act = np.asarray(action, dtype=np.int64).reshape(npts, m)
+    mult = np.asarray(group.mult, dtype=np.int64).reshape(m, m)
+    glob = cocycle.values_at(action_pairs(act, m).reshape(-1, 2)).reshape(npts, m, m)
 
-    def glob(a, g1, g2):
-        y = a * m + g1
-        x = action[a][g1] * m + g2
-        return cocycle.exponent(x, y)
-
-    phi = {}
-    for alpha in range(len(cover)):
-        for beta in range(len(cover)):
-            if alpha == beta:
-                continue
-            for g in cover[alpha] & cover[beta]:
-                for a in range(npts):
-                    phi[(alpha, beta, g, a)] = (
-                        chi[(alpha, a, g)] - chi[(beta, a, g)]
-                    ) % n
-
-    omega = {}
-    for alpha in range(len(cover)):
-        for f in cover[alpha]:
-            for beta in range(len(cover)):
-                for g in cover[beta]:
-                    fg = group.mult[f][g]
-                    for gamma in range(len(cover)):
-                        if fg not in cover[gamma]:
-                            continue
-                        for a in range(npts):
-                            omega[(alpha, beta, gamma, f, g, a)] = (
-                                glob(a, f, g)
-                                + chi[(alpha, a, f)]
-                                + chi[(beta, action[a][f], g)]
-                                - chi[(gamma, a, fg)]
-                            ) % n
-    return LocalExtensionData(
-        group=group,
-        points=list(points),
-        action=[list(row) for row in action],
-        cover=cover,
-        phi=phi,
-        omega=omega,
+    need_phi, need_omega = required_entries(data)
+    phi = chi[:, None] - chi[None, :]
+    # omega = c(f, g) + chi_alpha(f) + chi_beta(g) at a.f - chi_gamma(f g), over (alpha, beta, gamma, f, g, a)
+    f, g, a = np.arange(m)[:, None, None], np.arange(m)[:, None], np.arange(npts)
+    omega = (
+        glob[a, f, g]
+        + chi[:, None, None, :, None, :]
+        + chi[:, g, act[a, f]][None, :, None]
+        - chi[:, mult[f, g], a][None, None, :]
     )
+    data.phi[need_phi] = (phi % n)[need_phi]
+    data.omega[need_omega] = (omega % n)[need_omega]
+    data.phi_given, data.omega_given = need_phi, need_omega
+    return data
 
 
 def random_cover_instance(rng, max_points=3, max_order=6, max_modulus=6, n_charts=3) -> tuple:

@@ -26,6 +26,7 @@ from .groupoid import (
     FiniteGroupoid,
     LocalExtensionData,
     PhaseCocycle,
+    given_entries,
     group_axioms_check,
     groupoid_from_compose,
 )
@@ -265,12 +266,12 @@ def cover_to_obj(data: LocalExtensionData, modulus: int, source_cocycle=None) ->
         "action": [list(row) for row in data.action],
         "charts": [sorted(chart) for chart in data.cover],
         "transitions": [
-            {"a": a, "b": b, "g": g, "x": x, "k": int(k)}
-            for (a, b, g, x), k in sorted(data.phi.items())
+            {"a": a, "b": b, "g": g, "x": x, "k": k}
+            for (a, b, g, x), k in given_entries(data.phi, data.phi_given)
         ],
         "local_cocycles": [
-            {"a": a, "b": b, "c": c, "f": f, "g": g, "x": x, "k": int(k)}
-            for (a, b, c, f, g, x), k in sorted(data.omega.items())
+            {"a": a, "b": b, "c": c, "f": f, "g": g, "x": x, "k": k}
+            for (a, b, c, f, g, x), k in given_entries(data.omega, data.omega_given)
         ],
     }
     if source_cocycle is not None:
@@ -301,16 +302,17 @@ def cover_from_obj(obj):
         ):
             raise FormatError(f"cover: chart {i} must list group element indices")
         charts.append(set(chart))
-    phi = {}
-    for i, rec in enumerate(_expect(obj, "transitions", list, "cover")):
-        a, b, g, x, k = _record(rec, ("a", "b", "g", "x", "k"), f"cover: transition {i}")
-        phi[(a, b, g, x)] = k
-    omega = {}
-    for i, rec in enumerate(_expect(obj, "local_cocycles", list, "cover")):
-        a, b, c, f, g, x, k = _record(rec, ("a", "b", "c", "f", "g", "x", "k"), f"cover: local cocycle {i}")
-        omega[(a, b, c, f, g, x)] = k
-    data = LocalExtensionData(
-        group=group, points=points, action=action, cover=charts, phi=phi, omega=omega
+    data = LocalExtensionData.blank(group, points, action, charts)
+    chart, element, point = (0, len(charts)), (0, group.order), (0, len(points))
+    exponent = (-(2**63), 2**63)
+    _fill_local(
+        data.phi, data.phi_given, _expect(obj, "transitions", list, "cover"),
+        {"a": chart, "b": chart, "g": element, "x": point, "k": exponent}, "cover: transition",
+    )
+    _fill_local(
+        data.omega, data.omega_given, _expect(obj, "local_cocycles", list, "cover"),
+        {"a": chart, "b": chart, "c": chart, "f": element, "g": element, "x": point, "k": exponent},
+        "cover: local cocycle",
     )
     source = None
     if "source_cocycle" in obj:
@@ -323,8 +325,22 @@ def cover_from_obj(obj):
     return data, modulus, source
 
 
-def _record(rec, keys, where) -> tuple:
-    """The integer fields keys of one cover record, in that order."""
-    if not isinstance(rec, dict) or any(k not in rec for k in keys):
-        raise FormatError(f"{where} missing fields")
-    return tuple(_integer(rec[k], f"{where} field {k!r}") for k in keys)
+def _fill_local(values, given, recs, bounds, where) -> None:
+    """Write records {field: integer} into a local table and mark them given.
+
+    bounds maps each index field, then "k", to its range [lo, hi); a later
+    record for the same index replaces an earlier one.
+    """
+    rows = []
+    for i, rec in enumerate(recs):
+        if not isinstance(rec, dict) or any(key not in rec for key in bounds):
+            raise FormatError(f"{where} {i} missing fields")
+        row = [_integer(rec[key], f"{where} {i} field {key!r}") for key in bounds]
+        for (key, (lo, hi)), v in zip(bounds.items(), row):
+            if not lo <= v < hi:
+                raise FormatError(f"{where} {i}: field {key!r} = {v} lies outside [{lo}, {hi})")
+        rows.append(row)
+    table = np.array(rows, dtype=np.int64).reshape(len(rows), len(bounds))
+    index = tuple(table[:, :-1].T)
+    values[index] = table[:, -1]
+    given[index] = True

@@ -224,12 +224,10 @@ class _QuotientData:
         )
         self.vinv = np.asarray(res.vinv, dtype=np.int64)
         self.matrix = a
+        # relations [b | N I] in kernel coordinates; the N I block needs no product
+        rel_y = self.modulus * self.vinv
         if degree >= 1:
-            b = coboundary_matrix(self.nerve, degree - 1)
-            rel = np.hstack([b, self.modulus * np.eye(n_here, dtype=np.int64)])
-        else:
-            rel = self.modulus * np.eye(n_here, dtype=np.int64)
-        rel_y = self.vinv @ rel
+            rel_y = np.hstack([self.vinv @ coboundary_matrix(self.nerve, degree - 1), rel_y])
         if np.any(rel_y % self.mults[:, None]):
             raise CocycleError("coboundary image escapes the cocycle lattice")
         rel_y //= self.mults[:, None]

@@ -1,5 +1,6 @@
 """Command-line entry point: exit codes, file formats, determinism."""
 
+import hashlib
 import json
 import math
 
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 
 from anomlab.cli import main
-from anomlab.groupoid import action_groupoid, axioms_check
+from anomlab.errors import MissingValueError
+from anomlab.groupoid import action_groupoid, axioms_check, validate_local_data
 from anomlab.instances import (
     coset_right_action,
     cyclic_group,
@@ -16,6 +18,7 @@ from anomlab.instances import (
     subgroups,
 )
 from anomlab.jsonio import (
+    cover_from_obj,
     dump_json,
     groupoid_from_obj,
     groupoid_to_obj,
@@ -200,6 +203,18 @@ GLUE_CLASSES = {
 }
 
 
+# sha256 of the bytes of `generate refined-cover --seed s` and the `inputs`
+# digest that `compute glue` reports on that file
+GENERATED_COVERS = {
+    0: ("ea0e0937ad91897106250110b257c27eb8143743a029dab0973376702e37cc66", "3fa0ba83cb7c"),
+    1: ("a2fcf9c522af8f023050e7b52074de9d46fa586511085aa18c6bc4a3549aa126", "9bbcfa8fc952"),
+    2: ("9a55e0108b7365e3e79145c75b403ef70c877e6f0a7915f86af85c986ae4e68a", "eb1bb2d386bf"),
+    3: ("36eee3430d7bc6abb82862bf470f86574120af9113c1b2ed78a836a375597a42", "2c9123755270"),
+    4: ("45175d6e842c161944e56b1104f438560be2d0f55777dd08d6585cd51b8e9ae0", "56802d30d826"),
+    5: ("ea53fc61e8f1309d9f36ee67a8ebaae53add05344484a198baa417d16cca7860", "dc6f9cb3e428"),
+}
+
+
 def test_compute_glue_class_vectors_are_pinned(tmp_path, capsys):
     for seed, (orders, vector) in GLUE_CLASSES.items():
         cover = tmp_path / f"cover{seed}.json"
@@ -209,6 +224,36 @@ def test_compute_glue_class_vectors_are_pinned(tmp_path, capsys):
         expected = {"orders": orders, "vector": vector}
         assert payload["class"] == expected, seed
         assert payload["source_class"] == expected, seed
+        sha, inputs = GENERATED_COVERS[seed]
+        assert hashlib.sha256(cover.read_bytes()).hexdigest() == sha, seed
+        assert payload["inputs"] == {"data": inputs}, seed
+
+
+# records dropped from `generate refined-cover --seed 0`, and the entry reported missing
+MISSING_ENTRIES = [
+    (0, 105, "transition phi[0,1] missing at element 1, point 0"),
+    (3, 50, "local cocycle omega[0,1;0] missing at (0, 2), point 0"),
+]
+
+
+def test_compute_glue_reports_missing_entries(tmp_path, capsys):
+    cover = tmp_path / "cover.json"
+    assert main(["generate", "refined-cover", "--seed", "0", "--out", str(cover)]) == 0
+    obj = load_json(cover)
+    for transition, local, message in MISSING_ENTRIES:
+        broken = {
+            **obj,
+            "transitions": obj["transitions"][:transition] + obj["transitions"][transition + 1:],
+            "local_cocycles": obj["local_cocycles"][:local] + obj["local_cocycles"][local + 1:],
+        }
+        data, modulus, _ = cover_from_obj(broken)
+        with pytest.raises(MissingValueError) as info:
+            validate_local_data(data, modulus)
+        assert str(info.value) == message
+        capsys.readouterr()
+        dump_json(broken, tmp_path / "broken.json")
+        assert main(["compute", "glue", "--data", str(tmp_path / "broken.json")]) == 4
+        assert capsys.readouterr().err == f"domain error: {message}\n"
 
 
 def test_generate_is_byte_deterministic(tmp_path):

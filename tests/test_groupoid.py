@@ -1,10 +1,14 @@
 """Finite groupoids, phase cocycles, central extensions, and chart gluing."""
 
+import copy
+import itertools
+
 import numpy as np
 import pytest
 
 from anomlab.errors import (
     ActionAxiomError,
+    CapacityError,
     CocycleError,
     DescentError,
     DomainError,
@@ -15,6 +19,7 @@ from anomlab.errors import (
 )
 from anomlab.groupoid import (
     FiniteGroup,
+    LocalExtensionData,
     PhaseCocycle,
     action_groupoid,
     axioms_check,
@@ -281,7 +286,7 @@ def test_local_data_validates_and_glues():
 
 def test_local_data_mutation_detected():
     _, data, modulus = _seeded_cover(43)
-    key = next(iter(data.omega))
+    key = tuple(np.argwhere(data.omega_given)[0])
     data.omega[key] += 1
     with pytest.raises((DescentError, CocycleError)):
         validate_local_data(data, modulus)
@@ -289,12 +294,132 @@ def test_local_data_mutation_detected():
 
 def test_local_data_phi_mutation_detected():
     _, data, modulus = _seeded_cover(44)
-    if not data.phi:
+    if not data.phi_given.any():
         pytest.skip("cover happened to have disjoint charts")
-    key = next(iter(data.phi))
+    key = tuple(np.argwhere(data.phi_given)[0])
     data.phi[key] += 1
     with pytest.raises((DescentError, CocycleError)):
         validate_local_data(data, modulus)
+
+
+def _loop_validate(data, modulus):
+    """Reference validator: the pairwise loop over points, elements and chart choices."""
+    if not isinstance(modulus, (int, np.integer)) or modulus < 1:
+        raise DomainError(f"modulus must be a positive integer, got {modulus!r}")
+    n = int(modulus)
+    group = data.group
+    m = group.order
+    covered = set()
+    for chart in data.cover:
+        covered.update(chart)
+    if covered != set(range(m)):
+        raise DomainError("cover does not exhaust the group")
+    check_right_action(data.points, group, data.action)
+    charts = [[i for i, chart in enumerate(data.cover) if g in chart] for g in range(m)]
+
+    def phi(alpha, beta, g, a):
+        if alpha == beta:
+            return 0
+        if not data.phi_given[alpha, beta, g, a]:
+            raise MissingValueError(f"transition phi[{alpha},{beta}] missing at element {g}, point {a}")
+        return int(data.phi[alpha, beta, g, a])
+
+    def omega(alpha, beta, gamma, f, g, a):
+        if not data.omega_given[alpha, beta, gamma, f, g, a]:
+            raise MissingValueError(
+                f"local cocycle omega[{alpha},{beta};{gamma}] missing at ({f}, {g}), point {a}"
+            )
+        return int(data.omega[alpha, beta, gamma, f, g, a])
+
+    for a in range(len(data.points)):
+        for f in range(m):
+            af = data.action[a][f]
+            for g in range(m):
+                fg = group.mult[f][g]
+                base = {
+                    (al, be, ga): omega(al, be, ga, f, g, a)
+                    for al in charts[f]
+                    for be in charts[g]
+                    for ga in charts[fg]
+                }
+                for (al, be, ga), val in base.items():
+                    for (al2, be2, ga2), val2 in base.items():
+                        correction = phi(al, al2, f, a) + phi(be, be2, g, af) - phi(ga, ga2, fg, a)
+                        if (val - val2 - correction) % n:
+                            raise DescentError(
+                                "gluing fails between chart choices "
+                                f"({al},{be},{ga}) and ({al2},{be2},{ga2}) "
+                                f"at point {a}, elements ({f}, {g})"
+                            )
+
+    for a in range(len(data.points)):
+        for g1, g2, g3 in itertools.product(range(m), repeat=3):
+            a1 = data.action[a][g1]
+            g12, g23 = group.mult[g1][g2], group.mult[g2][g3]
+            g123 = group.mult[g12][g3]
+            for al, be, ga, de, ep, ze in itertools.product(
+                charts[g1], charts[g2], charts[g12], charts[g3], charts[g23], charts[g123]
+            ):
+                lhs = omega(ga, de, ze, g12, g3, a) + omega(al, be, ga, g1, g2, a)
+                rhs = omega(al, ep, ze, g1, g23, a) + omega(be, de, ep, g2, g3, a1)
+                if (lhs - rhs) % n:
+                    raise CocycleError(
+                        f"local cocycle identity fails at point {a}, elements ({g1}, {g2}, {g3}), "
+                        f"charts ({al},{be},{ga},{de},{ep},{ze})"
+                    )
+
+
+def _verdict(validate, data, modulus):
+    try:
+        validate(data, modulus)
+    except DomainError as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+def test_validate_local_data_matches_pairwise_loop():
+    """Same error class and message as the loop on seeded single and paired defects."""
+    cases = 0
+    for seed in range(10):
+        _, data, modulus = _seeded_cover(seed)
+        assert _verdict(validate_local_data, data, modulus) is None
+        assert _verdict(_loop_validate, data, modulus) is None
+        rng = np.random.default_rng(600 + seed)
+        omega_keys = [tuple(k) for k in np.argwhere(data.omega_given).tolist()]
+        phi_keys = [tuple(k) for k in np.argwhere(data.phi_given).tolist()]
+        f, g, a = omega_keys[rng.integers(len(omega_keys))][3:]
+        defects = (
+            [[("omega", k, 1)] for k in rng.choice(omega_keys, size=8, replace=False).tolist()]
+            + [[("phi", k, 1)] for k in rng.permutation(phi_keys)[:4].tolist()]
+            + [[("omega", k, None)] for k in rng.permutation(omega_keys)[:1].tolist()]
+            + [[("phi", k, None)] for k in rng.permutation(phi_keys)[:1].tolist()]
+            # every chart choice of one (f, g, a) shifted alike: descent holds, the identity fails
+            + [[("omega", k, 1) for k in omega_keys if k[3:] == (f, g, a)]]
+            + [[("omega", k, None) for k in rng.choice(omega_keys, size=2, replace=False).tolist()]]
+            + [[("phi", k, None), ("omega", omega_keys[-1], None)] for k in phi_keys[-1:]]
+        )
+        for defect in defects:
+            mutated = copy.deepcopy(data)
+            for name, key, bump in defect:
+                values, given = getattr(mutated, name), getattr(mutated, name + "_given")
+                if bump is None:
+                    given[tuple(key)] = False
+                else:
+                    values[tuple(key)] += bump
+            expected = _verdict(_loop_validate, mutated, modulus)
+            assert expected is not None
+            assert _verdict(validate_local_data, mutated, modulus) == expected
+            cases += 1
+    assert cases >= 150
+
+
+def test_local_data_capacity():
+    # Z8 on one point in six charts: 216 chart choices per (f, g), 64 * 216^2 pairs
+    data = LocalExtensionData.blank(cyclic_group(8), ["*"], [[0] * 8], [set(range(8))] * 6)
+    with pytest.raises(CapacityError):
+        validate_local_data(data, 2)
+    with pytest.raises(CapacityError):
+        LocalExtensionData.blank(cyclic_group(8), ["*"], [[0] * 8], [set(range(8))] * 26)
 
 
 def test_local_data_cover_must_exhaust_group():

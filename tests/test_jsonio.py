@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from anomlab.errors import FormatError
+from anomlab.errors import CapacityError, FormatError
 from anomlab.grassmann import Frame
 from anomlab.groupoid import PhaseCocycle, validate_local_data, zero_cocycle
 from anomlab.instances import (
@@ -150,8 +150,8 @@ def test_cover_roundtrip_with_source():
     back, back_modulus, source = cover_from_obj(obj)
     assert back_modulus == modulus
     assert source == cocycle.values
-    assert back.phi == data.phi
-    assert back.omega == data.omega
+    for name in ("phi", "phi_given", "omega", "omega_given"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(data, name))
     assert [set(c) for c in back.cover] == [set(c) for c in data.cover]
     validate_local_data(back, back_modulus)
     # source key is optional
@@ -174,6 +174,31 @@ def test_cover_schema_validation():
         del broken[0]["k"]
         with pytest.raises(FormatError):
             cover_from_obj({**obj, "local_cocycles": broken})
+    # every index field of a transition or local cocycle record is range-checked
+    bounds = {"a": len(obj["charts"]), "b": len(obj["charts"]), "c": len(obj["charts"]),
+              "f": len(obj["group"]["elements"]), "g": len(obj["group"]["elements"]),
+              "x": len(obj["points"])}
+    for key, fields in (("transitions", "abgx"), ("local_cocycles", "abcfgx")):
+        assert obj[key], key
+        for field in fields:
+            for value in (-1, bounds[field]):
+                recs = [dict(rec) for rec in obj[key]]
+                recs[-1][field] = value
+                with pytest.raises(FormatError, match=f"{len(recs) - 1}: field '{field}' = {value}"):
+                    cover_from_obj({**obj, key: recs})
+        recs = [dict(rec) for rec in obj[key]]
+        recs[0]["k"] = 2**63
+        with pytest.raises(FormatError, match="0: field 'k' = 9223372036854775808"):
+            cover_from_obj({**obj, key: recs})
+    # the local tables of 100 charts would exceed the capacity limit
+    with pytest.raises(CapacityError):
+        cover_from_obj({**obj, "charts": [list(range(len(obj["group"]["elements"])))] * 100})
+    # an entry outside the required set is kept and written back; a repeated record replaces the earlier one
+    extra = {"a": 0, "b": 0, "g": 0, "x": 0, "k": 5}
+    back, _, _ = cover_from_obj({**obj, "transitions": obj["transitions"] + [extra, {**extra, "k": 7}]})
+    assert back.phi_given[0, 0, 0, 0] and back.phi[0, 0, 0, 0] == 7
+    assert cover_to_obj(back, modulus)["transitions"][0] == {**extra, "k": 7}
+    validate_local_data(back, modulus)
 
 
 def _arrow_field(field, value):
