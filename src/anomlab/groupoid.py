@@ -40,6 +40,7 @@ from .errors import (
 from .linalg import as_square, matrix_exponential
 
 CONTINUOUS_TOL = 1e-10
+ASSOCIATIVITY_BLOCK = 2**20
 ETA_MIN_STEP = 1e-6
 ETA_MAX_STEP = 1e-2
 
@@ -202,14 +203,25 @@ def groupoid_from_compose(objects, arrows, source, target, compose) -> FiniteGro
     return g
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteGroup:
-    """Multiplication-table group with labeled elements."""
+    """Multiplication-table group with labeled elements.
+
+    mult is an (n, n) int64 array with mult[i, j] the index of
+    elements[i] * elements[j], inverse an (n,) int64 array of element
+    indices, and identity a Python int. Lists or tuples are converted here,
+    once, and not checked: group_axioms_check checks them.
+    """
 
     elements: tuple
-    mult: tuple  # mult[i][j] = index of elements[i] * elements[j]
+    mult: np.ndarray
     identity: int
-    inverse: tuple
+    inverse: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "mult", np.asarray(self.mult, dtype=np.int64))
+        object.__setattr__(self, "inverse", np.asarray(self.inverse, dtype=np.int64))
+        object.__setattr__(self, "identity", int(self.identity))
 
     @property
     def order(self) -> int:
@@ -217,47 +229,72 @@ class FiniteGroup:
 
 
 def group_axioms_check(g: FiniteGroup) -> list:
+    """Diagnostics, empty when sound.
+
+    Identity and inverse failures per element, then the first triple (i, j, k)
+    in lexicographic order that is not associative.
+    """
+    n, e, mult, inv = g.order, g.identity, g.mult, g.inverse
+    ar = np.arange(n)
+    id_bad = (mult[e] != ar) | (mult[:, e] != ar)
+    inv_bad = (mult[ar, inv] != e) | (mult[inv, ar] != e)
     bad = []
-    n = g.order
-    for i in range(n):
-        if g.mult[g.identity][i] != i or g.mult[i][g.identity] != i:
+    for i in np.flatnonzero(id_bad | inv_bad).tolist():
+        if id_bad[i]:
             bad.append(f"identity fails at {i}")
-        if g.mult[i][g.inverse[i]] != g.identity or g.mult[g.inverse[i]][i] != g.identity:
+        if inv_bad[i]:
             bad.append(f"inverse fails at {i}")
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if g.mult[g.mult[i][j]][k] != g.mult[i][g.mult[j][k]]:
-                    bad.append(f"associativity fails at ({i}, {j}, {k})")
-                    return bad
+    # rows i in blocks of about ASSOCIATIVITY_BLOCK triples (i, j, k): bounded memory on large groups
+    block = max(1, ASSOCIATIVITY_BLOCK // max(1, n * n))
+    for start in range(0, n, block):
+        rows = mult[start : start + block]
+        assoc = mult[rows] != rows[:, mult]
+        if assoc.any():
+            i, j, k = np.unravel_index(np.argmax(assoc), assoc.shape)
+            bad.append(f"associativity fails at ({start + i}, {j}, {k})")
+            break
     return bad
 
 
-def check_right_action(points, group: FiniteGroup, action) -> None:
-    """action[a][g] must fix the identity and intertwine multiplication."""
+def check_right_action(points, group: FiniteGroup, action) -> np.ndarray:
+    """The action as a checked (points x order) int64 table act[a, g] = a.g.
+
+    Raises ActionAxiomError for the first failure, point by point: the
+    identity fixes a, then per element g, a.g lies in [0, points) and
+    (a.g).h = a.(g h) for each h. Entries beyond int64 are out of range.
+    """
     n, m = len(points), group.order
     if len(action) != n or any(len(row) != m for row in action):
         raise ActionAxiomError("action table has wrong shape")
-    for a in range(n):
-        if action[a][group.identity] != a:
+    raw = np.array(action, dtype=object).reshape(n, m)
+    inside = (raw >= 0) & (raw < n)
+    act = np.where(inside, raw, 0).astype(np.int64)
+    if not inside.all():
+        # each entry out of range becomes a code past n, equal codes for equal entries
+        act[~inside] = n + np.unique(raw[~inside], return_inverse=True)[1].reshape(-1)
+    compat_bad = act[np.where(inside, act, 0)] != act[:, group.mult]
+    # per point: the identity, then per element g its range and its m compatibilities
+    events = np.concatenate([~inside[..., None], compat_bad], axis=2).reshape(n, -1)
+    events = np.concatenate([(act[:, group.identity] != np.arange(n))[:, None], events], axis=1)
+    if events.any():
+        a, j = divmod(int(np.argmax(events)), events.shape[1])
+        if j == 0:
             raise ActionAxiomError(f"identity moves point {a}")
-        for g in range(m):
-            if not 0 <= action[a][g] < n:
-                raise ActionAxiomError(f"action entry ({a}, {g}) out of range")
-            for h in range(m):
-                if action[action[a][g]][h] != action[a][group.mult[g][h]]:
-                    raise ActionAxiomError(
-                        f"compatibility fails at point {a}, elements ({g}, {h})"
-                    )
+        g, h = divmod(j - 1, m + 1)
+        if h == 0:
+            raise ActionAxiomError(f"action entry ({a}, {g}) out of range")
+        raise ActionAxiomError(f"compatibility fails at point {a}, elements ({g}, {h - 1})")
+    return act
 
 
-def action_pairs(action, m: int) -> np.ndarray:
+def action_pairs(act: np.ndarray) -> np.ndarray:
     """Composable pairs "g1 then g2" of the action groupoid, as an (n, m, m, 2) array.
 
-    Entry [a, g1, g2] is (x, y) with y = (a, g1) and x = (a.g1, g2), arrow
-    (a, g) having index a * m + g as in action_groupoid.
+    act is the (n, m) table of check_right_action. Entry [a, g1, g2] is
+    (x, y) with y = (a, g1) and x = (a.g1, g2), arrow (a, g) having index
+    a * m + g as in action_groupoid.
     """
-    act = np.asarray(action, dtype=np.int64).reshape(-1, m)
+    m = act.shape[1]
     y = np.arange(act.size).reshape(-1, m, 1)
     x = act[:, :, None] * m + np.arange(m)
     return np.stack(np.broadcast_arrays(x, y), axis=-1)
@@ -268,21 +305,19 @@ def action_groupoid(points, group: FiniteGroup, action) -> FiniteGroupoid:
 
     Arrow (a, g) goes from a to a.g; arrow index is a * |G| + g.
     """
-    check_right_action(points, group, action)
-    n, m = len(points), group.order
-    act = np.asarray(action, dtype=np.int64).reshape(n, m)
-    mult = np.asarray(group.mult, dtype=np.int64).reshape(m, m)
+    act = check_right_action(points, group, action)
+    n, m = act.shape
     arrows = [(points[a], group.elements[g]) for a in range(n) for g in range(m)]
-    pairs = action_pairs(act, m)
+    pairs = action_pairs(act)
     compose = np.full((n * m, n * m), -1, dtype=np.int64)
-    compose[pairs[..., 0], pairs[..., 1]] = np.arange(n)[:, None, None] * m + mult
+    compose[pairs[..., 0], pairs[..., 1]] = np.arange(n)[:, None, None] * m + group.mult
     return FiniteGroupoid(
         objects=list(points),
         arrows=arrows,
         source=np.repeat(np.arange(n), m),
         target=act.reshape(-1),
         identity=np.arange(n) * m + group.identity,
-        inverse=(act * m + np.asarray(group.inverse, dtype=np.int64)).reshape(-1),
+        inverse=(act * m + group.inverse).reshape(-1),
         compose=compose,
     )
 
@@ -364,7 +399,8 @@ def cocycle_check(g: FiniteGroupoid, c: PhaseCocycle) -> float:
         xy, yz = compose[x, y], compose[y, z]
         if modulus is None:
             dev = np.abs(table[x, y] * table[xy, z] - table[x, yz] * table[y, z])
-            worst = max(worst, float(dev.max(initial=0.0)))
+            # a non-finite value makes some deviation nan, which max() would pass over
+            worst = max(worst, float(np.nan_to_num(dev, nan=np.inf).max(initial=0.0)))
         else:
             k = (table[x, y] + table[xy, z] - table[x, yz] - table[y, z]) % modulus
             shifts.update(k[k != 0].tolist())
@@ -561,10 +597,9 @@ def required_entries(data: LocalExtensionData) -> tuple:
     lies in alpha, g in beta and f g in gamma; both at every point.
     """
     mem = data.membership()
-    mult = np.asarray(data.group.mult, dtype=np.int64).reshape(mem.shape[1], -1)
     n = len(data.points)
     phi = mem[:, None] & mem[None, :] & ~np.eye(len(mem), dtype=bool)[:, :, None]
-    omega = mem[:, None, None, :, None] & mem[None, :, None, None, :] & mem[:, mult][None, None]
+    omega = mem[:, None, None, :, None] & mem[None, :, None, None, :] & mem[:, data.group.mult][None, None]
     return np.repeat(phi[..., None], n, axis=-1), np.repeat(omega[..., None], n, axis=-1)
 
 
@@ -652,7 +687,7 @@ def validate_local_data(data: LocalExtensionData, modulus: int) -> np.ndarray:
     m = group.order
     if set().union(*data.cover) != set(range(m)):
         raise DomainError("cover does not exhaust the group")
-    check_right_action(data.points, group, data.action)
+    act = check_right_action(data.points, group, data.action)
     c, npts = len(data.cover), len(data.points)
     phi_shape, omega_shape = (c, c, m, npts), (c, c, c, m, m, npts)
     shapes = {data.phi.shape, data.phi_given.shape}, {data.omega.shape, data.omega_given.shape}
@@ -660,8 +695,7 @@ def validate_local_data(data: LocalExtensionData, modulus: int) -> np.ndarray:
         raise ShapeError(f"local tables must have shapes {phi_shape} and {omega_shape}")
 
     mem = data.membership()
-    mult = np.asarray(group.mult, dtype=np.int64).reshape(m, m)
-    act = np.asarray(data.action, dtype=np.int64).reshape(npts, m)
+    mult = group.mult
     *choices, valid = _chart_choices(mem, mult)
     if valid.size * valid.shape[-1] > MAX_LOCAL_CELLS:
         raise CapacityError(f"descent compares more than {MAX_LOCAL_CELLS} pairs of chart choices per point")
@@ -715,7 +749,8 @@ def glue_local_data(data: LocalExtensionData, modulus: int) -> CentralExtension:
     """
     values = validate_local_data(data, modulus)
     base = action_groupoid(data.points, data.group, data.action)
-    pairs = action_pairs(data.action, data.group.order)
+    # the targets of the action groupoid are the action table, point by point
+    pairs = action_pairs(base.target.reshape(base.n_objects, -1))
     # central_extend validates the assembled cocycle and the total groupoid
     return central_extend(base, PhaseCocycle.on_pairs(int(modulus), pairs, values))
 

@@ -16,6 +16,8 @@ descent holds by construction and gluing must reproduce the source class.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .errors import InternalConsistencyError, SizeError
@@ -104,40 +106,28 @@ def _unitary_near_identity(rng, n, spread) -> np.ndarray:
 # group catalog
 
 
-def _perm_mult(p, q):
-    """Apply p, then q."""
-    return tuple(q[p[i]] for i in range(len(p)))
-
-
 def group_from_permutations(generators) -> FiniteGroup:
     """Closure of permutation generators under composition, in sorted element order."""
     if not generators:
         raise SizeError("need at least one permutation generator")
-    degree = len(generators[0])
-    ident = tuple(range(degree))
-    elems = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in generators:
-                q = _perm_mult(p, g)
-                if q not in elems:
-                    elems.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    ordered = sorted(elems)
-    index = {p: i for i, p in enumerate(ordered)}
-    mult = tuple(
-        tuple(index[_perm_mult(p, q)] for q in ordered) for p in ordered
-    )
-    identity = index[ident]
-    inverse = []
-    for i, p in enumerate(ordered):
-        inv = tuple(sorted(range(degree), key=lambda j: p[j]))
-        inverse.append(index[inv])
+    gens = np.array(generators, dtype=np.int64)
+    degree = gens.shape[1]
+    rank = degree ** np.arange(degree - 1, -1, -1)  # lexicographic rank of a permutation
+    perms = np.arange(degree)[None]
+    while True:
+        # gens[:, perms][k, i] is perms[i], then gens[k]
+        grown = np.concatenate([perms, gens[:, perms].reshape(-1, degree)])
+        _, first = np.unique(grown @ rank, return_index=True)
+        if len(first) == len(perms):
+            break
+        perms = grown[first]  # sorted, as np.unique sorts the ranks
+    mult = np.searchsorted(perms @ rank, perms[:, perms] @ rank).T
+    identity = int(np.searchsorted(perms @ rank, np.arange(degree) @ rank))
     group = FiniteGroup(
-        elements=tuple(ordered), mult=mult, identity=identity, inverse=tuple(inverse)
+        elements=tuple(map(tuple, perms.tolist())),
+        mult=mult,
+        identity=identity,
+        inverse=np.argmax(mult == identity, axis=1),
     )
     bad = group_axioms_check(group)
     if bad:
@@ -148,41 +138,23 @@ def group_from_permutations(generators) -> FiniteGroup:
 def cyclic_group(m) -> FiniteGroup:
     if m < 1:
         raise SizeError(f"cyclic order must be positive, got {m}")
-    mult = tuple(tuple((i + j) % m for j in range(m)) for i in range(m))
+    e = np.arange(m)
     return FiniteGroup(
         elements=tuple(range(m)),
-        mult=mult,
+        mult=(e[:, None] + e) % m,
         identity=0,
-        inverse=tuple((-i) % m for i in range(m)),
+        inverse=-e % m,
     )
 
 
 def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
-    n1, n2 = g1.order, g2.order
-    elements = tuple(
-        (g1.elements[i], g2.elements[j]) for i in range(n1) for j in range(n2)
-    )
-
-    def idx(i, j):
-        return i * n2 + j
-
-    mult = tuple(
-        tuple(
-            idx(g1.mult[i1][j1], g2.mult[i2][j2])
-            for j1 in range(n1)
-            for j2 in range(n2)
-        )
-        for i1 in range(n1)
-        for i2 in range(n2)
-    )
-    inverse = tuple(
-        idx(g1.inverse[i], g2.inverse[j]) for i in range(n1) for j in range(n2)
-    )
+    """Pairs (i, j) at index i * |g2| + j, multiplied componentwise."""
+    n2 = g2.order
     return FiniteGroup(
-        elements=elements,
-        mult=mult,
-        identity=idx(g1.identity, g2.identity),
-        inverse=inverse,
+        elements=tuple(itertools.product(g1.elements, g2.elements)),
+        mult=(g1.mult[:, None, :, None] * n2 + g2.mult[None, :, None, :]).reshape(g1.order * n2, -1),
+        identity=g1.identity * n2 + g2.identity,
+        inverse=(g1.inverse[:, None] * n2 + g2.inverse).reshape(-1),
     )
 
 
@@ -203,16 +175,12 @@ def subgroups(group: FiniteGroup) -> list:
     n = group.order
     if n > 12:
         raise SizeError(f"subgroup enumeration limited to order 12, got {n}")
-    out = []
-    for mask in range(1 << n):
-        if not (mask >> group.identity) & 1:
-            continue
-        members = [i for i in range(n) if (mask >> i) & 1]
-        ok = all(
-            (mask >> group.mult[i][j]) & 1 for i in members for j in members
-        ) and all((mask >> group.inverse[i]) & 1 for i in members)
-        if ok:
-            out.append(tuple(members))
+    # member[s, i]: element i lies in candidate subset s, one subset per bit mask
+    member = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1 == 1
+    products_in = ~(member[:, :, None] & member[:, None, :]) | member[:, group.mult]
+    inverses_in = ~member | member[:, group.inverse]
+    ok = member[:, group.identity] & products_in.all(axis=(1, 2)) & inverses_in.all(axis=1)
+    out = [tuple(np.flatnonzero(row).tolist()) for row in member[ok]]
     return sorted(out, key=lambda t: (len(t), t))
 
 
@@ -221,21 +189,11 @@ def coset_right_action(group: FiniteGroup, sub) -> tuple:
 
     Returns (points, action) with points labeled by sorted coset tuples.
     """
-    sub = tuple(sub)
-    cosets = {}
-    for x in range(group.order):
-        key = tuple(sorted(group.mult[h][x] for h in sub))
-        cosets.setdefault(key, key)
-    points = sorted(cosets)
-    where = {}
-    for i, coset in enumerate(points):
-        for x in coset:
-            where[x] = i
-    action = [
-        [where[group.mult[coset[0]][g]] for g in range(group.order)]
-        for coset in points
-    ]
-    return list(points), action
+    # row x is the coset of x, sorted; unique rows come out in sorted order
+    cosets = np.sort(group.mult[list(sub)], axis=0).T
+    points, where = np.unique(cosets, axis=0, return_inverse=True)
+    action = where.reshape(-1)[group.mult[points[:, 0]]]
+    return list(map(tuple, points.tolist())), action.tolist()
 
 
 def random_right_action(rng, group: FiniteGroup, max_points) -> tuple:
@@ -253,9 +211,7 @@ def random_right_action(rng, group: FiniteGroup, max_points) -> tuple:
         points2, action2 = coset_right_action(group, sub2)
         offset = len(points)
         points = [(0, p) for p in points] + [(1, p) for p in points2]
-        action = [row[:] for row in action] + [
-            [offset + v for v in row] for row in action2
-        ]
+        action = action + [[offset + v for v in row] for row in action2]
     check_right_action(points, group, action)
     return points, action
 
@@ -265,72 +221,39 @@ def random_right_action(rng, group: FiniteGroup, max_points) -> tuple:
 
 
 def homomorphisms_to_cyclic(group: FiniteGroup, m) -> list:
-    """All homomorphisms into Z_m, each as a tuple of images."""
-    n = group.order
+    """All homomorphisms into Z_m, each as a tuple of images.
+
+    Greedy generators (the least element outside the subgroup so far); every
+    tuple of generator images, in lexicographic order, is propagated along
+    one spanning tree and kept when it is a homomorphism.
+    """
+    n, mult = group.order, group.mult
     gens = []
-    known = {group.identity}
-    while len(known) < n:
-        g = min(i for i in range(n) if i not in known)
-        gens.append(g)
-        frontier = list(known)
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for h in list(known) + [g]:
-                    for y in (group.mult[x][h], group.mult[h][x]):
-                        if y not in known:
-                            known.add(y)
-                            nxt.append(y)
-            frontier = nxt
-    homs = []
-    for images in _tuples(m, len(gens)):
-        phi = {group.identity: 0}
-        frontier = [group.identity]
-        ok = True
-        while frontier and ok:
-            nxt = []
-            for x in frontier:
-                for g, img in zip(gens, images):
-                    y = group.mult[x][g]
-                    val = (phi[x] + img) % m
-                    if y in phi:
-                        if phi[y] != val:
-                            ok = False
-                            break
-                    else:
-                        phi[y] = val
-                        nxt.append(y)
-                if not ok:
-                    break
-            frontier = nxt
-        if ok and len(phi) == n:
-            full = tuple(phi[i] for i in range(n))
-            if all(
-                (full[group.mult[i][j]] - full[i] - full[j]) % m == 0
-                for i in range(n)
-                for j in range(n)
-            ):
-                homs.append(full)
-    return homs
-
-
-def _tuples(m, length):
-    if length == 0:
-        yield ()
-        return
-    for head in range(m):
-        for rest in _tuples(m, length - 1):
-            yield (head,) + rest
+    known = np.arange(n) == group.identity
+    while not known.all():
+        gens.append(int(np.argmin(known)))
+        known[gens[-1]] = True
+        while not known[mult[np.ix_(known, known)]].all():
+            known[mult[np.ix_(known, known)]] = True
+    k = len(gens)
+    # word[y, i]: how often generator i occurs on the tree path from the identity to y
+    word = np.zeros((n, k), dtype=np.int64)
+    reached = np.arange(n) == group.identity
+    while not reached.all():
+        x, i = np.nonzero(reached[:, None] & ~reached[mult[:, gens]])
+        y, first = np.unique(mult[x, np.array(gens)[i]], return_index=True)
+        word[y] = word[x[first]] + np.eye(k, dtype=np.int64)[i[first]]
+        reached[y] = True
+    images = np.array(list(itertools.product(range(m), repeat=k)), dtype=np.int64).reshape(m**k, k)
+    phi = images @ word.T % m
+    hom = ((phi[:, mult] - phi[:, :, None] - phi[:, None, :]) % m == 0).all(axis=(1, 2))
+    return list(map(tuple, phi[hom].tolist()))
 
 
 def carry_table(group: FiniteGroup, phi, m) -> np.ndarray:
     """Pullback of the Z -> Z_m carry cocycle along a homomorphism phi."""
-    n = group.order
-    table = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            table[i, j] = (phi[i] + phi[j]) // m
-    return table
+    phi = np.asarray(phi, dtype=np.int64)
+    return (phi[:, None] + phi) // m
 
 
 def inflate_group_cocycle(gpd: FiniteGroupoid, group: FiniteGroup, points, action, table, modulus) -> PhaseCocycle:
@@ -340,7 +263,7 @@ def inflate_group_cocycle(gpd: FiniteGroupoid, group: FiniteGroup, points, actio
     on the action groupoid that pair is keyed (x, y) with y = (a, g1) and
     x = (a.g1, g2).
     """
-    pairs = action_pairs(action, group.order)
+    pairs = action_pairs(check_right_action(points, group, action))
     values = np.broadcast_to(np.asarray(table, dtype=np.int64), pairs.shape[:-1])
     return PhaseCocycle.on_pairs(modulus, pairs, values)
 
@@ -387,14 +310,13 @@ def refined_cover(rng, group: FiniteGroup, points, action, cocycle: PhaseCocycle
         mem[:, g] = owners
     mem = mem[mem.any(axis=1)]
     cover = [set(np.flatnonzero(row).tolist()) for row in mem]
-    data = LocalExtensionData.blank(group, list(points), [list(row) for row in action], cover)
+    act = check_right_action(points, group, action)
+    data = LocalExtensionData.blank(group, list(points), act.tolist(), cover)
 
     # chart phases chi[alpha, g, a], drawn chart by chart, element by element, point by point
     chi = np.zeros((len(cover), m, npts), dtype=np.int64)
     chi[mem] = rng.integers(n, size=(int(mem.sum()), npts))
-    act = np.asarray(action, dtype=np.int64).reshape(npts, m)
-    mult = np.asarray(group.mult, dtype=np.int64).reshape(m, m)
-    glob = cocycle.values_at(action_pairs(act, m).reshape(-1, 2)).reshape(npts, m, m)
+    glob = cocycle.values_at(action_pairs(act).reshape(-1, 2)).reshape(npts, m, m)
 
     need_phi, need_omega = required_entries(data)
     phi = chi[:, None] - chi[None, :]
@@ -404,7 +326,7 @@ def refined_cover(rng, group: FiniteGroup, points, action, cocycle: PhaseCocycle
         glob[a, f, g]
         + chi[:, None, None, :, None, :]
         + chi[:, g, act[a, f]][None, :, None]
-        - chi[:, mult[f, g], a][None, None, :]
+        - chi[:, group.mult[f, g], a][None, None, :]
     )
     data.phi[need_phi] = (phi % n)[need_phi]
     data.omega[need_omega] = (omega % n)[need_omega]
@@ -442,6 +364,4 @@ def point_groupoid(group: FiniteGroup) -> FiniteGroupoid:
 
 def translation_groupoid(group: FiniteGroup) -> FiniteGroupoid:
     """Free action of a group on itself by right translation."""
-    points = list(range(group.order))
-    action = [list(group.mult[a]) for a in range(group.order)]
-    return action_groupoid(points, group, action)
+    return action_groupoid(list(range(group.order)), group, group.mult.tolist())

@@ -16,6 +16,7 @@ raises the owning module's domain errors.
 from __future__ import annotations
 
 import json
+import sys
 
 import numpy as np
 
@@ -58,10 +59,13 @@ def _expect(obj, key, kinds, where):
     return val
 
 
-def _integer(val, field):
-    """val itself when it is a JSON integer; bool, float and str are format errors."""
+def _integer(val, field, *args):
+    """val itself when it is a JSON integer; bool, float and str are format errors.
+
+    The error names the field field.format(*args), built only on failure.
+    """
     if isinstance(val, bool) or not isinstance(val, int):
-        raise FormatError(f"{field} must be an integer, got {type(val).__name__}")
+        raise FormatError(f"{field.format(*args)} must be an integer, got {type(val).__name__}")
     return val
 
 
@@ -126,7 +130,7 @@ def frame_from_obj(obj) -> Frame:
 def group_to_obj(group: FiniteGroup) -> dict:
     return {
         "elements": [_label(e) for e in group.elements],
-        "mult": [list(row) for row in group.mult],
+        "mult": group.mult.tolist(),
     }
 
 
@@ -136,27 +140,24 @@ def group_from_obj(obj) -> FiniteGroup:
     n = len(elements)
     if len(mult) != n or any(not isinstance(r, list) or len(r) != n for r in mult):
         raise FormatError("group: mult table must be n x n")
-    table = []
     for row in mult:
         for v in row:
             if not 0 <= _integer(v, "group: mult entry") < n:
                 raise FormatError(f"group: mult entry {v!r} out of range")
-        table.append(tuple(row))
-    identity = None
-    for e in range(n):
-        if all(table[e][i] == i and table[i][e] == i for i in range(n)):
-            identity = e
-            break
-    if identity is None:
+    table = np.array(mult, dtype=np.int64).reshape(n, n)
+    e = np.arange(n)
+    # the first e with e * i = i * e = i for every i
+    units = np.flatnonzero((table == e).all(axis=1) & (table == e[:, None]).all(axis=0))
+    if not units.size:
         raise FormatError("group: no identity element in mult table")
-    inverse = []
-    for i in range(n):
-        invs = [j for j in range(n) if table[i][j] == identity and table[j][i] == identity]
-        if len(invs) != 1:
-            raise FormatError(f"group: element {i} has {len(invs)} inverses")
-        inverse.append(invs[0])
+    identity = int(units[0])
+    is_inverse = (table == identity) & (table.T == identity)
+    counts = is_inverse.sum(axis=1)
+    if np.any(counts != 1):
+        i = int(np.argmax(counts != 1))
+        raise FormatError(f"group: element {i} has {counts[i]} inverses")
     group = FiniteGroup(
-        elements=tuple(elements), mult=tuple(table), identity=identity, inverse=tuple(inverse)
+        elements=tuple(elements), mult=table, identity=identity, inverse=np.argmax(is_inverse, axis=1)
     )
     bad = group_axioms_check(group)
     if bad:
@@ -196,8 +197,8 @@ def groupoid_from_obj(obj) -> FiniteGroupoid:
     source, target = [], []
     for i, rec in enumerate(arrow_recs):
         aid = _expect(rec, "id", None, f"groupoid arrow {i}")
-        src = _integer(_expect(rec, "src", None, f"groupoid arrow {i}"), f"groupoid arrow {i}: src")
-        tgt = _integer(_expect(rec, "tgt", None, f"groupoid arrow {i}"), f"groupoid arrow {i}: tgt")
+        src = _integer(_expect(rec, "src", None, f"groupoid arrow {i}"), "groupoid arrow {}: src", i)
+        tgt = _integer(_expect(rec, "tgt", None, f"groupoid arrow {i}"), "groupoid arrow {}: tgt", i)
         if not 0 <= src < n_obj or not 0 <= tgt < n_obj:
             raise FormatError(f"groupoid arrow {i}: endpoint out of range")
         if isinstance(aid, (list, dict)):
@@ -243,16 +244,18 @@ def cocycle_from_obj(obj, g: FiniteGroupoid) -> PhaseCocycle:
         if not isinstance(rec, list) or len(rec) != 3:
             raise FormatError(f"cocycle entry {i}: expected [x, y, value]")
         x, y, val = rec
-        _integer(x, f"cocycle entry {i}: arrow index")
-        _integer(y, f"cocycle entry {i}: arrow index")
+        _integer(x, "cocycle entry {}: arrow index", i)
+        _integer(y, "cocycle entry {}: arrow index", i)
         if not 0 <= x < g.n_arrows or not 0 <= y < g.n_arrows:
             raise FormatError(f"cocycle entry {i}: arrow index out of range")
         if modulus is None:
-            if not isinstance(val, list) or len(val) != 2:
+            if not isinstance(val, list) or len(val) != 2 or not all(type(v) in (int, float) for v in val):
                 raise FormatError(f"cocycle entry {i}: continuous value must be [re, im]")
+            if not all(abs(v) <= sys.float_info.max for v in val):  # false for nan
+                raise FormatError(f"cocycle entry {i}: continuous value must be finite")
             values[(x, y)] = complex(val[0], val[1])
         else:
-            values[(x, y)] = _integer(val, f"cocycle entry {i}: exponent")
+            values[(x, y)] = _integer(val, "cocycle entry {}: exponent", i)
     if modulus is not None:
         _integer(modulus, "cocycle: modulus")
     return PhaseCocycle(modulus, values)
@@ -298,7 +301,7 @@ def cover_from_obj(obj):
     charts = []
     for i, chart in enumerate(charts_raw):
         if not isinstance(chart, list) or not all(
-            0 <= _integer(v, f"cover: chart {i} entry") < group.order for v in chart
+            0 <= _integer(v, "cover: chart {} entry", i) < group.order for v in chart
         ):
             raise FormatError(f"cover: chart {i} must list group element indices")
         charts.append(set(chart))
@@ -320,7 +323,7 @@ def cover_from_obj(obj):
         for i, rec in enumerate(obj["source_cocycle"]):
             if not isinstance(rec, list) or len(rec) != 3:
                 raise FormatError(f"cover: source cocycle entry {i} malformed")
-            x, y, k = (_integer(v, f"cover: source cocycle entry {i}") for v in rec)
+            x, y, k = (_integer(v, "cover: source cocycle entry {}", i) for v in rec)
             source[(x, y)] = k
     return data, modulus, source
 
@@ -335,7 +338,7 @@ def _fill_local(values, given, recs, bounds, where) -> None:
     for i, rec in enumerate(recs):
         if not isinstance(rec, dict) or any(key not in rec for key in bounds):
             raise FormatError(f"{where} {i} missing fields")
-        row = [_integer(rec[key], f"{where} {i} field {key!r}") for key in bounds]
+        row = [_integer(rec[key], "{} {} field {!r}", where, i, key) for key in bounds]
         for (key, (lo, hi)), v in zip(bounds.items(), row):
             if not lo <= v < hi:
                 raise FormatError(f"{where} {i}: field {key!r} = {v} lies outside [{lo}, {hi})")

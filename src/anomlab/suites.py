@@ -678,7 +678,7 @@ def _suite_cohomology(rng, rec):
         d1 = coboundary_matrix(nv, 1)
         group = inst.cyclic_group(n)
         points = list(range(n))
-        action = [list(group.mult[a]) for a in range(n)]
+        action = group.mult.tolist()
         all_split = True
         for _ in range(FREE_ACTION_SAMPLES):
             c = inst.random_groupoid_cocycle(rng, gpd, group, points, action, n)

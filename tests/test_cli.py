@@ -256,6 +256,21 @@ def test_compute_glue_reports_missing_entries(tmp_path, capsys):
         assert capsys.readouterr().err == f"domain error: {message}\n"
 
 
+def test_compute_glue_rejects_out_of_range_action(tmp_path, capsys):
+    cover = tmp_path / "cover.json"
+    assert main(["generate", "refined-cover", "--seed", "0", "--out", str(cover)]) == 0
+    obj = load_json(cover)
+    n = len(obj["points"])
+    for value in (-1, n, 2**70):
+        for column, message in ((0, "identity moves point 0"), (1, "action entry (0, 1) out of range")):
+            action = [list(row) for row in obj["action"]]
+            action[0][column] = value
+            dump_json({**obj, "action": action}, tmp_path / "broken.json")
+            capsys.readouterr()
+            assert main(["compute", "glue", "--data", str(tmp_path / "broken.json")]) == 4
+            assert capsys.readouterr().err == f"domain error: {message}\n", (value, column)
+
+
 def test_generate_is_byte_deterministic(tmp_path):
     for kind in ("random-hermitian", "random-unital", "random-action-groupoid",
                  "refined-cover"):

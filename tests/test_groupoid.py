@@ -6,6 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
+from anomlab import groupoid
 from anomlab.errors import (
     ActionAxiomError,
     CapacityError,
@@ -42,6 +43,7 @@ from anomlab.instances import (
     point_groupoid,
     random_cover_instance,
     random_groupoid_cocycle,
+    random_right_action,
     translation_groupoid,
 )
 from anomlab.nerve import extension_class
@@ -156,6 +158,112 @@ def test_group_axioms_check():
     assert group_axioms_check(bad)
 
 
+def _loop_group_axioms_check(g):
+    """Reference group check: the element loop, then the first failing triple."""
+    bad = []
+    n = g.order
+    for i in range(n):
+        if g.mult[g.identity][i] != i or g.mult[i][g.identity] != i:
+            bad.append(f"identity fails at {i}")
+        if g.mult[i][g.inverse[i]] != g.identity or g.mult[g.inverse[i]][i] != g.identity:
+            bad.append(f"inverse fails at {i}")
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if g.mult[g.mult[i][j]][k] != g.mult[i][g.mult[j][k]]:
+                    bad.append(f"associativity fails at ({i}, {j}, {k})")
+                    return bad
+    return bad
+
+
+def _loop_check_right_action(points, group, action):
+    """Reference action check: per point the identity, then per element its range and compatibility."""
+    n, m = len(points), group.order
+    if len(action) != n or any(len(row) != m for row in action):
+        raise ActionAxiomError("action table has wrong shape")
+    for a in range(n):
+        if action[a][group.identity] != a:
+            raise ActionAxiomError(f"identity moves point {a}")
+        for g in range(m):
+            if not 0 <= action[a][g] < n:
+                raise ActionAxiomError(f"action entry ({a}, {g}) out of range")
+            for h in range(m):
+                if action[action[a][g]][h] != action[a][group.mult[g][h]]:
+                    raise ActionAxiomError(f"compatibility fails at point {a}, elements ({g}, {h})")
+
+
+@pytest.mark.parametrize("block, trials", [(None, 3200), (1, 800)])
+def test_group_axioms_check_matches_loop(block, trials, monkeypatch):
+    """Same diagnostics, in the same order, as the loop on seeded table mutations.
+
+    block=1 compares one row i at a time, so associativity is read across blocks.
+    """
+    if block is not None:
+        monkeypatch.setattr(groupoid, "ASSOCIATIVITY_BLOCK", block)
+    rng = np.random.default_rng(707)
+    groups = list(group_catalog().values()) + [cyclic_group(1), _z2()]
+    flagged = 0
+    for trial in range(trials):
+        group = groups[trial % len(groups)]
+        n = group.order
+        mult, inverse, identity = group.mult.tolist(), group.inverse.tolist(), group.identity
+        for _ in range(1 + int(rng.integers(3))):
+            what = int(rng.integers(5))
+            if what < 3:  # one product, possibly negative (both index with Python wrap-around)
+                mult[int(rng.integers(n))][int(rng.integers(n))] = int(rng.integers(-n, n))
+            elif what == 3:
+                inverse[int(rng.integers(n))] = int(rng.integers(n))
+            else:
+                identity = int(rng.integers(n))
+        mutated = FiniteGroup(elements=group.elements, mult=mult, identity=identity, inverse=inverse)
+        expected = _loop_group_axioms_check(mutated)
+        assert group_axioms_check(mutated) == expected
+        flagged += bool(expected)
+    assert flagged > 0.8 * trials
+
+
+def _action_verdict(check, points, group, action):
+    try:
+        check(points, group, action)
+    except ActionAxiomError as exc:
+        return str(exc)
+    return None
+
+
+def test_check_right_action_matches_loop():
+    """Same first message as the loop on seeded mutations, out-of-range and huge entries included."""
+    rng = generator(708)
+    catalog = sorted(group_catalog().items())
+    cases = flagged = 0
+    for trial in range(3200):
+        group = catalog[trial % len(catalog)][1]
+        points, action = random_right_action(rng, group, 4)
+        n, m = len(points), group.order
+        action = [list(row) for row in action]
+        for _ in range(int(rng.integers(1, 4))):
+            a, g = int(rng.integers(n)), int(rng.integers(m))
+            if rng.random() < 0.25:
+                g = group.identity
+            choices = (-1, n, n + 3, 2**70, -(2**70), int(rng.integers(n)))
+            action[a][g] = choices[int(rng.integers(len(choices)))]
+        expected = _action_verdict(_loop_check_right_action, points, group, action)
+        assert _action_verdict(check_right_action, points, group, action) == expected
+        if expected is None:
+            np.testing.assert_array_equal(check_right_action(points, group, action), action)
+        cases += 1
+        flagged += expected is not None
+    assert cases >= 3000 and flagged > 2000
+
+
+@pytest.mark.parametrize("value", [-1, 1, 2**70])
+def test_check_right_action_rejects_out_of_range_entries(value):
+    # Z2 on one point: at the identity column the moved point is reported first
+    with pytest.raises(ActionAxiomError, match=r"^identity moves point 0$"):
+        check_right_action(["*"], _z2(), [[value, 0]])
+    with pytest.raises(ActionAxiomError, match=r"^action entry \(0, 1\) out of range$"):
+        check_right_action(["*"], _z2(), [[0, value]])
+
+
 def test_check_right_action_diagnostics():
     group = _z2()
     check_right_action([0, 1], group, [[0, 1], [1, 0]])
@@ -253,6 +361,16 @@ def test_coboundary_twist_stays_cocycle_and_shifts_values():
         assert twisted.exponent(x, y) == (b[x] + b[y] - b[xy]) % 4
     cont = coboundary_twist(g, zero_cocycle(g, None), [1.0, 1j, -1.0, -1j])
     assert cocycle_check(g, cont) < 1e-12
+
+
+def test_non_finite_continuous_cocycle_is_rejected():
+    g = _swap_groupoid()
+    for bad in (complex("nan"), complex("inf"), complex(0, float("nan"))):
+        c = zero_cocycle(g, None)
+        c.values[tuple(g.composable_pairs()[3].tolist())] = bad
+        assert cocycle_check(g, c) == np.inf
+        with pytest.raises(ExtensionError):
+            central_extend(g, c)
 
 
 def test_central_extend_input_errors():

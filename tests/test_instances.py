@@ -1,5 +1,8 @@
 """Seeded random instance generators used by the verification suites."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -137,6 +140,23 @@ def test_homomorphisms_to_cyclic():
     # no nontrivial maps from Z3 to Z2
     assert len(homomorphisms_to_cyclic(cyclic_group(3), 2)) == 1
     assert len(homomorphisms_to_cyclic(cyclic_group(6), 3)) == 3
+
+
+def _catalog_sha(enumerate_one):
+    """sha256 of the JSON of one enumeration over the catalog, in name order."""
+    out = [[name, enumerate_one(group)] for name, group in sorted(group_catalog().items())]
+    return hashlib.sha256(json.dumps(out).encode()).hexdigest()
+
+
+def test_catalog_enumerations_are_pinned():
+    # their order feeds the RNG picks of random_right_action and random_groupoid_cocycle
+    assert _catalog_sha(subgroups) == "2439c8f11151866004b26578592c90051dd4fc4f98e2bb1227d6c6c10b99981f"
+    assert _catalog_sha(
+        lambda g: [homomorphisms_to_cyclic(g, m) for m in range(1, 9)]
+    ) == "7e9e21fb4de70381968e960af377278e26d99fc85f616ff2c516d49e13fd5780"
+    assert _catalog_sha(
+        lambda g: [coset_right_action(g, s) for s in subgroups(g)]
+    ) == "16a10679de48199a259855b60afa492b45bcb2492415cf0fab43a1b02216e5ac"
 
 
 def test_carry_table_and_inflation():

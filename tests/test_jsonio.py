@@ -1,14 +1,17 @@
 """JSON schemas for matrices, groups, groupoids, cocycles, and covers."""
 
+import re
+
 import numpy as np
 import pytest
 
 from anomlab.errors import CapacityError, FormatError
 from anomlab.grassmann import Frame
-from anomlab.groupoid import PhaseCocycle, validate_local_data, zero_cocycle
+from anomlab.groupoid import FiniteGroup, PhaseCocycle, group_axioms_check, validate_local_data, zero_cocycle
 from anomlab.instances import (
     cyclic_group,
     generator,
+    group_catalog,
     point_groupoid,
     random_cover_instance,
     translation_groupoid,
@@ -87,13 +90,62 @@ def test_polarization_and_frame_roundtrip():
 def test_group_roundtrip_and_validation():
     z3 = cyclic_group(3)
     again = group_from_obj(group_to_obj(z3))
-    assert again.mult == z3.mult
+    np.testing.assert_array_equal(again.mult, z3.mult)
     assert again.identity == z3.identity
-    assert again.inverse == z3.inverse
+    np.testing.assert_array_equal(again.inverse, z3.inverse)
     with pytest.raises(FormatError):
         group_from_obj({"elements": ["e", "s"], "mult": [[0, 1], [1, 1]]})
     with pytest.raises(FormatError):
         group_from_obj({"elements": ["e"], "mult": [[0, 0]]})
+
+
+def _loop_identity_and_inverse(mult):
+    """Reference recovery: the first two-sided unit, then each element's unique two-sided inverse."""
+    n = len(mult)
+    identity = next((e for e in range(n) if all(mult[e][i] == i and mult[i][e] == i for i in range(n))), None)
+    if identity is None:
+        raise FormatError("group: no identity element in mult table")
+    inverse = []
+    for i in range(n):
+        invs = [j for j in range(n) if mult[i][j] == identity and mult[j][i] == identity]
+        if len(invs) != 1:
+            raise FormatError(f"group: element {i} has {len(invs)} inverses")
+        inverse.append(invs[0])
+    return identity, inverse
+
+
+def test_group_recovery_matches_loop():
+    """Same identity, inverses and first FormatError as the loop on seeded table mutations."""
+    rng = np.random.default_rng(809)
+    groups = list(group_catalog().values())
+    outcomes = set()
+    for trial in range(2000):
+        obj = group_to_obj(groups[trial % len(groups)])
+        mult, n = obj["mult"], len(obj["mult"])
+        for _ in range(int(rng.integers(1, 4))):
+            i, j = (int(v) for v in rng.integers(n, size=2))
+            if rng.random() < 0.2:  # a second row or column acting as the identity
+                mult[i], mult[j] = list(mult[j]), list(mult[i])
+            else:
+                mult[i][j] = int(rng.integers(n))
+        try:
+            identity, inverse = _loop_identity_and_inverse(mult)
+        except FormatError as exc:
+            with pytest.raises(FormatError) as info:
+                group_from_obj(obj)
+            assert str(info.value) == str(exc)
+            outcomes.add(str(exc).split()[1])
+            continue
+        bad = group_axioms_check(FiniteGroup(obj["elements"], mult, identity, inverse))
+        if bad:
+            with pytest.raises(FormatError, match="^group: " + re.escape(bad[0]) + "$"):
+                group_from_obj(obj)
+            outcomes.add("axioms")
+        else:
+            group = group_from_obj(obj)
+            assert group.identity == identity and group.inverse.tolist() == inverse
+            outcomes.add("group")
+    assert outcomes == {"no", "element", "axioms", "group"}
 
 
 def test_groupoid_roundtrip():
@@ -141,6 +193,25 @@ def test_cocycle_schema_validation():
         cocycle_from_obj({"modulus": 2, "values": [[0, 0, 1.5]]}, g)
     with pytest.raises(FormatError):
         cocycle_from_obj({"modulus": None, "values": [[0, 0, 1]]}, g)
+
+
+@pytest.mark.parametrize(
+    "value, reason",
+    [
+        ([float("nan"), 0.0], "finite"),
+        ([1.0, float("inf")], "finite"),
+        ([10**400, 0], "finite"),
+        (["1", 0.0], r"\[re, im\]"),
+        ([None, 0.0], r"\[re, im\]"),
+        ([True, 0.0], r"\[re, im\]"),
+    ],
+)
+def test_continuous_cocycle_values_must_be_finite_numbers(value, reason):
+    g = point_groupoid(cyclic_group(2))
+    obj = cocycle_to_obj(g, zero_cocycle(g, None))
+    obj["values"][1][2] = value
+    with pytest.raises(FormatError, match=f"^cocycle entry 1: continuous value must be {reason}$"):
+        cocycle_from_obj(obj, g)
 
 
 def test_cover_roundtrip_with_source():
