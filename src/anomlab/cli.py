@@ -208,7 +208,7 @@ def _cmd_compute(args, parser) -> int:
         }
         if source is not None:
             src_cls = reducer.reduce(
-                cocycle_vector(reducer.nerve, PhaseCocycle(modulus, dict(source)))
+                cocycle_vector(reducer.nerve, PhaseCocycle(modulus, source))
             )
             payload["source_class"] = {
                 "orders": list(src_cls.orders),
@@ -238,7 +238,7 @@ def _cmd_generate(args, parser) -> int:
         _gpd, group, points, action, cocycle, data, modulus = random_cover_instance(
             rng, max_points=2, max_order=4, max_modulus=args.modulus, n_charts=2
         )
-        obj = jsonio.cover_to_obj(data, modulus, source_cocycle=cocycle.values)
+        obj = jsonio.cover_to_obj(data, modulus, source_cocycle=cocycle)
     text = json.dumps(obj, sort_keys=True, indent=1)
     _emit(text, args.out)
     return 0

@@ -322,29 +322,39 @@ def action_groupoid(points, group: FiniteGroup, action) -> FiniteGroupoid:
     )
 
 
-@dataclass
+@dataclass(eq=False)
 class PhaseCocycle:
     """2-cochain on composable pairs with root-of-unity or circle values.
 
-    modulus N >= 1 means mu_N values stored as integer exponents mod N;
-    modulus None means continuous circle values stored as complex numbers.
+    pairs is a (P, 2) int64 array of distinct arrow pairs, rows ascending; over
+    all composable pairs that is level 2 of the nerve. values[i], the value on
+    pairs[i], is an int64 exponent mod N for modulus N >= 1 and a complex128
+    phase for modulus None. Arrays come in as PhaseCocycle(modulus, values,
+    pairs), rows in any order; a dict {(x, y): value} as values is converted.
     """
 
     modulus: object
-    values: dict = field(default_factory=dict)
+    values: np.ndarray = field(default_factory=dict)
+    pairs: np.ndarray = None
 
     def __post_init__(self):
         if self.modulus is not None:
             if not isinstance(self.modulus, (int, np.integer)) or self.modulus < 1:
                 raise DomainError(f"modulus must be a positive integer or None, got {self.modulus!r}")
             self.modulus = int(self.modulus)
-            self.values = {k: int(v) % self.modulus for k, v in self.values.items()}
-
-    @classmethod
-    def on_pairs(cls, modulus, pairs, values) -> "PhaseCocycle":
-        """Cocycle taking values[i] on pair i of an (..., 2) array of arrow pairs."""
-        keys = map(tuple, np.asarray(pairs).reshape(-1, 2).tolist())
-        return cls(modulus, dict(zip(keys, np.ravel(values).tolist())))
+        if isinstance(self.values, dict):
+            self.pairs, values = list(self.values), list(self.values.values())
+            # exponents beyond int64 are reduced while still Python ints
+            self.values = values if self.continuous else [int(v) % self.modulus for v in values]
+        pairs = np.asarray(self.pairs, dtype=np.int64).reshape(-1, 2)
+        # indices below 2^31 keep the row keys of values_at within int64
+        if pairs.size and not 0 <= pairs.min() <= pairs.max() < 2**31:
+            raise DomainError("cocycle pairs must hold arrow indices in [0, 2^31)")
+        values = np.asarray(self.values, dtype=np.complex128 if self.continuous else np.int64).reshape(-1)
+        if not self.continuous:
+            values = values % self.modulus
+        order = np.lexsort(pairs.T[::-1])
+        self.pairs, self.values = pairs[order], values[order]
 
     @property
     def continuous(self) -> bool:
@@ -353,33 +363,36 @@ class PhaseCocycle:
     def exponent(self, x: int, y: int) -> int:
         if self.continuous:
             raise UnsupportedCoefficientsError("continuous cocycle has no exponents")
-        try:
-            return self.values[(x, y)]
-        except KeyError:
-            raise MissingValueError(f"cocycle has no value on pair ({x}, {y})") from None
+        return int(self.values_at([(x, y)])[0])
 
     def phase(self, x: int, y: int) -> complex:
+        value = self.values_at([(x, y)])[0]
         if self.continuous:
-            try:
-                return complex(self.values[(x, y)])
-            except KeyError:
-                raise MissingValueError(
-                    f"cocycle has no value on pair ({x}, {y})"
-                ) from None
-        return complex(np.exp(2j * math.pi * self.exponent(x, y) / self.modulus))
+            return complex(value)
+        return complex(np.exp(2j * math.pi * int(value) / self.modulus))
 
     def values_at(self, pairs) -> np.ndarray:
         """Values on a (P, 2) array of pairs: int exponents, or complex phases if continuous."""
-        try:
-            vals = [self.values[pair] for pair in map(tuple, np.asarray(pairs).tolist())]
-        except KeyError as exc:
-            raise MissingValueError(f"cocycle has no value on pair {exc.args[0]}") from None
-        return np.array(vals, dtype=np.complex128 if self.continuous else np.int64)
+        given = np.asarray(pairs).reshape(-1, 2)
+        # row keys x * (radix + 1) + y ascend with the rows, and the sentinel key
+        # (radix + 1)^2 tops them all; an index outside [0, radix), fractional or
+        # past int64, becomes the digit radix, which no stored pair has
+        radix = int(self.pairs.max(initial=-1)) + 1
+        weights = np.array([radix + 1, 1])
+        keys = np.append(self.pairs @ weights, (radix + 1) ** 2)
+        wanted = np.where((given >= 0) & (given < radix), given, radix).astype(np.int64)
+        wanted_keys = np.where(wanted == given, wanted, radix) @ weights
+        at = np.searchsorted(keys, wanted_keys)
+        found = keys[at] == wanted_keys
+        if not found.all():
+            x, y = given[np.argmin(found)].tolist()
+            raise MissingValueError(f"cocycle has no value on pair ({x}, {y})")
+        return self.values[at]
 
 
 def zero_cocycle(g: FiniteGroupoid, modulus) -> PhaseCocycle:
-    zero = 1.0 + 0.0j if modulus is None else 0
-    return PhaseCocycle(modulus, {pair: zero for pair in map(tuple, g.composable_pairs().tolist())})
+    pairs = g.composable_pairs()
+    return PhaseCocycle(modulus, np.full(len(pairs), 1.0 + 0.0j if modulus is None else 0), pairs)
 
 
 def _value_table(g: FiniteGroupoid, c: PhaseCocycle) -> np.ndarray:
@@ -398,8 +411,9 @@ def cocycle_check(g: FiniteGroupoid, c: PhaseCocycle) -> float:
     for x, y, z in _triple_rows(compose):
         xy, yz = compose[x, y], compose[y, z]
         if modulus is None:
-            dev = np.abs(table[x, y] * table[xy, z] - table[x, yz] * table[y, z])
-            # a non-finite value makes some deviation nan, which max() would pass over
+            # a non-finite value makes some deviation inf or nan, silently: both count as inf
+            with np.errstate(invalid="ignore", over="ignore"):
+                dev = np.abs(table[x, y] * table[xy, z] - table[x, yz] * table[y, z])
             worst = max(worst, float(np.nan_to_num(dev, nan=np.inf).max(initial=0.0)))
         else:
             k = (table[x, y] + table[xy, z] - table[x, yz] - table[y, z]) % modulus
@@ -420,7 +434,7 @@ def coboundary_twist(g: FiniteGroupoid, c: PhaseCocycle, b) -> PhaseCocycle:
     else:
         b = np.asarray(b, dtype=np.int64)
         values = (c.values_at(pairs) + b[x] + b[y] - b[xy]) % c.modulus
-    return PhaseCocycle.on_pairs(c.modulus, pairs, values)
+    return PhaseCocycle(c.modulus, values, pairs)
 
 
 @dataclass
@@ -752,7 +766,7 @@ def glue_local_data(data: LocalExtensionData, modulus: int) -> CentralExtension:
     # the targets of the action groupoid are the action table, point by point
     pairs = action_pairs(base.target.reshape(base.n_objects, -1))
     # central_extend validates the assembled cocycle and the total groupoid
-    return central_extend(base, PhaseCocycle.on_pairs(int(modulus), pairs, values))
+    return central_extend(base, PhaseCocycle(int(modulus), values, pairs))
 
 
 def eta_from_omega(omega, x, y, point, h: float) -> float:

@@ -265,7 +265,7 @@ def inflate_group_cocycle(gpd: FiniteGroupoid, group: FiniteGroup, points, actio
     """
     pairs = action_pairs(check_right_action(points, group, action))
     values = np.broadcast_to(np.asarray(table, dtype=np.int64), pairs.shape[:-1])
-    return PhaseCocycle.on_pairs(modulus, pairs, values)
+    return PhaseCocycle(modulus, values, pairs)
 
 
 def random_groupoid_cocycle(rng, gpd: FiniteGroupoid, group: FiniteGroup, points, action, modulus) -> PhaseCocycle:

@@ -95,7 +95,10 @@ def matrix_from_obj(obj) -> np.ndarray:
             or not all(isinstance(x, (int, float)) for x in entry)
         ):
             raise FormatError(f"matrix: entry {i} is not an [re, im] pair")
-        out[i] = complex(entry[0], entry[1])
+        try:
+            out[i] = complex(entry[0], entry[1])
+        except OverflowError:  # an integer beyond the float range
+            raise FormatError("matrix: entries must be finite") from None
     if not np.all(np.isfinite(out.view(np.float64))):
         raise FormatError("matrix: entries must be finite")
     return out.reshape(rows, cols)
@@ -224,20 +227,13 @@ def groupoid_from_obj(obj) -> FiniteGroupoid:
 
 
 def cocycle_to_obj(g: FiniteGroupoid, c: PhaseCocycle) -> dict:
-    values = []
-    for (x, y) in sorted(c.values):
-        v = c.values[(x, y)]
-        if c.continuous:
-            values.append([int(x), int(y), [float(complex(v).real), float(complex(v).imag)]])
-        else:
-            values.append([int(x), int(y), int(v)])
-    return {"modulus": c.modulus, "values": values}
+    values = np.stack([c.values.real, c.values.imag], axis=-1) if c.continuous else c.values
+    x, y = c.pairs.T.tolist()
+    return {"modulus": c.modulus, "values": list(map(list, zip(x, y, values.tolist())))}
 
 
 def cocycle_from_obj(obj, g: FiniteGroupoid) -> PhaseCocycle:
-    if "modulus" not in obj:
-        raise FormatError("cocycle: missing key 'modulus'")
-    modulus = obj["modulus"]
+    modulus = _expect(obj, "modulus", None, "cocycle")
     recs = _expect(obj, "values", list, "cocycle")
     values = {}
     for i, rec in enumerate(recs):
@@ -261,7 +257,7 @@ def cocycle_from_obj(obj, g: FiniteGroupoid) -> PhaseCocycle:
     return PhaseCocycle(modulus, values)
 
 
-def cover_to_obj(data: LocalExtensionData, modulus: int, source_cocycle=None) -> dict:
+def cover_to_obj(data: LocalExtensionData, modulus: int, source_cocycle: PhaseCocycle = None) -> dict:
     obj = {
         "modulus": int(modulus),
         "group": group_to_obj(data.group),
@@ -278,14 +274,12 @@ def cover_to_obj(data: LocalExtensionData, modulus: int, source_cocycle=None) ->
         ],
     }
     if source_cocycle is not None:
-        obj["source_cocycle"] = [
-            [int(x), int(y), int(k)] for (x, y), k in sorted(source_cocycle.items())
-        ]
+        obj["source_cocycle"] = np.column_stack([source_cocycle.pairs, source_cocycle.values]).tolist()
     return obj
 
 
 def cover_from_obj(obj):
-    """Returns (LocalExtensionData, modulus, source_values_or_None)."""
+    """Returns (LocalExtensionData, modulus, source dict {(x, y): exponent} or None)."""
     modulus = _integer(_expect(obj, "modulus", None, "cover"), "cover: modulus")
     group = group_from_obj(_expect(obj, "group", dict, "cover"))
     points = _expect(obj, "points", list, "cover")
@@ -324,6 +318,8 @@ def cover_from_obj(obj):
             if not isinstance(rec, list) or len(rec) != 3:
                 raise FormatError(f"cover: source cocycle entry {i} malformed")
             x, y, k = (_integer(v, "cover: source cocycle entry {}", i) for v in rec)
+            if not 0 <= min(x, y) <= max(x, y) < len(points) * group.order:
+                raise FormatError(f"cover: source cocycle entry {i}: arrow index out of range")
             source[(x, y)] = k
     return data, modulus, source
 

@@ -2,10 +2,11 @@
 
 The order-p remainder is
 
-    R_p(A) = -1 + (1 + A) exp(sum_{j=1}^{p-1} (-1)^j A^j / j),
+    R_p(A) = -1 + (1 + A) exp(F),  F = sum_{j=1}^{p-1} (-1)^j A^j / j,
 
-and det_p(1 + A) := det(1 + R_p(A)). The same quantity factorizes as
-det(1 + A) exp(Tr sum_{j=1}^{p-1} (-1)^j A^j / j); both routes are computed
+and det_p(1 + A) := det(1 + R_p(A)) = det((1 + A) exp(F)), taken in that
+last form so that the -1 of R_p cannot cancel tiny entries. The same
+quantity factorizes as det(1 + A) exp(Tr F); both routes come from one F
 and must agree to 1e-9 relative or the call aborts. Order 1 is the plain
 determinant.
 
@@ -74,35 +75,31 @@ class RegDet:
     log_value: complex
 
 
-def _both_routes(m: np.ndarray, p: int) -> tuple[complex, complex]:
+def _routes(m: np.ndarray, p: int) -> tuple[complex, complex, float]:
+    """det_p(1 + A) by the remainder and factorization routes, and their relative gap."""
     one = np.eye(m.shape[0], dtype=np.complex128)
-    via_remainder = determinant(one + r_p(m, p))
     log_factor = _alternating_log_factor(m, p)
+    via_remainder = determinant((one + m) @ matrix_exponential(log_factor))
     via_factorization = determinant(one + m) * cmath.exp(np.trace(log_factor))
-    return via_remainder, via_factorization
+    scale = max(abs(via_remainder), abs(via_factorization), 1.0)
+    return via_remainder, via_factorization, abs(via_remainder - via_factorization) / scale
 
 
 def dual_route_gap(a, p) -> float:
     """Relative disagreement between the remainder and factorization routes."""
     p = _check_order(p)
-    m = as_square(a)
-    via_remainder, via_factorization = _both_routes(m, p)
-    scale = max(abs(via_remainder), abs(via_factorization), 1.0)
-    return abs(via_remainder - via_factorization) / scale
+    return _routes(as_square(a), p)[2]
 
 
 def det_p(a, p) -> RegDet:
     """Regularized determinant det_p(1 + A) with an internal dual-route check."""
     p = _check_order(p)
-    m = as_square(a)
-    via_remainder, via_factorization = _both_routes(m, p)
-    scale = max(abs(via_remainder), abs(via_factorization), 1.0)
-    if abs(via_remainder - via_factorization) > DUAL_ROUTE_RTOL * scale:
+    value, via_factorization, gap = _routes(as_square(a), p)
+    if gap > DUAL_ROUTE_RTOL:
         raise InternalConsistencyError(
             "remainder and factorization routes disagree: "
-            f"{via_remainder!r} vs {via_factorization!r}"
+            f"{value!r} vs {via_factorization!r}"
         )
-    value = via_remainder
     if value == 0:
         log_value = complex(float("-inf"), 0.0)
     else:

@@ -10,10 +10,12 @@ transforms. The pivot column is clear by the time of the column clear, so
 that step changes only row t of A and row t of V^-1.
 
 Arithmetic runs on int64 and falls back to exact object (big-int) arrays
-when a guard trips. Two guards keep every stored entry at most 2^59, so no
-int64 sum wraps: before each multiply, max|q| times the largest entry it
-multiplies (times the number of summed terms for V^-1) must stay below
-2^62; after each write, the entries just written must stay at most 2^59.
+when a guard trips. Both run the same pivot routine, whose numpy calls
+work on either dtype, so they pick the same pivots. Two guards keep every
+stored entry at most 2^59, so no int64 sum wraps: before each multiply,
+max|q| times the largest entry it multiplies (times the number of summed
+terms for V^-1) must stay below 2^62; after each write, the entries just
+written must stay at most 2^59.
 The input is scanned once at the start; entries not written since then
 keep their bound, so they need no second look.
 """
@@ -28,10 +30,6 @@ _GUARD = 1 << 59
 _PRODUCT_LIMIT = 1 << 62  # a guarded entry plus such a product stays below 2^63
 
 
-class _Overflow(Exception):
-    pass
-
-
 @dataclass
 class SNFResult:
     """factors has min(rows, cols) entries (zeros padded past the rank)."""
@@ -43,7 +41,8 @@ class SNFResult:
     vinv: object
 
 
-def _pivot_int64(a: np.ndarray, t: int):
+def _pivot(a: np.ndarray, t: int):
+    """Pivot (row, col) in a[t:, t:], int64 or object, or None when it is zero."""
     sub = a[t:, t:]
     # a unit is a smallest entry, so the first one in row-major order is the
     # pivot; scan row blocks of doubling height to stop early
@@ -63,35 +62,16 @@ def _pivot_int64(a: np.ndarray, t: int):
     return int(rows[k]) + t, int(cols[k]) + t
 
 
-def _pivot_object(a: np.ndarray, t: int):
-    best = None
-    rows, cols = a.shape
-    for i in range(t, rows):
-        for j in range(t, cols):
-            val = a[i, j]
-            if val == 0:
-                continue
-            key = (abs(val), i, j)
-            if best is None or key < best[0]:
-                best = (key, i, j)
-    if best is None:
-        return None
-    return best[1], best[2]
-
-
 def _reduce(a, track_u, track_v, track_vinv, object_mode):
     rows, cols = a.shape
-    eye = (lambda n: np.array([[1 if i == j else 0 for j in range(n)] for i in range(n)],
-                              dtype=object)) if object_mode else (
-        lambda n: np.eye(n, dtype=np.int64))
-    u = eye(rows) if track_u else None
-    v = eye(cols) if track_v else None
-    vinv = eye(cols) if track_vinv else None
+    u = np.eye(rows, dtype=a.dtype) if track_u else None
+    v = np.eye(cols, dtype=a.dtype) if track_v else None
+    vinv = np.eye(cols, dtype=a.dtype) if track_vinv else None
 
     def guard(block):
         # every stored entry stays <= _GUARD: the input is scanned once, then each block just written
         if not object_mode and np.abs(block).max(initial=0) > _GUARD:
-            raise _Overflow
+            raise OverflowError
 
     def check_products(q, *blocks, terms=1):
         # sums of `terms` products q * entry could wrap int64 before guard() sees them;
@@ -103,7 +83,7 @@ def _reduce(a, track_u, track_v, track_vinv, object_mode):
             return
         for block in blocks:
             if block is not None and qmax * int(np.abs(block).max(initial=0)) >= _PRODUCT_LIMIT:
-                raise _Overflow
+                raise OverflowError
 
     def swap_rows(i, j):
         if i == j:
@@ -121,13 +101,11 @@ def _reduce(a, track_u, track_v, track_vinv, object_mode):
         if vinv is not None:
             vinv[[i, j], :] = vinv[[j, i], :]
 
-    pivot = _pivot_object if object_mode else _pivot_int64
-
     guard(a)
     t = 0
     limit = min(rows, cols)
     while t < limit:
-        pos = pivot(a, t)
+        pos = _pivot(a, t)
         if pos is None:
             break
         swap_rows(t, pos[0])
@@ -209,11 +187,9 @@ def smith_normal_form(mat, want_u=False, want_v=False, want_vinv=False) -> SNFRe
     try:
         work = np.array(base, dtype=np.int64, copy=True)
         return _reduce(work, want_u, want_v, want_vinv, object_mode=False)
-    except (_Overflow, OverflowError):
-        work = np.array(
-            [[int(base[i, j]) for j in range(base.shape[1])] for i in range(base.shape[0])],
-            dtype=object,
-        )
+    except OverflowError:  # a guard tripped, or an entry is beyond int64
+        # Python ints throughout; floats truncate as in the int64 cast
+        work = np.frompyfunc(int, 1, 1)(base)
         return _reduce(work, want_u, want_v, want_vinv, object_mode=True)
 
 
@@ -231,19 +207,13 @@ def solve_mod(mat, rhs, modulus: int):
     aug = np.hstack([a, modulus * np.eye(rows, dtype=a.dtype)])
     res = smith_normal_form(aug, want_u=True, want_v=True)
     y = res.u @ b
-    total = aug.shape[1]
-    w = np.zeros(total, dtype=np.int64)
-    for i in range(min(rows, total)):
-        f = res.factors[i]
-        if f == 0:
-            if y[i] != 0:
-                return None
-        else:
-            if y[i] % f != 0:
-                return None
-            w[i] = y[i] // f
-    tail = y[min(rows, total):]
-    if tail.size and np.any(tail != 0):
+    # aug has at least as many columns as rows, so each y_i meets a factor f_i:
+    # solvable iff f_i divides y_i, and f_i = 0 admits only y_i = 0
+    f = np.array(res.factors, dtype=y.dtype)
+    unit = np.where(f == 0, 1, f)
+    if np.any(np.where(f == 0, y, y % unit)):
         return None
+    w = np.zeros(aug.shape[1], dtype=np.int64)
+    w[:rows] = y // unit
     x = (res.v @ w)[:cols]
     return np.mod(x, modulus).astype(np.int64)

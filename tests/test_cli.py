@@ -118,6 +118,13 @@ def test_compute_usage_format_and_domain_errors(tmp_path, capsys):
     assert main(["compute", "detp", "--matrix", matrix, "--p", "0"]) == 4
 
 
+def test_compute_detp_rejects_integers_beyond_float_range(tmp_path, capsys):
+    huge = tmp_path / "huge.json"
+    dump_json({"rows": 1, "cols": 1, "data": [[10**400, 0]]}, huge)
+    assert main(["compute", "detp", "--matrix", str(huge)]) == 3
+    assert "matrix: entries must be finite" in capsys.readouterr().err
+
+
 def test_compute_omega(tmp_path, capsys):
     a = _write_matrix(tmp_path / "a.json", np.diag([0.1]))
     b = _write_matrix(tmp_path / "b.json", np.diag([0.1]))

@@ -290,6 +290,82 @@ def test_phase_cocycle_values():
         PhaseCocycle(0, {})
 
 
+def _dict_values_at(table, pairs, continuous):
+    """Oracle for values_at: the per-pair dict lookup it replaced."""
+    try:
+        vals = [table[pair] for pair in map(tuple, np.asarray(pairs).tolist())]
+    except KeyError as exc:
+        raise MissingValueError(f"cocycle has no value on pair {exc.args[0]}") from None
+    return np.array(vals, dtype=np.complex128 if continuous else np.int64)
+
+
+def _outcome(lookup, *args):
+    try:
+        return lookup(*args)
+    except Exception as exc:  # noqa: BLE001 - the class and message are compared
+        return type(exc), str(exc)
+
+
+def test_values_at_matches_the_dict_lookup():
+    rng = generator(211)
+    catalog = group_catalog()
+    for trial in range(60):
+        grp = catalog[sorted(catalog)[trial % len(catalog)]]
+        g = translation_groupoid(grp) if trial % 2 else point_groupoid(grp)
+        modulus = None if trial % 3 == 0 else int(rng.integers(1, 9))
+        composable = g.composable_pairs()
+        stored = composable[rng.random(len(composable)) < 0.8]
+        if modulus is None:
+            values = np.exp(2j * np.pi * rng.random(len(stored)))
+        else:
+            values = rng.integers(-50, 50, size=len(stored)) % modulus
+        table = dict(zip(map(tuple, stored.tolist()), values.tolist()))
+        c = PhaseCocycle(modulus, table)
+        for _ in range(10):
+            # stored and absent composable pairs, then negative and out-of-range ones
+            queries = composable[rng.integers(len(composable), size=int(rng.integers(0, 30)))]
+            if rng.random() < 0.5:
+                stray = rng.integers(-3, g.n_arrows + 3, size=(int(rng.integers(1, 4)), 2))
+                at = rng.integers(len(queries) + 1, size=len(stray))
+                queries = np.insert(queries, at, stray, axis=0)
+            if rng.random() < 0.2:  # float indices: whole ones match, halves do not
+                queries = np.asarray(queries, dtype=float) + 0.5 * (rng.random((len(queries), 2)) < 0.2)
+            if rng.random() < 0.2:  # an index beyond int64
+                queries = [tuple(pair) for pair in queries.tolist()] + [(0, -(10**30)), (10**30, 0)]
+            got = _outcome(c.values_at, queries)
+            want = _outcome(_dict_values_at, table, queries, c.continuous)
+            if isinstance(want, tuple):
+                assert got == want
+            else:
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+
+
+def test_dict_and_array_constructors_agree():
+    rng = generator(212)
+    for modulus in (None, 1, 2, 7, 2**40):
+        raw = np.unique(rng.integers(0, 40, size=(200, 2)), axis=0)
+        pairs = raw[rng.permutation(len(raw))]
+        if modulus is None:
+            values = rng.standard_normal(len(pairs)) + 1j * rng.standard_normal(len(pairs))
+        else:
+            values = rng.integers(-(2**62), 2**62, size=len(pairs))
+        from_dict = PhaseCocycle(modulus, dict(zip(map(tuple, pairs.tolist()), values.tolist())))
+        from_arrays = PhaseCocycle(modulus, values, pairs)
+        for c in (from_dict, from_arrays):
+            np.testing.assert_array_equal(c.pairs, raw)  # np.unique rows ascend
+            assert c.pairs.dtype == np.int64
+            assert c.values.dtype == (np.complex128 if modulus is None else np.int64)
+        np.testing.assert_array_equal(from_dict.values, from_arrays.values)
+        order = np.lexsort(pairs.T[::-1])
+        expected = values[order] if modulus is None else values[order] % modulus
+        np.testing.assert_array_equal(from_arrays.values, expected)
+    # a dict exponent beyond int64 is reduced before it is stored
+    assert PhaseCocycle(7, {(0, 1): 10**30}).exponent(0, 1) == 10**30 % 7
+    with pytest.raises(DomainError):
+        PhaseCocycle(2, {(-1, 0): 1})
+
+
 def test_zero_cocycle_passes_check():
     g = _swap_groupoid()
     assert cocycle_check(g, zero_cocycle(g, 4)) == 0.0
@@ -367,7 +443,7 @@ def test_non_finite_continuous_cocycle_is_rejected():
     g = _swap_groupoid()
     for bad in (complex("nan"), complex("inf"), complex(0, float("nan"))):
         c = zero_cocycle(g, None)
-        c.values[tuple(g.composable_pairs()[3].tolist())] = bad
+        c.values[3] = bad  # pair 3 of the composable pairs
         assert cocycle_check(g, c) == np.inf
         with pytest.raises(ExtensionError):
             central_extend(g, c)

@@ -176,11 +176,11 @@ def test_cocycle_roundtrip_discrete_and_continuous():
                          for pair in map(tuple, g.composable_pairs().tolist())})
     again = cocycle_from_obj(cocycle_to_obj(g, c), g)
     assert again.modulus == 2
-    assert again.values == c.values
+    np.testing.assert_array_equal(again.values, c.values)
     cont = zero_cocycle(g, None)
     back = cocycle_from_obj(cocycle_to_obj(g, cont), g)
     assert back.continuous
-    assert back.values == cont.values
+    np.testing.assert_array_equal(back.values, cont.values)
 
 
 def test_cocycle_schema_validation():
@@ -217,10 +217,10 @@ def test_continuous_cocycle_values_must_be_finite_numbers(value, reason):
 def test_cover_roundtrip_with_source():
     rng = generator(803)
     _, _, _, _, cocycle, data, modulus = random_cover_instance(rng)
-    obj = cover_to_obj(data, modulus, source_cocycle=cocycle.values)
+    obj = cover_to_obj(data, modulus, source_cocycle=cocycle)
     back, back_modulus, source = cover_from_obj(obj)
     assert back_modulus == modulus
-    assert source == cocycle.values
+    assert source == dict(zip(map(tuple, cocycle.pairs.tolist()), cocycle.values.tolist()))
     for name in ("phi", "phi_given", "omega", "omega_given"):
         np.testing.assert_array_equal(getattr(back, name), getattr(data, name))
     assert [set(c) for c in back.cover] == [set(c) for c in data.cover]
@@ -272,6 +272,13 @@ def test_cover_schema_validation():
     validate_local_data(back, modulus)
 
 
+@pytest.mark.parametrize("pair", [[-1, 0], [0, 6], [10**400, 0]])
+def test_cover_source_cocycle_indices_must_be_arrows(pair):
+    # the cover of seed 805 has 6 arrows
+    with pytest.raises(FormatError, match=r"^cover: source cocycle entry 0: arrow index out of range$"):
+        _cover_with("source_cocycle", [[*pair, 1]])
+
+
 def _arrow_field(field, value):
     obj = groupoid_to_obj(point_groupoid(cyclic_group(2)))
     obj["arrows"][0][field] = value
@@ -280,7 +287,7 @@ def _arrow_field(field, value):
 
 def _cover_with(key, value):
     _, _, _, _, cocycle, data, modulus = random_cover_instance(generator(805))
-    obj = cover_to_obj(data, modulus, source_cocycle=cocycle.values)
+    obj = cover_to_obj(data, modulus, source_cocycle=cocycle)
     obj[key] = value(obj) if callable(value) else value
     return cover_from_obj(obj)
 

@@ -110,6 +110,17 @@ def test_invalid_orders_rejected():
             det_p(m, bad)
 
 
+def test_wide_diagonal_keeps_tiny_remainder_route_entries():
+    # (1 + A) exp(-A) has entries near 1e-20 here; forming R_2 and adding 1
+    # back cancelled them to zero and reported log det_2 = -inf
+    lam = np.array([50.0, 55.0, 60.0])
+    d = det_p(np.diag(lam), 2)
+    exact = float(np.sum(np.log1p(lam) - lam))
+    np.testing.assert_allclose(d.log_value.real, exact, rtol=1e-12)
+    assert d.log_value.imag == 0.0
+    np.testing.assert_allclose(d.value, math.exp(exact), rtol=1e-12)
+
+
 def test_singular_value_reports_zero_and_minus_infinity():
     m = np.diag([-1.0, 0.0])
     for p in (1, 2, 3):

@@ -1,11 +1,13 @@
 """Integer Smith normal form and modular linear solving."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from anomlab.instances import group_catalog, point_groupoid, translation_groupoid
 from anomlab.nerve import coboundary_matrix, nerve
-from anomlab.snf import smith_normal_form, solve_mod
+from anomlab.snf import _pivot, _reduce, smith_normal_form, solve_mod
 
 
 def _int_det(m):
@@ -150,6 +152,55 @@ def test_coboundary_matrices_reduce_exactly():
             _check_transforms(coboundary_matrix(nv, d))
 
 
+def _pivot_object(a, t):
+    """Oracle for _pivot: the nested-loop search the object elimination once ran."""
+    best = None
+    rows, cols = a.shape
+    for i in range(t, rows):
+        for j in range(t, cols):
+            val = a[i, j]
+            if val == 0:
+                continue
+            key = (abs(val), i, j)
+            if best is None or key < best[0]:
+                best = (key, i, j)
+    if best is None:
+        return None
+    return best[1], best[2]
+
+
+def test_pivot_matches_the_nested_loop_oracle_on_object_arrays():
+    rng = np.random.default_rng(604)
+    for trial in range(1200):
+        rows, cols = (int(k) for k in rng.integers(1, 8, size=2))
+        # small entries give units and ties; scaled ones reach past 2^63 up to about 2^73
+        small = rng.integers(-4, 5, size=(rows, cols))
+        scale = [1, 2, 2**30, 2**33][trial % 4]
+        big = rng.integers(-(2**40), 2**40, size=(rows, cols))
+        mat = np.zeros((rows, cols), dtype=object)
+        for i, j in np.ndindex(rows, cols):
+            mat[i, j] = int(small[i, j]) if rng.random() < 0.3 else int(big[i, j]) * scale
+        mat[rng.random((rows, cols)) < 0.2] = 0
+        t = int(rng.integers(min(rows, cols)))
+        assert _pivot(mat, t) == _pivot_object(mat, t), (mat.tolist(), t)
+
+
+def test_object_elimination_matches_int64_on_coboundaries():
+    # the object path otherwise runs only after an int64 guard trips
+    for _, grp in sorted(group_catalog().items()):
+        nv = nerve(point_groupoid(grp), 3)
+        for d in range(3):
+            mat = coboundary_matrix(nv, d)
+            fast = _reduce(np.array(mat, dtype=np.int64), True, True, True, object_mode=False)
+            exact = _reduce(np.array(mat.tolist(), dtype=object), True, True, True, object_mode=True)
+            assert exact.factors == fast.factors
+            assert exact.rank == fast.rank
+            for name in ("u", "v", "vinv"):
+                got, want = getattr(exact, name), getattr(fast, name)
+                assert got.dtype == object and all(type(x) is int for x in got.flat)
+                assert got.tolist() == want.tolist()
+
+
 def test_bad_input_rejected():
     with pytest.raises(ValueError):
         smith_normal_form([1, 2, 3])
@@ -172,6 +223,21 @@ def test_solve_mod_detects_unsolvable():
     # 2x = 2 mod 4 is solvable even though 2 is not a unit
     sol = solve_mod(np.array([[2]]), np.array([2]), 4)
     assert sol is not None and (2 * sol[0]) % 4 == 2
+
+
+def test_solve_mod_matches_exhaustive_search():
+    rng = np.random.default_rng(605)
+    for _ in range(300):
+        rows, cols = (int(k) for k in rng.integers(1, 4, size=2))
+        modulus = int(rng.integers(1, 7))
+        a = rng.integers(-6, 7, size=(rows, cols))
+        rhs = rng.integers(-6, 7, size=rows)
+        candidates = np.array(list(itertools.product(range(modulus), repeat=cols)))
+        solvable = np.any(np.all((candidates @ a.T - rhs) % modulus == 0, axis=1))
+        sol = solve_mod(a, rhs, modulus)
+        assert (sol is not None) == solvable, (a.tolist(), rhs.tolist(), modulus)
+        if sol is not None:
+            assert np.all((a @ sol - rhs) % modulus == 0)
 
 
 def test_solve_mod_shape_check():
