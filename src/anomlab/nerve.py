@@ -10,13 +10,20 @@ i = 0 or p, where on level 1 the faces are source and target); degeneracy
 i inserts an identity arrow. Face and degeneracy maps are int arrays of
 row positions, found by searchsorted on the sorted rows.
 
-Cochains take values in Z_N written additively. The coboundary is the
-alternating face sum, the complex is the unnormalized one, and cohomology
-is computed by integer Smith normal form: the mod-N kernel of one
-coboundary is an explicit lattice, and the quotient by coboundaries plus
-N-multiples is read off a second normal form. The same transforms reduce
-any 2-cocycle to a canonical class vector, which is how central extensions
-are compared.
+Cochains take values in Z_N written additively, and the coboundary is the
+alternating face sum. Cohomology is computed by integer Smith normal form:
+the mod-N kernel of one coboundary is an explicit lattice, and the quotient
+by coboundaries plus N-multiples is read off a second normal form.
+
+cohomology_group computes on the normalized cochains (those vanishing on
+chains that hold an identity arrow) of the skeleton of the groupoid, one
+vertex group per connected component. Both keep the cohomology, which
+depends only on the quotient stack the groupoid presents, and both shrink
+the matrices: a translation groupoid collapses to the trivial group. The
+same transforms reduce any 2-cocycle to a canonical class vector, which is
+how central extensions are compared; class_reducer and extension_class do
+that on the full, unnormalized complex of the groupoid as given, since a
+class vector holds coordinates in the normal-form basis of that complex.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from .errors import (
     ShapeError,
     UnsupportedCoefficientsError,
 )
-from .groupoid import CentralExtension, FiniteGroupoid, axioms_check
+from .groupoid import CentralExtension, FiniteGroupoid, axioms_check, skeleton
 from .snf import smith_normal_form
 
 MAX_DEGREE = 3
@@ -53,15 +60,19 @@ class Nerve:
         return len(self.levels[p])
 
 
+def _check_sound(g: FiniteGroupoid):
+    bad = axioms_check(g)
+    if bad:
+        raise GroupoidAxiomError("nerve needs a sound groupoid: " + bad[0])
+
+
 def nerve(g: FiniteGroupoid, p_max: int) -> Nerve:
     """Tabulate nerve levels 0..p_max with face and degeneracy maps."""
     if not isinstance(p_max, (int, np.integer)) or isinstance(p_max, bool) or p_max < 0:
         raise DomainError(f"p_max must be a non-negative integer, got {p_max!r}")
     if p_max > MAX_DEGREE:
         raise CapacityError(f"nerve degree capped at {MAX_DEGREE}, got {p_max}")
-    bad = axioms_check(g)
-    if bad:
-        raise GroupoidAxiomError("nerve needs a sound groupoid: " + bad[0])
+    _check_sound(g)
 
     levels = [np.arange(g.n_objects)]
     total = g.n_objects
@@ -201,33 +212,41 @@ class CohomologyClass:
         return all(v == 0 for v in self.vector)
 
 
-class _QuotientData:
-    """Kernel lattice of one coboundary mod N and its quotient by coboundaries."""
+def _check_degree(degree: int, modulus: int):
+    if degree < 0 or degree + 1 > MAX_DEGREE:
+        raise CapacityError(
+            f"cohomology needs nerve level {degree + 1}; supported degrees are 0..{MAX_DEGREE - 1}"
+        )
+    if modulus < 1:
+        raise DomainError(f"modulus must be positive, got {modulus}")
 
-    def __init__(self, g: FiniteGroupoid, degree: int, modulus: int):
-        if degree < 0 or degree + 1 > MAX_DEGREE:
-            raise CapacityError(
-                f"cohomology needs nerve level {degree + 1}; supported degrees are 0..{MAX_DEGREE - 1}"
-            )
-        if modulus < 1:
-            raise DomainError(f"modulus must be positive, got {modulus}")
+
+class _QuotientData:
+    """Kernel lattice of one coboundary mod N and its quotient by coboundaries.
+
+    here is the integer coboundary out of the degree and below the one into
+    it (None in degree 0). nerve is the nerve whose level `degree` the
+    cochain vectors of reduce() run over, or None when the matrices come
+    from another complex.
+    """
+
+    def __init__(self, here: np.ndarray, below, degree: int, modulus: int, nerve: Nerve = None):
         self.modulus = int(modulus)
         self.degree = int(degree)
-        self.nerve = nerve(g, degree + 1)
-        n_here = self.nerve.size(degree)
-        a = coboundary_matrix(self.nerve, degree)
-        res = smith_normal_form(a, want_vinv=True)
+        self.nerve = nerve
+        n_here = here.shape[1]
+        res = smith_normal_form(here, want_vinv=True)
         factors = res.factors + [0] * (n_here - len(res.factors))
         self.mults = np.array(
             [self.modulus // gcd(f, self.modulus) for f in factors[:n_here]],
             dtype=np.int64,
         )
         self.vinv = np.asarray(res.vinv, dtype=np.int64)
-        self.matrix = a
+        self.matrix = here
         # relations [b | N I] in kernel coordinates; the N I block needs no product
         rel_y = self.modulus * self.vinv
-        if degree >= 1:
-            rel_y = np.hstack([self.vinv @ coboundary_matrix(self.nerve, degree - 1), rel_y])
+        if below is not None:
+            rel_y = np.hstack([self.vinv @ below, rel_y])
         if np.any(rel_y % self.mults[:, None]):
             raise CocycleError("coboundary image escapes the cocycle lattice")
         rel_y //= self.mults[:, None]
@@ -246,10 +265,9 @@ class _QuotientData:
 
     def reduce(self, values: np.ndarray) -> CohomologyClass:
         vec = np.mod(np.asarray(values, dtype=np.int64), self.modulus)
-        if vec.shape[0] != self.nerve.size(self.degree):
-            raise ShapeError(
-                f"cocycle vector has {vec.shape[0]} entries, level has {self.nerve.size(self.degree)}"
-            )
+        n_here = self.matrix.shape[1]
+        if vec.shape[0] != n_here:
+            raise ShapeError(f"cocycle vector has {vec.shape[0]} entries, level has {n_here}")
         if np.any((self.matrix @ vec) % self.modulus):
             raise CocycleError("vector is not a cocycle mod N")
         y = self.vinv @ vec
@@ -267,14 +285,51 @@ class _QuotientData:
         )
 
 
+def _normalized_coboundaries(nv: Nerve, degree: int) -> tuple:
+    """Coboundaries out of and into `degree` on the normalized cochains of nv.
+
+    A normalized cochain vanishes on every chain that holds an identity
+    arrow (Eilenberg-Mac Lane). Such cochains form a subcomplex with the
+    same cohomology, so each coboundary is the full one restricted to the
+    chains free of identities, rows and columns alike.
+    """
+    is_identity = np.zeros(nv.groupoid.n_arrows, dtype=bool)
+    is_identity[nv.groupoid.identity] = True
+    keep = [np.ones(nv.size(0), dtype=bool)]
+    keep += [~is_identity[nv.levels[p]].any(axis=1) for p in range(1, nv.p_max + 1)]
+
+    def restricted(d):
+        return coboundary_matrix(nv, d)[np.ix_(keep[d + 1], keep[d])]
+
+    return restricted(degree), restricted(degree - 1) if degree else None
+
+
 def cohomology_group(g: FiniteGroupoid, degree: int, modulus: int) -> CohomologyGroup:
-    """Cohomology of the nerve in one degree with Z_N coefficients."""
-    return _QuotientData(g, degree, modulus).group()
+    """Cohomology of g in one degree with Z_N coefficients.
+
+    It is computed on the normalized cochains of the skeleton of g, one
+    vertex group per connected component: both steps keep the cohomology,
+    which is an invariant of the quotient stack, and shrink the matrices the
+    Smith normal form reduces. class_reducer stays on the full complex of g,
+    since its class vectors are coordinates in that complex's basis.
+    """
+    _check_degree(degree, modulus)
+    _check_sound(g)
+    here, below = _normalized_coboundaries(nerve(skeleton(g)[0], degree + 1), degree)
+    return _QuotientData(here, below, degree, modulus).group()
 
 
 def class_reducer(g: FiniteGroupoid, degree: int, modulus: int):
-    """Reducer carrying the normal-form data; build once, reduce many cocycles."""
-    return _QuotientData(g, degree, modulus)
+    """Reducer carrying the normal-form data; build once, reduce many cocycles.
+
+    It works on the full, unnormalized complex of g itself, so a class vector
+    holds coordinates in the normal-form basis of that complex and is read
+    off the cocycle's values on every level-`degree` chain of reducer.nerve.
+    """
+    _check_degree(degree, modulus)
+    nv = nerve(g, degree + 1)
+    below = coboundary_matrix(nv, degree - 1) if degree else None
+    return _QuotientData(coboundary_matrix(nv, degree), below, degree, modulus, nv)
 
 
 def cocycle_vector(nv: Nerve, cocycle) -> np.ndarray:
@@ -290,5 +345,5 @@ def extension_class(ext: CentralExtension) -> CohomologyClass:
         raise UnsupportedCoefficientsError(
             "extension classes are computed for mu_N coefficients only"
         )
-    data = _QuotientData(ext.base, 2, ext.cocycle.modulus)
+    data = class_reducer(ext.base, 2, ext.cocycle.modulus)
     return data.reduce(cocycle_vector(data.nerve, ext.cocycle))

@@ -51,6 +51,7 @@ from .groupoid import (
     coboundary_twist,
     cocycle_check,
     glue_local_data,
+    skeleton,
 )
 from .linalg import Polarization, matrix_exponential, sign_commutator
 from .nerve import (
@@ -109,6 +110,7 @@ COVER_ROUNDTRIPS = 50
 CLASS_CROSSCHECKS = 10
 SQUARE_ZERO_CASES = 5
 FREE_ACTION_SAMPLES = 5
+MORITA_CASES = 10
 
 
 def digest(obj) -> str:
@@ -719,6 +721,20 @@ def _suite_cohomology(rng, rec):
                     {"g": gname, "N": modulus, "base": table},
                     stable,
                 )
+
+    # Morita invariance: H^2 of a presentation is H^2 of its skeleton, and a
+    # class vanishes exactly when its restriction to the skeleton does
+    for i in range(MORITA_CASES):
+        group, points, action, gpd = inst.random_action_instance(rng, max_points=4, max_order=6)
+        modulus = int(rng.integers(2, 5))
+        inputs = {"i": i, "N": modulus, "group": group.elements, "action": action}
+        reducer = class_reducer(gpd, 2, modulus)
+        rec.add_exact(f"morita/orders-{i:02d}", inputs, cohomology_group(gpd, 2, modulus) == reducer.group())
+        c = inst.random_groupoid_cocycle(rng, gpd, group, points, action, modulus)
+        sk, kept = skeleton(gpd)
+        restricted = class_reducer(sk, 2, modulus).reduce(c.values_at(kept[sk.composable_pairs()]))
+        whole = reducer.reduce(cocycle_vector(reducer.nerve, c))
+        rec.add_exact(f"morita/class-{i:02d}", inputs, whole.trivial == restricted.trivial)
 
 
 _SUITE_FUNCS = {

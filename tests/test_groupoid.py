@@ -426,6 +426,41 @@ def test_centrality_check_detects_mutation():
     assert centrality_check(ext) > 0.0
 
 
+def _centrality_loop(ext):
+    """Oracle for the continuous branch: 64 grid phase pairs per composable pair, one multiply each."""
+    worst = 0.0
+    grid = [complex(np.exp(2j * np.pi * j / 8)) for j in range(8)]
+    for x, y in ext.base.composable_pairs().tolist():
+        base_xy, base_phase = ext.multiply((x, 1.0), (y, 1.0))
+        for s in grid:
+            for t in grid:
+                xy, lhs = ext.multiply((x, s), (y, t))
+                if xy != base_xy:
+                    worst = max(worst, 2.0)
+                    continue
+                worst = max(worst, abs(lhs - s * t * base_phase))
+    return worst
+
+
+def test_continuous_centrality_matches_the_loop():
+    rng = generator(431)
+    catalog = group_catalog()
+    for name in ("Z2", "S3", "D4"):
+        points, action = random_right_action(rng, catalog[name], 2)
+        g = action_groupoid(points, catalog[name], action)
+        b = np.exp(2j * np.pi * rng.random(g.n_arrows))
+        ext = central_extend(g, coboundary_twist(g, zero_cocycle(g, None), b))
+        assert centrality_check(ext) == _centrality_loop(ext) == 0.0
+        # values written after the extension was built: the two must still agree
+        for bad in (complex("nan"), complex("inf"), complex(1e308, 1e308), complex(0, -np.inf), 1e-300j):
+            ext.cocycle.values[int(rng.integers(len(ext.cocycle.values)))] = bad
+            assert centrality_check(ext) == _centrality_loop(ext)
+        # a pair without a value raises the same error for the same pair
+        keep = np.arange(len(ext.cocycle.values)) != int(rng.integers(len(ext.cocycle.values)))
+        ext.cocycle = PhaseCocycle(None, ext.cocycle.values[keep], ext.cocycle.pairs[keep])
+        assert _outcome(centrality_check, ext) == _outcome(_centrality_loop, ext)
+
+
 def test_coboundary_twist_stays_cocycle_and_shifts_values():
     g = _swap_groupoid()
     c = zero_cocycle(g, 4)

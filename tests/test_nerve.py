@@ -17,15 +17,21 @@ from anomlab.groupoid import (
     FiniteGroup,
     PhaseCocycle,
     action_groupoid,
+    axioms_check,
     central_extend,
     coboundary_twist,
+    skeleton,
     zero_cocycle,
 )
 from anomlab.instances import (
+    coset_right_action,
     cyclic_group,
     generator,
+    group_catalog,
     point_groupoid,
+    random_action_instance,
     random_groupoid_cocycle,
+    subgroups,
     translation_groupoid,
 )
 from anomlab.nerve import (
@@ -225,3 +231,118 @@ def test_continuous_cocycles_unsupported():
     nv = nerve(g, 2)
     with pytest.raises(UnsupportedCoefficientsError):
         cocycle_vector(nv, zero_cocycle(g, None))
+
+
+def _components(g):
+    """Connected components as sorted object lists, by a plain graph search."""
+    seen, out = set(), []
+    for start in range(g.n_objects):
+        if start in seen:
+            continue
+        comp, todo = {start}, [start]
+        while todo:
+            o = todo.pop()
+            for x in range(g.n_arrows):
+                if g.source[x] == o and g.target[x] not in comp:
+                    comp.add(int(g.target[x]))
+                    todo.append(int(g.target[x]))
+        seen |= comp
+        out.append(sorted(comp))
+    return out
+
+
+def _catalog_groupoids():
+    """Catalog point and translation (order <= 6) groupoids, and coset groupoids.
+
+    A coset groupoid acts on the cosets of the first proper subgroup of each
+    order; those with more than 18 arrows are left out.
+    """
+    out = []
+    for name, group in sorted(group_catalog().items()):
+        out.append((f"point-{name}", point_groupoid(group)))
+        firsts = {len(sub): sub for sub in reversed(subgroups(group)) if 1 < len(sub) < group.order}
+        for k, sub in sorted(firsts.items()):
+            if group.order * group.order // k <= 18:
+                points, action = coset_right_action(group, sub)
+                out.append((f"coset-{name}-{k}", action_groupoid(points, group, action)))
+        if group.order <= 6:
+            out.append((f"translation-{name}", translation_groupoid(group)))
+    return out
+
+
+def _random_groupoids(count, seed):
+    rng = generator(seed)
+    return [random_action_instance(rng, max_points=3, max_order=6)[3] for _ in range(count)]
+
+
+def test_skeleton_structure():
+    groupoids = [g for _, g in _catalog_groupoids()] + _random_groupoids(50, 905)
+    groupoids.append(action_groupoid([0, 1, 2], cyclic_group(1), [[0], [1], [2]]))
+    several = 0
+    for g in groupoids:
+        sk, kept = skeleton(g)
+        assert axioms_check(sk) == []
+        comps = _components(g)
+        several += len(comps) > 1
+        reps = [comp[0] for comp in comps]
+        # one object per component, the least one, in order
+        assert sk.n_objects == len(comps)
+        assert sk.objects == [g.objects[o] for o in sorted(reps)]
+        # the arrows kept are exactly the vertex groups of the representatives
+        vertex = [x for x in range(g.n_arrows) if g.source[x] == g.target[x] and g.source[x] in reps]
+        assert kept.tolist() == vertex
+        assert sk.arrows == [g.arrows[x] for x in vertex]
+        np.testing.assert_array_equal(kept[sk.identity], g.identity[sorted(reps)])
+        np.testing.assert_array_equal(kept[sk.inverse], g.inverse[kept])
+        np.testing.assert_array_equal(np.where(sk.compose >= 0, kept[sk.compose], -1), g.compose[np.ix_(kept, kept)])
+    assert several >= 10
+
+
+def test_skeleton_collapses_free_and_transitive_actions():
+    catalog = group_catalog()
+    for name in ("S3", "D4", "Z2xZ2xZ2"):
+        sk, kept = skeleton(translation_groupoid(catalog[name]))
+        assert (sk.n_objects, sk.n_arrows, kept.tolist()) == (1, 1, [0])
+    for name in ("Z8", "Z2xZ4", "Z2xZ2xZ2", "D4"):
+        group = catalog[name]
+        sub = next(s for s in subgroups(group) if len(s) == 4)
+        points, action = coset_right_action(group, sub)
+        sk, _ = skeleton(action_groupoid(points, group, action))
+        assert (sk.n_objects, sk.n_arrows) == (1, 4)
+
+
+def test_cohomology_group_matches_the_full_nerve():
+    # class_reducer works on the full, unnormalized nerve of the presentation itself
+    cases = _catalog_groupoids() + [(f"random-{i}", g) for i, g in enumerate(_random_groupoids(50, 906))]
+    for name, g in cases:
+        for modulus in (2, 3, 4):
+            for degree in (0, 1, 2):
+                want = class_reducer(g, degree, modulus).group()
+                assert cohomology_group(g, degree, modulus) == want, (name, degree, modulus)
+
+
+def test_translation_h2_is_trivial_on_the_skeleton():
+    catalog = group_catalog()
+    for name in ("D4", "Z2xZ2xZ2"):
+        g = translation_groupoid(catalog[name])
+        for modulus in (2, 4):
+            assert cohomology_group(g, 2, modulus).trivial
+    # level 3 of the full nerve would hold 1024 * 32 * 32 chains, past MAX_CELLS
+    assert cohomology_group(translation_groupoid(cyclic_group(32)), 2, 2).trivial
+
+
+def test_cohomology_group_rejects_a_broken_groupoid_as_before():
+    # arrow 0 is the identity of p, which the skeleton keeps; arrow 3 runs
+    # from q to p and is dropped, so only the check on g itself can see it
+    for arrow, inverse in ((0, 1), (3, 3)):
+        broken = _swap_groupoid()
+        broken.inverse[arrow] = inverse
+        message = "nerve needs a sound groupoid: " + axioms_check(broken)[0]
+        for degree in (0, 2):
+            with pytest.raises(GroupoidAxiomError) as err:
+                cohomology_group(broken, degree, 2)
+            assert str(err.value) == message
+    with pytest.raises(CapacityError):
+        cohomology_group(broken, 3, 2)
+    with pytest.raises(DomainError):
+        cohomology_group(_swap_groupoid(), 1, 0)

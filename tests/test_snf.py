@@ -141,7 +141,7 @@ def test_fuzz_against_sympy():
 
 
 def test_coboundary_matrices_reduce_exactly():
-    # the matrices cohomology_group reduces, up to 1296 x 216 (d^2 of the
+    # the matrices class_reducer reduces, up to 1296 x 216 (d^2 of the
     # translation groupoid of S3); determinants are too slow at these sizes
     catalog = group_catalog()
     groupoids = [point_groupoid(g) for _, g in sorted(catalog.items())]
