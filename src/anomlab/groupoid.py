@@ -386,6 +386,11 @@ class PhaseCocycle:
             values = values % self.modulus
         order = np.lexsort(pairs.T[::-1])
         self.pairs, self.values = pairs[order], values[order]
+        # row keys x * (radix + 1) + y ascend with the rows, and the sentinel key
+        # (radix + 1)^2 tops them all
+        self._radix = int(self.pairs.max(initial=-1)) + 1
+        self._weights = np.array([self._radix + 1, 1])
+        self._keys = np.append(self.pairs @ self._weights, (self._radix + 1) ** 2)
 
     @property
     def continuous(self) -> bool:
@@ -405,14 +410,11 @@ class PhaseCocycle:
     def values_at(self, pairs) -> np.ndarray:
         """Values on a (P, 2) array of pairs: int exponents, or complex phases if continuous."""
         given = np.asarray(pairs).reshape(-1, 2)
-        # row keys x * (radix + 1) + y ascend with the rows, and the sentinel key
-        # (radix + 1)^2 tops them all; an index outside [0, radix), fractional or
-        # past int64, becomes the digit radix, which no stored pair has
-        radix = int(self.pairs.max(initial=-1)) + 1
-        weights = np.array([radix + 1, 1])
-        keys = np.append(self.pairs @ weights, (radix + 1) ** 2)
+        # an index outside [0, radix), fractional or past int64, becomes the
+        # digit radix, which no stored pair has
+        radix, keys = self._radix, self._keys
         wanted = np.where((given >= 0) & (given < radix), given, radix).astype(np.int64)
-        wanted_keys = np.where(wanted == given, wanted, radix) @ weights
+        wanted_keys = np.where(wanted == given, wanted, radix) @ self._weights
         at = np.searchsorted(keys, wanted_keys)
         found = keys[at] == wanted_keys
         if not found.all():

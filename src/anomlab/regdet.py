@@ -4,16 +4,29 @@ The order-p remainder is
 
     R_p(A) = -1 + (1 + A) exp(F),  F = sum_{j=1}^{p-1} (-1)^j A^j / j,
 
-and det_p(1 + A) := det(1 + R_p(A)) = det((1 + A) exp(F)), taken in that
-last form so that the -1 of R_p cannot cancel tiny entries. The same
-quantity factorizes as det(1 + A) exp(Tr F); both routes come from one F
-and must agree to 1e-9 relative or the call aborts. Order 1 is the plain
-determinant.
+and det_p(1 + A) := det(1 + R_p(A)) = det(1 + A) exp(Tr F). It is computed
+in the log domain (Simon, Trace Ideals and Their Applications, 2005, ch. 9):
+
+    log det_p(1 + A) = log det(1 + A) + sum_{j=1}^{p-1} (-1)^j Tr(A^j) / j,
+
+with Tr(A^j) the entrywise sum of A^(j-1) * A^T, so p <= 3 takes no matrix
+product and p >= 4 takes p - 3 of them. log det(1 + A) is taken twice: from
+the LU factors (slogdet) and from a Householder QR, as the sum of log r_ii
+and of the log determinants log(1 - tau_i |v_i|^2) of the reflectors. The
+two must agree modulo 2 pi i to an absolute log gap of 1e-9, plus the
+rounding either log may carry when 1 + A is ill-conditioned (to first
+order 32 n eps sum_i |row_i| / |r_ii|), or the call aborts. When that
+rounding reaches 1, as on a singular 1 + A, the logs hold no digit to
+compare and the gap counts as 0. The value is exp of the LU log folded to
+the principal branch: 0 only on a true underflow, and a FloatOverflowError,
+naming the finite log, when it is too large to represent. Order 1 is the
+plain determinant.
 
 det_p is not multiplicative; the defect is tracked two ways. gamma_p is the
 additive defect of principal logarithms reported modulo 2 pi i, and omega_p
 is the branch-free ratio det_p((1+A)(1+B)) / det_p(1+A) that the
-determinant-line module builds on.
+determinant-line module builds on; it is exp of a difference of logs, so
+the ratio of two determinants that overflow one by one is still finite.
 """
 
 from __future__ import annotations
@@ -26,6 +39,7 @@ import numpy as np
 
 from .errors import (
     DivergenceError,
+    FloatOverflowError,
     InternalConsistencyError,
     ShapeError,
     SingularDeterminantError,
@@ -34,14 +48,15 @@ from .linalg import (
     SINGULAR_TOL,
     _check_order,
     as_square,
-    determinant,
     matrix_exponential,
 )
 
-DUAL_ROUTE_RTOL = 1e-9
+DUAL_ROUTE_TOL = 1e-9
 SPECTRAL_RADIUS_TOL = 1e-8
 
 TWO_PI = 2.0 * math.pi
+LOG_SINGULAR_TOL = math.log(SINGULAR_TOL)
+EPS = float(np.finfo(np.float64).eps)
 
 
 def _alternating_log_factor(a: np.ndarray, p: int) -> np.ndarray:
@@ -75,36 +90,104 @@ class RegDet:
     log_value: complex
 
 
-def _routes(m: np.ndarray, p: int) -> tuple[complex, complex, float]:
-    """det_p(1 + A) by the remainder and factorization routes, and their relative gap."""
-    one = np.eye(m.shape[0], dtype=np.complex128)
-    log_factor = _alternating_log_factor(m, p)
-    via_remainder = determinant((one + m) @ matrix_exponential(log_factor))
-    via_factorization = determinant(one + m) * cmath.exp(np.trace(log_factor))
-    scale = max(abs(via_remainder), abs(via_factorization), 1.0)
-    return via_remainder, via_factorization, abs(via_remainder - via_factorization) / scale
+def _principal(z: complex) -> complex:
+    """z with its imaginary part folded into (-pi, pi]."""
+    imag = math.remainder(z.imag, TWO_PI)
+    if imag <= -math.pi:
+        imag += TWO_PI
+    return complex(z.real, imag)
+
+
+def _trace_series(m: np.ndarray, p: int) -> complex:
+    """Tr F = sum_{j=1}^{p-1} (-1)^j Tr(A^j) / j, with Tr(A^j) = sum(A^(j-1) * A^T)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = -complex(m.trace()) if p > 1 else 0j
+        power = m
+        for j in range(2, p):
+            if j > 2:
+                power = power @ m
+            total += (-1) ** j / j * complex(np.einsum("ij,ji->", power, m))
+    if not cmath.isfinite(total):
+        raise FloatOverflowError(f"Tr(A^j), j < {p}, overflows float64")
+    return total
+
+
+def _route_gap(via_lu: complex, via_qr: complex, allowance: float) -> float:
+    """Absolute log gap mod 2 pi i, discounted so that it passes DUAL_ROUTE_TOL
+    exactly when the raw gap is within DUAL_ROUTE_TOL + allowance."""
+    # an allowance of 1 or more (or nan, from a zero row) leaves no digit to compare
+    if not allowance < 1.0:
+        return 0.0
+    d = via_lu - via_qr
+    if not cmath.isfinite(d):
+        return math.inf
+    return math.hypot(d.real, math.remainder(d.imag, TWO_PI)) / (1.0 + allowance / DUAL_ROUTE_TOL)
+
+
+def _log_det_p(m: np.ndarray, p: int) -> tuple[complex, float]:
+    """log det_p(1 + A) by the LU route, unfolded, and the LU-QR gap of log det(1 + A)."""
+    n = m.shape[0]
+    one_plus = m.copy()
+    one_plus.reshape(-1)[:: n + 1] += 1.0
+    upper = np.arange(n)[:, None] < np.arange(n)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        sign, log_abs = np.linalg.slogdet(one_plus)
+        via_lu = complex(log_abs, cmath.phase(sign))
+        # QR of the transpose, which is already column-major as LAPACK wants
+        # it. numpy hands the factor back transposed: row i holds column i of
+        # R on and left of the diagonal, and v_i without its unit entry right
+        # of it.
+        h, tau = np.linalg.qr(one_plus.T, mode="raw")
+        # the entries of v_i have modulus <= 1; only those of R, not read
+        # here, can overflow
+        reflectors = 1.0 + (h * h.conj()).real.sum(axis=1, where=upper)
+        # |1 - tau_i |v_i|^2| = 1, so each product has modulus |r_ii|
+        via_qr = complex(np.log(np.diagonal(h) * (1.0 - tau * reflectors)).sum())
+        # |R e_i|, the row norms of 1 + A, over the largest entry so that no
+        # square overflows
+        r = h / (float(np.abs(h.view(np.float64)).max(initial=0.0)) or 1.0)
+        rows = np.sqrt((r * r.conj()).real.sum(axis=1, where=~upper))
+        # first-order rounding of either log, with room: 32 n eps sum_i |R e_i| / |r_ii|
+        allowance = 32.0 * n * EPS * float((rows / np.abs(np.diagonal(r))).sum())
+    if not (via_lu.real < math.inf and via_qr.real < math.inf):  # inf or nan
+        raise FloatOverflowError("the LU or QR factors of 1 + A overflow float64")
+    return via_lu + _trace_series(m, p), _route_gap(via_lu, via_qr, allowance)
+
+
+def _checked_log_det_p(m: np.ndarray, p: int) -> complex:
+    log_value, gap = _log_det_p(m, p)
+    if gap > DUAL_ROUTE_TOL:
+        raise InternalConsistencyError(
+            f"LU and QR routes to log det(1 + A) disagree by {gap:.3e} (mod 2 pi i)"
+        )
+    return log_value
+
+
+def _exp(log_value: complex, what: str) -> complex:
+    try:
+        return cmath.exp(log_value)
+    except OverflowError:
+        raise FloatOverflowError(f"{what} overflows float64; its log is {log_value:.10g}") from None
 
 
 def dual_route_gap(a, p) -> float:
-    """Relative disagreement between the remainder and factorization routes."""
+    """Absolute gap, mod 2 pi i, between the LU and QR logs of det(1 + A).
+
+    Discounted by the rounding the two may carry, so det_p aborts exactly
+    when this exceeds 1e-9; 0 on a singular 1 + A. Tr F is shared by both
+    routes, so the gap does not depend on p.
+    """
     p = _check_order(p)
-    return _routes(as_square(a), p)[2]
+    return _log_det_p(as_square(a), p)[1]
 
 
 def det_p(a, p) -> RegDet:
     """Regularized determinant det_p(1 + A) with an internal dual-route check."""
     p = _check_order(p)
-    value, via_factorization, gap = _routes(as_square(a), p)
-    if gap > DUAL_ROUTE_RTOL:
-        raise InternalConsistencyError(
-            "remainder and factorization routes disagree: "
-            f"{value!r} vs {via_factorization!r}"
-        )
-    if value == 0:
-        log_value = complex(float("-inf"), 0.0)
-    else:
-        log_value = cmath.log(value)
-    return RegDet(value=value, order=p, log_value=log_value)
+    log_value = _principal(_checked_log_det_p(as_square(a), p))
+    if log_value.real == -math.inf:
+        log_value = complex(-math.inf, 0.0)
+    return RegDet(value=_exp(log_value, f"det_{p}(1 + A)"), order=p, log_value=log_value)
 
 
 def log_det_p_series(a, p, terms) -> complex:
@@ -130,9 +213,30 @@ def log_det_p_series(a, p, terms) -> complex:
     return complex(total)
 
 
+def _operands(a, b) -> tuple[np.ndarray, np.ndarray]:
+    ma = as_square(a)
+    mb = as_square(b)
+    if ma.shape != mb.shape:
+        raise ShapeError(f"operand shapes differ: {ma.shape} vs {mb.shape}")
+    return ma, mb
+
+
 def _product_perturbation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """C with 1 + C = (1 + A)(1 + B)."""
-    return a + b + a @ b
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = a + b + a @ b
+    if not np.all(np.isfinite(c)):
+        raise FloatOverflowError("(1 + A)(1 + B) overflows float64")
+    return c
+
+
+def _nonsingular(log_value: complex, p: int, what: str) -> complex:
+    if log_value.real <= LOG_SINGULAR_TOL:
+        raise SingularDeterminantError(
+            f"det_{p}({what}) has log modulus {log_value.real:.6g}, "
+            f"so it vanishes within {SINGULAR_TOL}"
+        )
+    return log_value
 
 
 def gamma_p(a, b, p) -> complex:
@@ -141,21 +245,12 @@ def gamma_p(a, b, p) -> complex:
     gamma = Log det_p((1+A)(1+B)) - Log det_p(1+A) - Log det_p(1+B) mod 2 pi i.
     """
     p = _check_order(p)
-    ma = as_square(a)
-    mb = as_square(b)
-    if ma.shape != mb.shape:
-        raise ShapeError(f"operand shapes differ: {ma.shape} vs {mb.shape}")
-    dets = [det_p(ma, p), det_p(mb, p), det_p(_product_perturbation(ma, mb), p)]
-    for d in dets:
-        if abs(d.value) <= SINGULAR_TOL:
-            raise SingularDeterminantError(
-                f"det_{p} value {d.value!r} vanishes within {SINGULAR_TOL}"
-            )
-    g = dets[2].log_value - dets[0].log_value - dets[1].log_value
-    imag = math.remainder(g.imag, TWO_PI)
-    if imag <= -math.pi:
-        imag += TWO_PI
-    return complex(g.real, imag)
+    ma, mb = _operands(a, b)
+    logs = [
+        _nonsingular(_checked_log_det_p(m, p), p, what)
+        for m, what in ((ma, "1+A"), (mb, "1+B"), (_product_perturbation(ma, mb), "(1+A)(1+B)"))
+    ]
+    return _principal(logs[2] - logs[0] - logs[1])
 
 
 def omega_p(a, b, p) -> complex:
@@ -166,14 +261,7 @@ def omega_p(a, b, p) -> complex:
     where juxtaposition is the product of unital perturbations.
     """
     p = _check_order(p)
-    ma = as_square(a)
-    mb = as_square(b)
-    if ma.shape != mb.shape:
-        raise ShapeError(f"operand shapes differ: {ma.shape} vs {mb.shape}")
-    denom = det_p(ma, p)
-    if abs(denom.value) <= SINGULAR_TOL:
-        raise SingularDeterminantError(
-            f"det_{p}(1+A) = {denom.value!r} vanishes within {SINGULAR_TOL}"
-        )
-    numer = det_p(_product_perturbation(ma, mb), p)
-    return numer.value / denom.value
+    ma, mb = _operands(a, b)
+    log_den = _nonsingular(_checked_log_det_p(ma, p), p, "1+A")
+    log_num = _checked_log_det_p(_product_perturbation(ma, mb), p)
+    return _exp(log_num - log_den, f"omega_{p}")

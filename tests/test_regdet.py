@@ -2,13 +2,19 @@
 
 import cmath
 import math
+import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import anomlab
 from anomlab.errors import (
     DivergenceError,
     FloatOverflowError,
+    InternalConsistencyError,
     InvalidOrderError,
     ShapeError,
     SingularDeterminantError,
@@ -208,3 +214,192 @@ def test_overflowing_remainder_is_a_typed_error():
     # log det_5 of 30 * ones(6, 6) is about +2.6e8: the value cannot be represented
     with pytest.raises(FloatOverflowError):
         det_p(30.0 * np.ones((6, 6)), 5)
+
+
+# ---------------------------------------------------------------------------
+# independent oracles for the log-domain kernel
+
+
+def _log_gap(got, want):
+    """|got - want| with the imaginary part reduced mod 2 pi, relative to max(1, |want|)."""
+    d = complex(got) - complex(want)
+    return math.hypot(d.real, math.remainder(d.imag, 2.0 * math.pi)) / max(1.0, abs(complex(want)))
+
+
+def _spectral_log(lam, p):
+    """sum_i [log(1 + lam_i) + sum_{j<p} (-1)^j lam_i^j / j]."""
+    return sum(cmath.log(1 + v) + sum((-1) ** j * v**j / j for j in range(1, p)) for v in lam)
+
+
+def _remainder_route_log(a, p):
+    """log det((1 + A) e^F), F = sum_{j<p} (-1)^j A^j / j: the route det_p took before the log domain."""
+    from scipy.linalg import expm
+
+    n = a.shape[0]
+    f = np.zeros((n, n), dtype=np.complex128)
+    power = np.eye(n, dtype=np.complex128)
+    for j in range(1, p):
+        power = power @ a
+        f += ((-1) ** j / j) * power
+    return cmath.log(np.linalg.det((np.eye(n) + a) @ expm(f)))
+
+
+def test_log_matches_mpmath_at_fifty_digits():
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(120)
+    for trial in range(40):
+        n = 1 + trial % 6
+        a = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) * rng.uniform(0.1, 1.0)
+        with mpmath.workdps(50):
+            ma = mpmath.matrix([[mpmath.mpc(complex(v)) for v in row] for row in a])
+            log_det = mpmath.log(mpmath.det(mpmath.eye(n) + ma))
+            power, traces = mpmath.eye(n), []
+            for _ in range(4):
+                power = power * ma
+                traces.append(sum(power[i, i] for i in range(n)))
+            exact = [log_det + sum((-1) ** j * traces[j - 1] / j for j in range(1, p)) for p in range(1, 6)]
+        for p in range(1, 6):
+            assert _log_gap(det_p(a, p).log_value, complex(exact[p - 1])) < 1e-12, (trial, p)
+
+
+def test_log_matches_closed_form_on_upper_triangular_inputs():
+    rng = np.random.default_rng(121)
+    for trial in range(60):
+        n = int(rng.integers(1, 9))
+        lam = rng.uniform(-0.9, 3.0, n) + 1j * rng.uniform(-2.0, 2.0, n)
+        a = np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 1)
+        a[np.diag_indices(n)] = lam
+        for p in (1, 2, 3, 4, 5):
+            got = det_p(a, p).log_value
+            assert -math.pi < got.imag <= math.pi
+            assert _log_gap(got, _spectral_log(lam, p)) < 1e-12, (trial, p)
+
+
+def test_log_matches_the_remainder_route():
+    rng = np.random.default_rng(122)
+    for trial in range(520):
+        n = int(rng.integers(1, 9))
+        p = int(rng.integers(1, 5))
+        a = _random_small(rng, n, radius=rng.uniform(0.05, 0.9))
+        if trial % 2:  # non-normal: a strictly upper part well above the spectrum
+            a = a + np.triu(rng.standard_normal((n, n)), 1) * rng.uniform(0.1, 1.0)
+        want = _remainder_route_log(a, p)
+        assert _log_gap(det_p(a, p).log_value, want) < 1e-12, (trial, n, p)
+
+
+def test_wide_order_four_diagonal_has_its_finite_log():
+    # (1 + A) e^F underflows to zero here; the log domain keeps the exact value
+    d = det_p(np.diag([60.0, 60.0, 60.0, 60.0]), 4)
+    exact = 4.0 * (math.log(61.0) - 60.0 + 60.0**2 / 2 - 60.0**3 / 3)
+    assert d.log_value.real == pytest.approx(exact, rel=1e-12)
+    assert d.log_value.imag == 0.0
+    assert d.value == 0.0
+
+
+def test_overflow_message_names_the_finite_log():
+    # 30 * ones(6, 6) has spectrum {180, 0, 0, 0, 0, 0}
+    exact = math.log(181.0) + sum((-1) ** j * 180.0**j / j for j in range(1, 5))
+    with pytest.raises(FloatOverflowError) as info:
+        det_p(30.0 * np.ones((6, 6)), 5)
+    logged = complex(re.search(r"its log is (\S+)", str(info.value)).group(1))
+    assert logged.real == pytest.approx(exact, rel=1e-9)
+
+
+def test_singular_input_has_zero_route_gap():
+    m = np.diag([-1.0, 0.0])
+    for p in (1, 2, 3, 4):
+        d = det_p(m, p)
+        assert d.value == 0.0
+        assert d.log_value == complex(-math.inf, 0.0)
+        assert dual_route_gap(m, p) == 0.0
+
+
+def test_rank_deficient_input_is_not_an_internal_error():
+    # LU meets an exact zero pivot, while QR keeps r_33 near 1e-15: both
+    # are rounding, so the routes count as agreeing
+    m = np.arange(1.0, 10.0).reshape(3, 3) - np.eye(3)
+    assert dual_route_gap(m, 2) == 0.0
+    assert abs(det_p(m, 2).value) < 1e-12
+
+
+def test_ill_conditioned_input_is_not_an_internal_error():
+    # one singular value of 1 + A at 1e-10: LU and QR logs may differ by
+    # about 1e-6, which is rounding, not a fault of either route
+    rng = np.random.default_rng(124)
+    for n in (3, 6, 32):
+        u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        v, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        s = np.ones(n)
+        s[-1] = 1e-10
+        one_plus = (u * s) @ v.conj().T
+        d = det_p(one_plus - np.eye(n), 1)
+        np.testing.assert_allclose(d.value, np.linalg.det(one_plus), rtol=1e-4)
+        assert dual_route_gap(one_plus - np.eye(n), 1) <= 1e-9
+
+
+def test_route_gap_is_an_absolute_log_gap():
+    assert dual_route_gap(np.array([[1e-30 - 1.0]]), 2) < 1e-15
+    assert dual_route_gap(np.diag([1e200, 1e200]), 1) < 1e-12
+
+
+@pytest.mark.parametrize("factor", [1.0 + 1e-8, cmath.exp(1e-8j)])
+def test_tampered_qr_route_is_caught(monkeypatch, factor):
+    # a relative error of 1e-8 in one r_ii of a well-conditioned 1 + A is a
+    # log gap of 1e-8, far above the rounding either route may carry
+    qr = np.linalg.qr
+
+    def tampered(a, mode):
+        h, tau = qr(a, mode=mode)
+        h[0, 0] *= factor
+        return h, tau
+
+    monkeypatch.setattr(np.linalg, "qr", tampered)
+    m = _random_small(np.random.default_rng(125), 4)
+    assert 5e-9 < dual_route_gap(m, 2) < 2e-8
+    with pytest.raises(InternalConsistencyError):
+        det_p(m, 2)
+
+
+def test_omega_of_two_overflowing_determinants_is_finite():
+    a = np.diag([1e200, 1e200])
+    b = np.diag([-0.5, -0.5])
+    with pytest.raises(FloatOverflowError):
+        det_p(a, 1)
+    np.testing.assert_allclose(omega_p(a, b, 1), 0.25, rtol=1e-12)
+    # order 3: log det_3(1 + A) is about 3488, the ratio about e^7.2
+    lam, mu = np.array([60.0, 60.0]), np.array([1e-3, 1e-3])
+    with pytest.raises(FloatOverflowError):
+        det_p(np.diag(lam), 3)
+    nu = lam + mu + lam * mu
+    exact = _spectral_log(nu, 3) - _spectral_log(lam, 3)
+    np.testing.assert_allclose(omega_p(np.diag(lam), np.diag(mu), 3), cmath.exp(exact), rtol=1e-10)
+
+
+def test_factor_overflow_is_a_typed_error():
+    # near the float64 limit the LU and QR eliminations, or A @ B, overflow
+    with pytest.raises(FloatOverflowError):
+        det_p(np.array([[1e308, 1e308], [-1e308, 1e308]]), 1)
+    with pytest.raises(FloatOverflowError):
+        omega_p(np.diag([1e200, 1e200]), np.diag([1e200, 1e200]), 1)
+
+
+def test_gamma_and_omega_agree_with_det_p_logs():
+    rng = np.random.default_rng(123)
+    for p in (1, 2, 3, 4, 5):
+        a = _random_small(rng, 5, radius=0.7)
+        b = _random_small(rng, 5, radius=0.7)
+        logs = [det_p(m, p).log_value for m in (a, b, _prod(a, b))]
+        assert _log_gap(gamma_p(a, b, p), logs[2] - logs[0] - logs[1]) < 1e-12
+        assert _log_gap(cmath.log(omega_p(a, b, p)), logs[2] - logs[0]) < 1e-12
+
+
+def test_det_p_path_loads_no_scipy_linalg():
+    code = (
+        "import sys, numpy as np\n"
+        "from anomlab.regdet import det_p, dual_route_gap, gamma_p, omega_p\n"
+        "a, b = 0.1 * np.eye(3), 0.2 * np.eye(3)\n"
+        "det_p(a, 4); dual_route_gap(a, 4); gamma_p(a, b, 5); omega_p(a, b, 5)\n"
+        "assert 'scipy.linalg' not in sys.modules\n"
+    )
+    src = os.path.dirname(os.path.dirname(anomlab.__file__))
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
