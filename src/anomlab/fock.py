@@ -18,11 +18,14 @@ the sea trace on the diagonal.
 
 Second quantization d_gamma(X) is the normal-ordered bilinear sum with its
 vacuum expectation subtracted; the commutation rule [d_gamma(X), c_j*] =
-sum_i X_ij c_i* (for every j, as sparse products against the creator tables)
-and the zero vacuum expectation are re-verified after every construction.
-The Schwinger term is the scalar by which d_gamma fails to be a Lie
-homomorphism, read off the sparse defect operator. dGamma(X) preserves the
-particle number, so its exponential is taken one number sector at a time.
+sum_i X_ij c_i* and the zero vacuum expectation are re-verified after every
+construction. The check reads the operator data through tables of its own,
+built by bit arithmetic beside the hop tables: every entry of the defect, for
+every j, is one gather of a diagonal slot or hop against X or a difference of
+two gathered hops, and no sparse product is formed. The Schwinger term is
+the scalar by which d_gamma fails to be a Lie homomorphism, read off the
+sparse defect operator. dGamma(X) preserves the particle number, so its
+exponential is taken one number sector at a time.
 
 Vacuum lines sit over Hermitian backgrounds: the line of a spectral window
 (lo, hi) is spanned by the wedge of its eigenvectors, tracked here as the
@@ -41,6 +44,7 @@ from scipy import sparse
 from .errors import (
     CoverMembershipError,
     DomainError,
+    FloatOverflowError,
     GapError,
     InternalConsistencyError,
     ShapeError,
@@ -61,7 +65,6 @@ SCALARNESS_TOL = 1e-9
 LEVEL_MARGIN = 1e-8
 UNITARY_TOL = 1e-10
 WITNESS_TOL = 1e-10
-_CHECK_ROWS = 512  # rows per block of the commutation check; bounds its temporaries
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,6 +76,15 @@ class FockSpace:
     d_gamma in CSR layout: row t spans hop_indptr[t]:hop_indptr[t+1] and
     starts with its diagonal slot; every other entry is the hop c_i* c_j
     with flat pair index i*m + j in hop_pairs.
+
+    The check tables are derived apart from the hop tables, by bit arithmetic
+    on the state index. check_indptr and check_cols are the pattern the hop
+    tables must have. check_slots has shape (m, m-1, 2^(m-2)): entry
+    (i, k', c) is hop (i, k) of the state t with mode i filled, mode k empty
+    and the other m-2 bits c, where k' is k's place among the modes other
+    than i. It holds that hop's position in the data, negated when the JW
+    signs make the hop -x_ik in the commutator rather than +x_ik. No hop
+    sits at position 0, the diagonal slot of row 0.
     """
 
     modes: int
@@ -85,6 +97,9 @@ class FockSpace:
     hop_cols: np.ndarray
     hop_pairs: np.ndarray
     hop_signs: np.ndarray
+    check_indptr: np.ndarray
+    check_cols: np.ndarray
+    check_slots: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -96,14 +111,41 @@ class FockSpace:
         return ((1 << self.modes) - 1) ^ ((1 << self.pol.plus_dim) - 1)
 
 
+def _check_tables(modes: int, hop: np.ndarray, below: np.ndarray) -> dict:
+    """The commutation check's tables, by bit arithmetic on the hop list alone.
+
+    `hop` is the (state, filled mode, empty mode) grid of the hops and
+    `below[t, i]` counts the filled modes of t below i. The hops are listed
+    pair-major: (i, k), then t ascending, which is the check_slots layout.
+    Row t opens with its diagonal slot, then lists its filled i in turn, each
+    with its empty k.
+    """
+    dim = 1 << modes
+    states = np.arange(dim, dtype=np.int32)
+    i, k, t = np.nonzero(hop.transpose(1, 2, 0))
+    count = np.bitwise_count(states)
+    indptr = np.zeros(dim + 1, dtype=np.int32)
+    np.cumsum(1 + count * (modes - count), out=indptr[1:])
+    below_i, below_k = below[t, i], below[t, k]
+    pos = indptr[t] + 1 + below_i * (modes - count[t]) + k - below_k
+    cols = np.empty(indptr[-1], dtype=np.int32)
+    cols[indptr[:-1]] = states
+    cols[pos] = t ^ (1 << i) ^ (1 << k)
+    # negated where the JW signs of c_i* and c_k* on column t ^ b_i differ
+    flip = (below_i + below_k + (i < k)) & 1
+    slots = np.where(flip, -pos, pos).astype(np.int32).reshape(modes, modes - 1, dim >> 2)
+    return {"check_indptr": indptr, "check_cols": cols, "check_slots": slots}
+
+
 def _tables(modes: int) -> dict:
-    """Occupation, creator and hop tables of the m-mode Fock space."""
+    """Occupation, creator, hop and check tables of the m-mode Fock space."""
     dim = 1 << modes
     states = np.arange(dim, dtype=np.int32)
     bits = np.int32(1) << np.arange(modes, dtype=np.int32)
     occ = (states[:, None] & bits) != 0
     # Jordan-Wigner sign of mode i in state t: (-1)^(occupied modes below i)
-    jw = 1 - 2 * (np.bitwise_count(states[:, None] & (bits - 1)) & 1).astype(np.int8)
+    below = np.bitwise_count(states[:, None] & (bits - 1))
+    jw = 1 - 2 * (below & 1).astype(np.int8)
 
     mode, col = np.nonzero(~occ.T)  # mode-major, states ascending
     creator_cols = col.astype(np.int32).reshape(modes, dim // 2)
@@ -112,6 +154,7 @@ def _tables(modes: int) -> dict:
     # row t holds c_i* c_j for i filled and j empty in t, after a diagonal
     # slot at pair (0, 0) whose value d_gamma overwrites
     hop = occ[:, :, None] & ~occ[:, None, :]
+    check = _check_tables(modes, hop, below)
     hop[:, 0, 0] = True
     row, i, j = np.nonzero(hop)
     hop_signs = jw[row, i] * jw[row, j] * np.where(i < j, -1, 1)
@@ -126,6 +169,7 @@ def _tables(modes: int) -> dict:
         "hop_cols": (row ^ bits[i] ^ bits[j]).astype(np.int32),
         "hop_pairs": (i * modes + j).astype(np.int16),
         "hop_signs": hop_signs.astype(np.int8),
+        **check,
     }
 
 
@@ -185,68 +229,87 @@ class FockOperator:
     matrix: np.ndarray
 
 
-def _check_commutation(space: FockSpace, op: sparse.csr_matrix, x: np.ndarray) -> None:
-    """Raise unless [op, c_j*] = sum_i x_ij c_i* for every j, to 1e-10.
+def _require_finite(values, what: str) -> None:
+    if not np.all(np.isfinite(values)):
+        raise FloatOverflowError(f"{what} overflows float64")
 
-    Block j of a dim x m*dim matrix holds the identity for mode j, so all
-    modes are checked by the same few sparse products, taken over blocks of
-    _CHECK_ROWS rows to keep their temporaries to a few MB.
+
+def _commutation_defect(space: FockSpace, data: np.ndarray, x: np.ndarray) -> float:
+    """Largest entry of [d_gamma(x), c_j*] - sum_i x_ij c_i* over every mode j.
+
+    `data` is the CSR data of d_gamma(x) on the hop tables. The hop pattern
+    is compared with the check tables first, and a misplaced row start or
+    column raises. With b_i = 1 << i and D the diagonal slots, the defect of
+    mode j is nonzero only on two kinds of entry:
+
+    - (t, t ^ b_i) with i in t. For i = j it is D[t] - D[t ^ b_j] - x_jj, up
+      to the sign of c_j*. For i != j it is hop (i, j) of row t (j not in t)
+      or of row t ^ b_j (j in t), times the JW signs, minus x_ij; both cases
+      read the same stored hop, so each hop is compared with its x entry once,
+      gathered and signed through check_slots.
+    - (t, t ^ b_i ^ b_k ^ b_j) with i, j in t, i != j and k not in t: hop
+      (i, k) of row t against hop (i, k) of row t ^ b_j, with the same signs.
+      In the slot layout those two hops are the ends of an edge along bit j
+      of the states, so these entries are differences of halves of the
+      signed hop array.
+
+    Every diagonal slot and every hop is read, and no sparse product is formed.
     """
-    m, dim = space.modes, space.dim
-    # the creators side by side, [c_0* | ... | c_{m-1}*], and stacked so that
-    # row t*m + j of `stack` is row t of c_j*
-    signs = space.creator_signs.ravel().astype(np.float64)
-    rows, cols = space.creator_rows, space.creator_cols
-    modes = np.arange(m, dtype=np.int32)[:, None]
-    side = sparse.csr_matrix((signs, (rows.ravel(), (cols + modes * dim).ravel())), shape=(dim, m * dim))
-    stack = sparse.csr_matrix((signs, ((rows * m + modes).ravel(), cols.ravel())), shape=(m * dim, dim))
-    # block j of the target is sum_i x_ij c_i*: side's entries reweighted per block
-    mode, col = np.divmod(side.indices, dim)
-    target = sparse.csr_matrix(
-        (
-            (x[mode] * side.data[:, None]).ravel(),
-            (col[:, None] + np.arange(m, dtype=np.int32) * dim).ravel(),
-            side.indptr * m,
-        ),
-        shape=(dim, m * dim),
-    )
-    for lo in range(0, dim, _CHECK_ROWS):
-        hi = min(lo + _CHECK_ROWS, dim)
-        # rows t*m .. t*m + m-1 of stack @ op, laid side by side, are row t of [c_j* op]_j
-        right = stack[lo * m:hi * m] @ op
-        offsets = np.repeat(np.arange((hi - lo) * m, dtype=np.int32) % m * dim, np.diff(right.indptr))
-        right = sparse.csr_matrix(
-            (right.data, offsets + right.indices, right.indptr[::m]), shape=(hi - lo, m * dim)
-        )
-        defect = op[lo:hi] @ side - right - target[lo:hi]
-        if defect.nnz:
-            worst = int(np.argmax(np.abs(defect.data)))
-            dev = abs(defect.data[worst])
-            if dev > DGAMMA_TOL:
-                raise InternalConsistencyError(
-                    f"commutation defect {dev:.3e} on mode {defect.indices[worst] // dim} "
-                    f"exceeds {DGAMMA_TOL}"
-                )
+    m = space.modes
+    if not (
+        np.array_equal(space.hop_indptr, space.check_indptr)
+        and np.array_equal(space.hop_cols, space.check_cols)
+    ):
+        raise InternalConsistencyError("commutation defect: a hop row or column is misplaced")
+    with np.errstate(over="ignore", invalid="ignore"):
+        slot = data[space.check_indptr[:-1]]
+        worst = np.max(np.abs(slot[space.creator_rows] - slot[space.creator_cols] - np.diag(x)[:, None]))
+        hops = data[np.abs(space.check_slots)]
+        np.negative(hops, out=hops, where=space.check_slots < 0)
+        off = x[~np.eye(m, dtype=bool)].reshape(m, m - 1, 1)
+        hop_worst = np.max(np.abs(hops - off), initial=0.0)
+        worst = np.maximum(worst, hop_worst)
+        # when every signed hop equals its x entry exactly, every difference
+        # below is exactly zero and would not change `worst`
+        for b in range(m - 2 if hop_worst else 0):
+            edge = hops.reshape(m, m - 1, -1, 2, 1 << b)
+            worst = np.maximum(worst, np.max(np.abs(edge[:, :, :, 1] - edge[:, :, :, 0])))
+    return float(worst)
+
+
+def _check_d_gamma(space: FockSpace, data: np.ndarray, x: np.ndarray) -> None:
+    """Raise unless `data` satisfies the commutation rule and has zero vacuum expectation.
+
+    Both hold to 1e-10 plus the first-order rounding of the diagonal slots:
+    each slot sums at most 2m entries of diag(x) (its filled modes and the
+    sea trace), and a defect subtracts two slots and x_jj, which stays below
+    8 (m + 1) eps sum_k |x_kk|. Every other entry of the defect is exact.
+    """
+    slack = 8 * (space.modes + 1) * float(np.sum(np.finfo(float).eps * np.abs(np.diag(x))))
+    bound = DGAMMA_TOL + slack
+    dev = _commutation_defect(space, data, x)
+    _require_finite(dev, "commutation defect")
+    if not dev <= bound:
+        raise InternalConsistencyError(f"commutation defect {dev:.3e} exceeds {bound:.3e}")
+    expectation = data[space.check_indptr[space.sea_mask]]
+    if not abs(expectation) <= bound:
+        raise InternalConsistencyError(f"vacuum expectation {expectation!r} exceeds {bound:.3e}")
 
 
 def _d_gamma_csr(space: FockSpace, x: np.ndarray) -> sparse.csr_matrix:
     """Verified d_gamma(x) as a CSR matrix on the hop tables.
 
-    Checks the commutation rule for every mode and a zero vacuum
-    expectation, both to 1e-10.
+    The data is checked by `_check_d_gamma` before the matrix is formed, so
+    this builds exactly one sparse object.
     """
     dim = space.dim
     diag = np.diag(x)
-    data = x.ravel()[space.hop_pairs] * space.hop_signs
-    data[space.hop_indptr[:-1]] = space.occupation @ diag - diag[space.pol.plus_dim:].sum()
-    op = sparse.csr_matrix((data, space.hop_cols, space.hop_indptr), shape=(dim, dim))
-    _check_commutation(space, op, x)
-    expectation = data[space.hop_indptr[space.sea_mask]]
-    if abs(expectation) > DGAMMA_TOL:
-        raise InternalConsistencyError(
-            f"vacuum expectation {expectation!r} exceeds {DGAMMA_TOL}"
-        )
-    return op
+    with np.errstate(over="ignore", invalid="ignore"):
+        data = x.ravel()[space.hop_pairs] * space.hop_signs
+        data[space.hop_indptr[:-1]] = space.occupation @ diag - diag[space.pol.plus_dim:].sum()
+    _require_finite(data, "d_gamma entries")
+    _check_d_gamma(space, data, x)
+    return sparse.csr_matrix((data, space.hop_cols, space.hop_indptr), shape=(dim, dim))
 
 
 def _one_particle_operator(space: FockSpace, x) -> np.ndarray:
@@ -260,7 +323,8 @@ def d_gamma(space: FockSpace, x) -> FockOperator:
     """Normal-ordered second quantization of the one-particle operator x.
 
     Defined by [d_gamma(x), psi*(v)] = psi*(x v) together with a vanishing
-    vacuum expectation; both are re-verified to 1e-10 after construction.
+    vacuum expectation; both are re-verified after construction, to 1e-10
+    plus the rounding of the diagonal sums over diag(x).
     """
     xm = _one_particle_operator(space, x)
     return FockOperator(space=space, matrix=_d_gamma_csr(space, xm).toarray())
@@ -270,17 +334,24 @@ def schwinger_detail(space: FockSpace, x, y) -> dict:
     """Schwinger scalar plus its scalarness residue.
 
     The defect [dG(x), dG(y)] - dG([x, y]) is formed from the verified sparse
-    operators; the residue is its Frobenius distance from the scalar.
+    operators; the residue is its Frobenius distance from the scalar. A
+    bracket, operator or defect that is not finite raises FloatOverflowError.
     """
     xm = _one_particle_operator(space, x)
     ym = _one_particle_operator(space, y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bracket = xm @ ym - ym @ xm
+    _require_finite(bracket, "[x, y]")
     dx = _d_gamma_csr(space, xm)
     dy = _d_gamma_csr(space, ym)
-    dxy = _d_gamma_csr(space, xm @ ym - ym @ xm)
-    s = dx @ dy - dy @ dx - dxy
-    c = complex(s.diagonal().sum()) / space.dim
-    residue = float(np.linalg.norm((s - c * sparse.identity(space.dim, format="csr")).data))
-    if residue > SCALARNESS_TOL:
+    dxy = _d_gamma_csr(space, bracket)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = dx @ dy - dy @ dx - dxy
+        c = complex(s.diagonal().sum()) / space.dim
+        residue = float(np.linalg.norm((s - c * sparse.identity(space.dim, format="csr")).data))
+    _require_finite(s.data, "Schwinger defect operator")
+    _require_finite([c, residue], "Schwinger scalar or residue")
+    if not residue <= SCALARNESS_TOL:
         raise InternalConsistencyError(
             f"defect operator is not scalar: residue {residue:.3e}"
         )

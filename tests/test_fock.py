@@ -2,14 +2,19 @@
 
 import dataclasses
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
+
+from anomlab import fock
 
 from anomlab.errors import (
     CoverMembershipError,
     DomainError,
+    FloatOverflowError,
     GapError,
     InternalConsistencyError,
     ShapeError,
@@ -205,6 +210,139 @@ def test_flipped_hop_sign_fails_the_commutation_check():
         broken = dataclasses.replace(space, hop_signs=signs)
         with pytest.raises(InternalConsistencyError, match="commutation defect"):
             d_gamma(broken, x)
+
+
+# The sparse commutation check that the gathers replaced, kept as their
+# oracle: [op, c_j*] - sum_i x_ij c_i* for all j from sparse products against
+# the creator tables, in blocks of 512 rows; returns the largest entry.
+def _sparse_commutation_defect(space, op, x):
+    m, dim = space.modes, space.dim
+    signs = space.creator_signs.ravel().astype(np.float64)
+    rows, cols = space.creator_rows, space.creator_cols
+    modes = np.arange(m, dtype=np.int32)[:, None]
+    side = scipy.sparse.csr_matrix(
+        (signs, (rows.ravel(), (cols + modes * dim).ravel())), shape=(dim, m * dim)
+    )
+    stack = scipy.sparse.csr_matrix(
+        (signs, ((rows * m + modes).ravel(), cols.ravel())), shape=(m * dim, dim)
+    )
+    mode, col = np.divmod(side.indices, dim)
+    target = scipy.sparse.csr_matrix(
+        (
+            (x[mode] * side.data[:, None]).ravel(),
+            (col[:, None] + np.arange(m, dtype=np.int32) * dim).ravel(),
+            side.indptr * m,
+        ),
+        shape=(dim, m * dim),
+    )
+    worst = 0.0
+    for lo in range(0, dim, 512):
+        hi = min(lo + 512, dim)
+        right = stack[lo * m:hi * m] @ op
+        offsets = np.repeat(np.arange((hi - lo) * m, dtype=np.int32) % m * dim, np.diff(right.indptr))
+        right = scipy.sparse.csr_matrix(
+            (right.data, offsets + right.indices, right.indptr[::m]), shape=(hi - lo, m * dim)
+        )
+        defect = op[lo:hi] @ side - right - target[lo:hi]
+        if defect.nnz:
+            worst = max(worst, float(np.max(np.abs(defect.data))))
+    return worst
+
+
+def _csr(space, data):
+    return scipy.sparse.csr_matrix((data, space.hop_cols, space.hop_indptr), shape=(space.dim,) * 2)
+
+
+@pytest.mark.parametrize("modes", range(1, 9))
+def test_commutation_defect_matches_sparse_oracle(modes):
+    rng = np.random.default_rng(460 + modes)
+    for plus in range(modes + 1):
+        space = _space(modes, plus)
+        x = _random_complex(rng, modes)
+        data = fock._d_gamma_csr(space, x).data
+        noise = 1e-3 * _random_complex(rng, data.size, 1).ravel()
+        # exact data, then noise on every entry, which makes every defect
+        # entry nonzero, the hop-difference ones included
+        for d in (data, data + noise):
+            got = fock._commutation_defect(space, d, x)
+            assert abs(got - _sparse_commutation_defect(space, _csr(space, d), x)) <= 1e-14
+
+
+def _broken_space(case):
+    space = _space(4, 2)
+    start = space.hop_indptr[0b0011]  # its diagonal slot, then four hops
+    if case == "swapped hop_cols":
+        cols = space.hop_cols.copy()
+        cols[[start + 1, start + 2]] = cols[[start + 2, start + 1]]
+        return dataclasses.replace(space, hop_cols=cols)
+    if case == "changed hop_pairs":
+        pairs = space.hop_pairs.copy()
+        pairs[start + 4] = (pairs[start + 4] + 1) % 16
+        return dataclasses.replace(space, hop_pairs=pairs)
+    occupation = space.occupation.copy()
+    occupation[0b0110, 3] ^= 1
+    return dataclasses.replace(space, occupation=occupation)
+
+
+@pytest.mark.parametrize("case", ["swapped hop_cols", "changed hop_pairs", "flipped occupation"])
+def test_broken_tables_fail_the_commutation_check(case):
+    x = _random_complex(np.random.default_rng(451), 4)
+    with pytest.raises(InternalConsistencyError, match="commutation defect"):
+        d_gamma(_broken_space(case), x)
+
+
+@pytest.mark.parametrize("modes", [4, 8])
+def test_large_one_particle_operators_pass_and_faults_still_raise(modes):
+    rng = np.random.default_rng(470 + modes)
+    space = _space(modes, modes // 2)
+    x = _random_complex(rng, modes)
+    hops = np.setdiff1d(np.arange(space.hop_cols.size), space.hop_indptr[:-1])
+    signs = space.hop_signs.copy()
+    signs[rng.choice(hops)] *= -1
+    broken = dataclasses.replace(space, hop_signs=signs)
+    for scale in 10.0 ** np.arange(0, 13):
+        np.testing.assert_allclose(d_gamma(space, scale * x).matrix / scale, d_gamma(space, x).matrix, atol=1e-12)
+        with pytest.raises(InternalConsistencyError, match="commutation defect"):
+            d_gamma(broken, scale * x)
+
+
+def test_perturbed_diagonal_slot_fails_the_commutation_check():
+    rng = np.random.default_rng(452)
+    space = _space(4, 2)
+    x = _random_complex(rng, 4)
+    data = fock._d_gamma_csr(space, x).data
+    fock._check_d_gamma(space, data, x)
+    data[space.hop_indptr[0b0101]] += 1e-9
+    with pytest.raises(InternalConsistencyError, match="commutation defect"):
+        fock._check_d_gamma(space, data, x)
+
+
+@pytest.mark.parametrize("action", ["error", "ignore"])
+def test_overflow_raises_float_overflow_error(action):
+    rng = np.random.default_rng(453)
+    space = _space(4, 2)
+    a, b = rng.standard_normal((4, 4)), rng.standard_normal((4, 4))
+    a, b = a - a.T, b - b.T
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)
+        with pytest.raises(FloatOverflowError):
+            schwinger_detail(space, 1e160 * a, 1e160 * b)
+        # finite x whose diagonal slots overflow
+        with pytest.raises(FloatOverflowError):
+            d_gamma(space, np.diag([1e308, 1e308, -1e308, -1e308]))
+
+
+def test_d_gamma_builds_one_sparse_matrix(monkeypatch):
+    built = []
+    init = fock.sparse.csr_matrix.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(fock.sparse.csr_matrix, "__init__", counting)
+    d_gamma(_space(4, 2), _random_complex(np.random.default_rng(454), 4))
+    assert len(built) == 1
 
 
 def test_schwinger_fixture_raising_lowering():
