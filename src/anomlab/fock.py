@@ -111,26 +111,28 @@ class FockSpace:
         return ((1 << self.modes) - 1) ^ ((1 << self.pol.plus_dim) - 1)
 
 
-def _check_tables(modes: int, hop: np.ndarray, below: np.ndarray) -> dict:
+def _check_tables(
+    modes: int, states: np.ndarray, bits: np.ndarray, below: np.ndarray, hop: np.ndarray
+) -> dict:
     """The commutation check's tables, by bit arithmetic on the hop list alone.
 
-    `hop` is the (state, filled mode, empty mode) grid of the hops and
-    `below[t, i]` counts the filled modes of t below i. The hops are listed
+    `below[t, i]` counts the filled modes of t below i, and `hop` is the
+    (state, filled mode, empty mode) grid of the hops. The hops are listed
     pair-major: (i, k), then t ascending, which is the check_slots layout.
     Row t opens with its diagonal slot, then lists its filled i in turn, each
     with its empty k.
     """
     dim = 1 << modes
-    states = np.arange(dim, dtype=np.int32)
     i, k, t = np.nonzero(hop.transpose(1, 2, 0))
     count = np.bitwise_count(states)
+    empty = modes - count
+    length = 1 + count * empty
     indptr = np.zeros(dim + 1, dtype=np.int32)
-    np.cumsum(1 + count * (modes - count), out=indptr[1:])
+    np.cumsum(length, out=indptr[1:])
     below_i, below_k = below[t, i], below[t, k]
-    pos = indptr[t] + 1 + below_i * (modes - count[t]) + k - below_k
-    cols = np.empty(indptr[-1], dtype=np.int32)
-    cols[indptr[:-1]] = states
-    cols[pos] = t ^ (1 << i) ^ (1 << k)
+    pos = indptr[t] + 1 + below_i * empty[t] + k - below_k
+    cols = np.repeat(states, length)  # t on all of row t, right for its diagonal slot
+    cols[pos] = t ^ bits[i] ^ bits[k]
     # negated where the JW signs of c_i* and c_k* on column t ^ b_i differ
     flip = (below_i + below_k + (i < k)) & 1
     slots = np.where(flip, -pos, pos).astype(np.int32).reshape(modes, modes - 1, dim >> 2)
@@ -154,7 +156,7 @@ def _tables(modes: int) -> dict:
     # row t holds c_i* c_j for i filled and j empty in t, after a diagonal
     # slot at pair (0, 0) whose value d_gamma overwrites
     hop = occ[:, :, None] & ~occ[:, None, :]
-    check = _check_tables(modes, hop, below)
+    check = _check_tables(modes, states, bits, below, hop)
     hop[:, 0, 0] = True
     row, i, j = np.nonzero(hop)
     hop_signs = jw[row, i] * jw[row, j] * np.where(i < j, -1, 1)
