@@ -338,6 +338,12 @@ def schwinger_detail(space: FockSpace, x, y) -> dict:
     The defect [dG(x), dG(y)] - dG([x, y]) is formed from the verified sparse
     operators; the residue is its Frobenius distance from the scalar. A
     bracket, operator or defect that is not finite raises FloatOverflowError.
+
+    The residue must stay below 1e-9 plus (m + 1)^2 eps |dG(x)|_F |dG(y)|_F,
+    a first-order bound on its rounding: each entry of the two products sums
+    at most 1 + m^2/4 terms, each diagonal slot at most 2m entries of the
+    diagonal, and each entry of [x, y] 2m products, so the allowance scales
+    with |x| |y|.
     """
     xm = _one_particle_operator(space, x)
     ym = _one_particle_operator(space, y)
@@ -353,9 +359,11 @@ def schwinger_detail(space: FockSpace, x, y) -> dict:
         residue = float(np.linalg.norm((s - c * sparse.identity(space.dim, format="csr")).data))
     _require_finite(s.data, "Schwinger defect operator")
     _require_finite([c, residue], "Schwinger scalar or residue")
-    if not residue <= SCALARNESS_TOL:
+    eps = np.finfo(float).eps
+    bound = SCALARNESS_TOL + (space.modes + 1) ** 2 * eps * np.linalg.norm(dx.data) * np.linalg.norm(dy.data)
+    if not residue <= bound:
         raise InternalConsistencyError(
-            f"defect operator is not scalar: residue {residue:.3e}"
+            f"defect operator is not scalar: residue {residue:.3e} exceeds {bound:.3e}"
         )
     return {"value": c, "residue": residue}
 

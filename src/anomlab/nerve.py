@@ -11,19 +11,22 @@ i inserts an identity arrow. Face and degeneracy maps are int arrays of
 row positions, found by searchsorted on the sorted rows.
 
 Cochains take values in Z_N written additively, and the coboundary is the
-alternating face sum. Cohomology is computed by integer Smith normal form:
-the mod-N kernel of one coboundary is an explicit lattice, and the quotient
-by coboundaries plus N-multiples is read off a second normal form.
+alternating face sum. cohomology_group reads the group off the invariant
+factors of the two integer coboundaries at its degree, through the
+universal coefficient theorem, with no transforms and no second normal
+form. It computes on the normalized cochains (those vanishing on chains
+that hold an identity arrow) of the skeleton of the groupoid, one vertex
+group per connected component. Both keep the cohomology, which depends only
+on the quotient stack the groupoid presents, and both shrink the matrices:
+a translation groupoid collapses to the trivial group.
 
-cohomology_group computes on the normalized cochains (those vanishing on
-chains that hold an identity arrow) of the skeleton of the groupoid, one
-vertex group per connected component. Both keep the cohomology, which
-depends only on the quotient stack the groupoid presents, and both shrink
-the matrices: a translation groupoid collapses to the trivial group. The
-same transforms reduce any 2-cocycle to a canonical class vector, which is
-how central extensions are compared; class_reducer and extension_class do
-that on the full, unnormalized complex of the groupoid as given, since a
-class vector holds coordinates in the normal-form basis of that complex.
+Class vectors need explicit coordinates. class_reducer and extension_class
+reduce a 2-cocycle to a canonical class vector, which is how central
+extensions are compared: the mod-N kernel of one coboundary is an explicit
+lattice, and the quotient by coboundaries plus N-multiples is read off a
+second normal form with its transform. They work on the full, unnormalized
+complex of the groupoid as given, since a class vector holds coordinates in
+the normal-form basis of that complex.
 """
 
 from __future__ import annotations
@@ -227,7 +230,12 @@ class _QuotientData:
     here is the integer coboundary out of the degree and below the one into
     it (None in degree 0). nerve is the nerve whose level `degree` the
     cochain vectors of reduce() run over, or None when the matrices come
-    from another complex.
+    from another complex. Its group() is the oracle of cohomology_group's
+    path through invariant factors alone.
+
+    The products run on int64. A modulus for which N V^-1, V^-1 d^(n-1) or
+    V^-1 times a cochain could pass int64 raises CapacityError, as does a
+    class coordinate whose sum could.
     """
 
     def __init__(self, here: np.ndarray, below, degree: int, modulus: int, nerve: Nerve = None):
@@ -236,6 +244,8 @@ class _QuotientData:
         self.nerve = nerve
         n_here = here.shape[1]
         res = smith_normal_form(here, want_vinv=True)
+        below_max = 0 if below is None else int(np.abs(below).max(initial=0))
+        self._check_capacity(res.vinv, max(self.modulus, below_max))
         factors = res.factors + [0] * (n_here - len(res.factors))
         self.mults = np.array(
             [self.modulus // gcd(f, self.modulus) for f in factors[:n_here]],
@@ -251,10 +261,25 @@ class _QuotientData:
             raise CocycleError("coboundary image escapes the cocycle lattice")
         rel_y //= self.mults[:, None]
         quot = smith_normal_form(rel_y, want_u=True)
-        self.u = np.asarray(quot.u, dtype=np.int64)
         self.factors = [int(f) for f in quot.factors]
         if any(f == 0 for f in self.factors) or len(self.factors) < n_here:
             raise CocycleError("cocycle quotient is not finite; relation matrix degenerate")
+        # only a row of U with a factor f > 1 gives a class coordinate, read mod f
+        keep = [i for i, f in enumerate(self.factors) if f > 1]
+        self.orders = np.array([self.factors[i] for i in keep], dtype=np.int64)
+        self.u = np.mod(np.asarray(quot.u)[keep], self.orders[:, None]).astype(np.int64)
+        self._check_capacity(self.u, int(self.orders.max(initial=1)))
+
+    def _check_capacity(self, transform, scale: int):
+        """Raise unless every row of |transform| times entries below scale fits int64.
+
+        Row sums are taken in float64 with a margin for their rounding.
+        """
+        rows = float(np.abs(transform).sum(axis=1, dtype=np.float64).max(initial=0))
+        if rows * (1 + 1e-9) * scale >= 2.0**63:
+            raise CapacityError(
+                f"modulus {self.modulus}: N V^-1, V^-1 d^(n-1) or a class coordinate would pass int64"
+            )
 
     def group(self) -> CohomologyGroup:
         return CohomologyGroup(
@@ -273,15 +298,13 @@ class _QuotientData:
         y = self.vinv @ vec
         if np.any(y % self.mults):
             raise CocycleError("cocycle does not lie in the kernel lattice")
-        z = self.u @ (y // self.mults)
-        reduced = tuple(
-            int(z[i] % f) for i, f in enumerate(self.factors) if f > 1
-        )
+        kernel = (y // self.mults)[None, :] % self.orders[:, None]
+        z = np.sum(self.u * kernel, axis=1) % self.orders
         return CohomologyClass(
             degree=self.degree,
             modulus=self.modulus,
             orders=tuple(f for f in self.factors if f > 1),
-            vector=reduced,
+            vector=tuple(int(v) for v in z),
         )
 
 
@@ -310,13 +333,35 @@ def cohomology_group(g: FiniteGroupoid, degree: int, modulus: int) -> Cohomology
     It is computed on the normalized cochains of the skeleton of g, one
     vertex group per connected component: both steps keep the cohomology,
     which is an invariant of the quotient stack, and shrink the matrices the
-    Smith normal form reduces. class_reducer stays on the full complex of g,
-    since its class vectors are coordinates in that complex's basis.
+    Smith normal form reduces. The group comes from the invariant factors of
+    the coboundaries out of and into the degree alone, by the universal
+    coefficient theorem (_uct_group), and any positive N works, past int64
+    too. class_reducer stays on the full complex of g, since its class
+    vectors are coordinates in that complex's basis.
     """
     _check_degree(degree, modulus)
     _check_sound(g)
     here, below = _normalized_coboundaries(nerve(skeleton(g)[0], degree + 1), degree)
-    return _QuotientData(here, below, degree, modulus).group()
+    return _uct_group(here, below, degree, modulus)
+
+
+def _uct_group(here: np.ndarray, below, degree: int, modulus: int) -> CohomologyGroup:
+    """H^n(C; Z_N) from the invariant factors of d^n (here) and d^(n-1) (below).
+
+    By the universal coefficient theorem H^n(C; Z_N) = Hom(H_n, Z_N) +
+    Ext(H_(n-1), Z_N) (Hatcher, Algebraic Topology, 2002, 3.1), where H_n is
+    the homology of the dual chain complex. Its free rank is c - rank d^n -
+    rank d^(n-1), each contributing Z_N, and its torsion, with that of
+    H_(n-1), is read off the nonzero factors s of both matrices, each
+    contributing Z_gcd(s, N). Every number is a Python int, so any N works.
+    """
+    if below is not None and np.any(here @ below):
+        raise CocycleError("coboundary image escapes the cocycle lattice")
+    factors = [s for mat in (here, below) if mat is not None for s in smith_normal_form(mat).factors if s]
+    free = here.shape[1] - len(factors)
+    cyclic = [c for c in [modulus] * free + [gcd(s, modulus) for s in factors] if c > 1]
+    chain = smith_normal_form(np.diag(np.array(cyclic, dtype=object))).factors if cyclic else []
+    return CohomologyGroup(degree=degree, modulus=modulus, orders=tuple(f for f in chain if f > 1))
 
 
 def class_reducer(g: FiniteGroupoid, degree: int, modulus: int):

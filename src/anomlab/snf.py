@@ -23,8 +23,11 @@ keep their bound, so they need no second look.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 import numpy as np
+
+from .errors import DomainError, InternalConsistencyError
 
 _GUARD = 1 << 59
 _PRODUCT_LIMIT = 1 << 62  # a guarded entry plus such a product stays below 2^63
@@ -193,27 +196,53 @@ def smith_normal_form(mat, want_u=False, want_v=False, want_vinv=False) -> SNFRe
         return _reduce(work, want_u, want_v, want_vinv, object_mode=True)
 
 
+def _mod(arr, modulus: int) -> np.ndarray:
+    """arr reduced mod modulus: int64 while modulus fits, Python ints past it."""
+    if modulus < 1 << 63:
+        return np.mod(arr, modulus).astype(np.int64)
+    return np.mod(np.frompyfunc(int, 1, 1)(arr), modulus)
+
+
+def _mod_product(mat, vec, modulus: int) -> np.ndarray:
+    """mat @ vec reduced mod modulus, exactly, for int64 or object operands.
+
+    The product runs on int64 when no sum of reduced products can reach
+    2^63, and on Python ints otherwise.
+    """
+    m, v = _mod(mat, modulus), _mod(vec, modulus)
+    if m.dtype != object and (modulus - 1) ** 2 * max(m.shape[1], 1) >= 1 << 63:
+        m, v = m.astype(object), v.astype(object)
+    return m @ v % modulus
+
+
 def solve_mod(mat, rhs, modulus: int):
     """One integer solution x of mat @ x = rhs (mod modulus), or None.
 
-    Works over the augmented system [mat | modulus I]; the returned x is
-    reduced mod modulus.
+    Reduces mat alone, S = U mat V, so the system reads S w = y with y = U rhs
+    and x = V w. A factor s_i solves its row iff gcd(s_i, N) divides y_i, and
+    a row past the rank iff y_i = 0 mod N. The returned x is reduced mod
+    modulus, and checked against the system before it is returned.
     """
     a = np.asarray(mat)
     b = np.asarray(rhs).reshape(-1)
     rows, cols = a.shape
     if b.shape[0] != rows:
         raise ValueError(f"rhs length {b.shape[0]} does not match {rows} rows")
-    aug = np.hstack([a, modulus * np.eye(rows, dtype=a.dtype)])
-    res = smith_normal_form(aug, want_u=True, want_v=True)
-    y = res.u @ b
-    # aug has at least as many columns as rows, so each y_i meets a factor f_i:
-    # solvable iff f_i divides y_i, and f_i = 0 admits only y_i = 0
-    f = np.array(res.factors, dtype=y.dtype)
-    unit = np.where(f == 0, 1, f)
-    if np.any(np.where(f == 0, y, y % unit)):
+    if modulus < 1:
+        raise DomainError(f"modulus must be positive, got {modulus}")
+    res = smith_normal_form(a, want_u=True, want_v=True)
+    y = _mod_product(res.u, b, modulus)
+    if np.any(y[res.rank:]):
         return None
-    w = np.zeros(aug.shape[1], dtype=np.int64)
-    w[:rows] = y // unit
-    x = (res.v @ w)[:cols]
-    return np.mod(x, modulus).astype(np.int64)
+    w = np.zeros(cols, dtype=y.dtype)
+    w[:res.rank] = y[:res.rank]
+    for i, s in enumerate(res.factors[:res.rank]):
+        if s != 1:
+            g = gcd(s, modulus)
+            if int(y[i]) % g:
+                return None
+            w[i] = int(y[i]) // g * pow(s // g, -1, modulus // g) % (modulus // g)
+    x = _mod_product(res.v, w, modulus)
+    if np.any(_mod_product(a, x, modulus) != _mod(b, modulus)):
+        raise InternalConsistencyError("solve_mod returned x that fails its own system")
+    return x

@@ -163,6 +163,16 @@ def test_compute_h2(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["trivial"] is True
 
 
+def test_compute_h2_past_int64(tmp_path, capsys):
+    # Z2xZ4: Hom(M(G), Z_N) + Ext(G^ab, Z_N) = Z2 + Z2 + Z4 for any N divisible by 4
+    gfile = tmp_path / "z2xz4.json"
+    dump_json(groupoid_to_obj(point_groupoid(group_catalog()["Z2xZ4"])), gfile)
+    for modulus in (3 * 2**61, 2**63, 2**64 * 5):
+        assert main(["compute", "h2", "--groupoid", str(gfile), "--modulus", str(modulus)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["modulus"], payload["orders"], payload["order"]) == (modulus, [2, 2, 4], 16)
+
+
 # Exact outputs pinned as literals: H^2 orders per (group, groupoid, modulus),
 # where "coset-k" is the action on the cosets of the first subgroup of order k.
 H2_ORDERS = {

@@ -544,3 +544,36 @@ def test_build_car_input_validation():
         creation(space, np.ones(3))
     with pytest.raises(ShapeError):
         d_gamma(space, np.eye(3))
+
+
+@pytest.mark.parametrize("modes, scale", [(4, 1e3), (8, 1e3), (4, 1e6), (8, 1e9)])
+def test_schwinger_detail_accepts_scaled_input(modes, scale):
+    # valid input whose rounding residue passes the former absolute bound of 1e-9
+    rng = np.random.default_rng(5)
+    x, y = _random_anti_hermitian(rng, modes, 1.0), _random_anti_hermitian(rng, modes, 1.0)
+    space = _space(modes, modes // 2)
+    detail = schwinger_detail(space, scale * x, scale * y)
+    np.testing.assert_allclose(detail["value"], scale**2 * schwinger_term(space, x, y), rtol=1e-9)
+    assert detail["residue"] > 1e-9  # reported raw, not net of the allowance
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e3, 1e6])
+def test_schwinger_detail_rejects_a_defect_moved_off_scalar(monkeypatch, scale):
+    rng = np.random.default_rng(6)
+    x, y = _random_anti_hermitian(rng, 4, scale), _random_anti_hermitian(rng, 4, scale)
+    space = _space(4, 2)
+    built = []
+    csr = fock._d_gamma_csr
+
+    def moved(space, z):
+        op = csr(space, z)
+        built.append(op)
+        if len(built) == 3:  # d_gamma([x, y]): move one diagonal entry by 100 allowances
+            norms = np.linalg.norm(built[0].data) * np.linalg.norm(built[1].data)
+            allowance = 1e-9 + 25 * np.finfo(float).eps * norms
+            op = op + scipy.sparse.csr_matrix(([100 * allowance], ([0], [0])), shape=op.shape)
+        return op
+
+    monkeypatch.setattr(fock, "_d_gamma_csr", moved)
+    with pytest.raises(InternalConsistencyError, match="not scalar"):
+        schwinger_detail(space, x, y)

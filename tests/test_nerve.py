@@ -1,6 +1,8 @@
 """Nerve levels, simplicial identities, coboundaries, and cohomology."""
 
 import itertools
+import sys
+from math import gcd
 
 import numpy as np
 import pytest
@@ -36,6 +38,9 @@ from anomlab.instances import (
 )
 from anomlab.nerve import (
     Cochain,
+    _normalized_coboundaries,
+    _QuotientData,
+    _uct_group,
     class_reducer,
     coboundary,
     coboundary_matrix,
@@ -346,3 +351,121 @@ def test_cohomology_group_rejects_a_broken_groupoid_as_before():
         cohomology_group(broken, 3, 2)
     with pytest.raises(DomainError):
         cohomology_group(_swap_groupoid(), 1, 0)
+
+
+def test_uct_group_matches_the_quotient_oracle_on_the_same_matrices():
+    cases = _catalog_groupoids() + [(f"random-{i}", g) for i, g in enumerate(_random_groupoids(50, 907))]
+    for name, g in cases:
+        sk = skeleton(g)[0]
+        for degree in (0, 1, 2):
+            here, below = _normalized_coboundaries(nerve(sk, degree + 1), degree)
+            for modulus in (1, 2, 3, 4, 6, 8, 12):
+                want = _QuotientData(here, below, degree, modulus).group()
+                assert _uct_group(here, below, degree, modulus) == want, (name, degree, modulus)
+
+
+# Schur multipliers M(G) of the catalog groups as invariant factors
+# (Karpilovsky, The Schur Multiplier, 1987): trivial for cyclic groups and S3,
+# Z2 for Z2xZ2, Z2xZ4 and D4, and Z2^3 for Z2xZ2xZ2.
+SCHUR_MULTIPLIERS = {"Z2xZ2": (2,), "Z2xZ4": (2,), "D4": (2,), "Z2xZ2xZ2": (2, 2, 2)}
+
+
+def _closure(group, gens):
+    """Subgroup generated by gens, by multiplying until nothing new appears."""
+    elems = {group.identity} | set(gens)
+    while True:
+        grown = elems | {int(group.mult[a, b]) for a in elems for b in elems}
+        if grown == elems:
+            return elems
+        elems = grown
+
+
+def _abelianization(group):
+    """Invariant factors of G / [G, G], read off the group table.
+
+    In a finite abelian group an element of largest order spans a direct
+    summand, so the factors are the orders, largest first, of elements
+    of largest order in successive quotients.
+    """
+    mult, inv, n = group.mult, group.inverse, group.order
+    sub = _closure(group, [int(mult[mult[a, b], mult[inv[a], inv[b]]]) for a in range(n) for b in range(n)])
+    factors = []
+    while len(sub) < n:
+        orders = [_order_modulo(group, g, sub) for g in range(n)]
+        g = int(np.argmax(orders))
+        factors.append(orders[g])
+        sub = _closure(group, list(sub) + [g])
+    return tuple(sorted(factors))
+
+
+def _order_modulo(group, g, sub):
+    """Order of g in the quotient by the normal subgroup sub."""
+    k, power = 1, g
+    while power not in sub:
+        k, power = k + 1, int(group.mult[power, g])
+    return k
+
+
+def _primary(orders):
+    """Sorted prime powers of a direct sum of cyclic groups: a complete invariant."""
+    out = []
+    for c in orders:
+        p = 2
+        while c > 1:
+            q = 1
+            while c % p == 0:
+                c, q = c // p, q * p
+            if q > 1:
+                out.append(q)
+            p += 1
+    return sorted(out)
+
+
+def test_cohomology_group_matches_the_closed_form_on_point_groupoids():
+    # H^2(BG; Z_N) = Hom(M(G), Z_N) + Ext(G^ab, Z_N) and H^1(BG; Z_N) = Hom(G^ab, Z_N),
+    # with Hom(Z_a, Z_N) = Ext(Z_a, Z_N) = Z_gcd(a, N); moduli past int64 included
+    abelian = {"Z2xZ2": (2, 2), "Z2xZ4": (2, 4), "Z2xZ2xZ2": (2, 2, 2), "S3": (2,), "D4": (2, 2)}
+    for name, group in sorted(group_catalog().items()):
+        gab = _abelianization(group)
+        assert gab == abelian.get(name, (group.order,)), name
+        g = point_groupoid(group)
+        for modulus in (2, 3, 4, 6, 8, 12, 2**62, 3 * 2**61, 2**63 - 1, 2**63, 3**50):
+            h1 = [gcd(a, modulus) for a in gab]
+            h2 = [gcd(m, modulus) for m in SCHUR_MULTIPLIERS.get(name, ())] + h1
+            for degree, want in ((1, h1), (2, h2)):
+                got = cohomology_group(g, degree, modulus)
+                assert _primary(got.orders) == _primary(want), (name, degree, modulus)
+                assert all(a % b == 0 for a, b in zip(got.orders[1:], got.orders)), got.orders
+
+
+def test_large_moduli_give_the_closed_form():
+    catalog = group_catalog()
+    assert cohomology_group(point_groupoid(catalog["D4"]), 2, 2**62).orders == (2, 2, 2)
+    assert cohomology_group(point_groupoid(catalog["Z2xZ4"]), 2, 3 * 2**61).orders == (2, 2, 4)
+    assert cohomology_group(point_groupoid(catalog["Z2xZ2xZ2"]), 2, 2**62).orders == (2,) * 6
+    # degree 0 is one Z_N per component, so N itself appears
+    assert cohomology_group(point_groupoid(catalog["S3"]), 0, 2**64 + 1).orders == (2**64 + 1,)
+
+
+def test_class_reducer_rejects_moduli_past_its_int64_products():
+    catalog = group_catalog()
+    for name in ("Z2xZ4", "S3", "D4"):
+        g = point_groupoid(catalog[name])
+        for modulus in (3 * 2**61, 2**63 - 1, 2**63):
+            with pytest.raises(CapacityError, match=str(modulus)):
+                class_reducer(g, 2, modulus)
+        # moderate moduli still reduce, and agree with the closed form
+        assert class_reducer(g, 2, 2**40).group() == cohomology_group(g, 2, 2**40)
+
+
+def test_tampered_coboundary_raises_cocycle_error(monkeypatch):
+    g = point_groupoid(group_catalog()["S3"])
+    here, below = _normalized_coboundaries(nerve(skeleton(g)[0], 3), 2)
+    bad = below.copy()
+    bad[0, 0] += 1
+    with pytest.raises(CocycleError):
+        _uct_group(here, bad, 2, 2)
+    # the package exports the function nerve under the module's name
+    monkeypatch.setattr(sys.modules["anomlab.nerve"], "_normalized_coboundaries", lambda nv, degree: (here, bad))
+    with pytest.raises(CocycleError, match="escapes the cocycle lattice"):
+        cohomology_group(g, 2, 2)

@@ -5,8 +5,16 @@ import itertools
 import numpy as np
 import pytest
 
-from anomlab.instances import group_catalog, point_groupoid, translation_groupoid
-from anomlab.nerve import coboundary_matrix, nerve
+from anomlab.errors import DomainError
+from anomlab.groupoid import glue_local_data
+from anomlab.instances import (
+    generator,
+    group_catalog,
+    point_groupoid,
+    random_cover_instance,
+    translation_groupoid,
+)
+from anomlab.nerve import coboundary_matrix, cocycle_vector, nerve
 from anomlab.snf import _pivot, _reduce, smith_normal_form, solve_mod
 
 
@@ -225,13 +233,17 @@ def test_solve_mod_detects_unsolvable():
     assert sol is not None and (2 * sol[0]) % 4 == 2
 
 
-def test_solve_mod_matches_exhaustive_search():
+def _exhaustive_cases():
     rng = np.random.default_rng(605)
     for _ in range(300):
         rows, cols = (int(k) for k in rng.integers(1, 4, size=2))
         modulus = int(rng.integers(1, 7))
-        a = rng.integers(-6, 7, size=(rows, cols))
-        rhs = rng.integers(-6, 7, size=rows)
+        yield rng.integers(-6, 7, size=(rows, cols)), rng.integers(-6, 7, size=rows), modulus
+
+
+def test_solve_mod_matches_exhaustive_search():
+    for a, rhs, modulus in _exhaustive_cases():
+        rows, cols = a.shape
         candidates = np.array(list(itertools.product(range(modulus), repeat=cols)))
         solvable = np.any(np.all((candidates @ a.T - rhs) % modulus == 0, axis=1))
         sol = solve_mod(a, rhs, modulus)
@@ -243,3 +255,65 @@ def test_solve_mod_matches_exhaustive_search():
 def test_solve_mod_shape_check():
     with pytest.raises(ValueError):
         solve_mod(np.eye(2, dtype=np.int64), np.array([1, 2, 3]), 2)
+
+
+def _augmented_solve_mod(mat, rhs, modulus):
+    """The earlier solver, kept as an oracle: one normal form of [mat | modulus I]."""
+    a = np.asarray(mat)
+    b = np.asarray(rhs).reshape(-1)
+    rows, cols = a.shape
+    aug = np.hstack([a, modulus * np.eye(rows, dtype=a.dtype)])
+    res = smith_normal_form(aug, want_u=True, want_v=True)
+    y = res.u @ b
+    f = np.array(res.factors, dtype=y.dtype)
+    unit = np.where(f == 0, 1, f)
+    if np.any(np.where(f == 0, y, y % unit)):
+        return None
+    w = np.zeros(aug.shape[1], dtype=np.int64)
+    w[:rows] = y // unit
+    x = (res.v @ w)[:cols]
+    return np.mod(x, modulus).astype(np.int64)
+
+
+def _cover_systems(count, seed):
+    """d^1 of seeded cover groupoids against a glued-minus-source difference and a perturbed copy."""
+    rng = generator(seed)
+    for _ in range(count):
+        gpd, _group, _points, _action, source, data, modulus = random_cover_instance(
+            rng, max_points=3, max_order=6, max_modulus=5, n_charts=3
+        )
+        nv = nerve(gpd, 2)
+        d1 = coboundary_matrix(nv, 1)
+        diff = (cocycle_vector(nv, glue_local_data(data, modulus).cocycle) - cocycle_vector(nv, source)) % modulus
+        yield d1, diff, modulus
+        bumped = diff.copy()
+        bumped[int(rng.integers(len(bumped)))] += 1
+        yield d1, bumped % modulus, modulus
+
+
+def test_solve_mod_matches_the_augmented_oracle():
+    systems = list(_cover_systems(30, 611)) + list(_exhaustive_cases())
+    unsolvable = 0
+    for a, rhs, modulus in systems:
+        sol = solve_mod(a, rhs, modulus)
+        want = _augmented_solve_mod(a, rhs, modulus)
+        assert (sol is None) == (want is None), (a.tolist(), rhs.tolist(), modulus)
+        unsolvable += sol is None
+        if sol is not None:
+            assert sol.dtype == np.int64 and np.all((0 <= sol) & (sol < modulus))
+            assert not np.any((a @ sol - rhs) % modulus)
+    assert 30 <= unsolvable <= len(systems) - 30
+
+
+def test_solve_mod_large_moduli_are_exact():
+    a = np.array([[2, 4, 1], [6, 3, 5]], dtype=np.int64)
+    x = np.array([[5], [7], [11]])
+    for modulus in (2**40, 3 * 2**61, 2**63 - 1, 2**63, 3**50):
+        rhs = _exact_matmul(a, x)[:, 0] % modulus
+        sol = solve_mod(a, rhs, modulus)
+        assert sol is not None
+        assert all(v % modulus == 0 for v in _exact_matmul(a, sol[:, None])[:, 0] - rhs), modulus
+    # 2 x = 1 has no solution mod an even modulus, however large
+    assert solve_mod(np.array([[2]]), np.array([1]), 2**64) is None
+    with pytest.raises(DomainError):
+        solve_mod(np.eye(2, dtype=np.int64), np.zeros(2, dtype=np.int64), 0)
