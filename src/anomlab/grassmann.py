@@ -144,8 +144,9 @@ def canonical_section(w: Frame, p) -> complex:
 def alpha_ratio(g, q, w: Frame, t, p) -> complex:
     """Chart-change ratio omega_p(w_plus, t) / omega_p((g w q^-1)_plus, q t q^-1).
 
-    g acts on the ambient space, q reparametrizes the frame columns. The
-    ratio is multiplicative in t along the translated frames.
+    g acts on the ambient space, q reparametrizes the frame columns, and t,
+    like q, must be invertible (|det| above 1e-12). The ratio is
+    multiplicative in t along the translated frames.
     """
     n, k = w.pol.dim, w.pol.plus_dim
     gm = as_square(g)
@@ -157,6 +158,8 @@ def alpha_ratio(g, q, w: Frame, t, p) -> complex:
         raise ShapeError(f"column transforms must be {k}x{k}")
     if abs(determinant(qm)) <= SINGULAR_TOL:
         raise SingularTransformError("q is singular within 1e-12")
+    if abs(determinant(tm)) <= SINGULAR_TOL:
+        raise SingularTransformError("t is singular within 1e-12")
     q_inv = np.linalg.inv(qm)
     moved = gm @ w.matrix @ q_inv
     wp = w_plus(w)

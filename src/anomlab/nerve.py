@@ -49,6 +49,7 @@ from .snf import smith_normal_form
 
 MAX_DEGREE = 3
 MAX_CELLS = 1_000_000
+INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass
@@ -141,7 +142,11 @@ def nerve(g: FiniteGroupoid, p_max: int) -> Nerve:
 
 @dataclass
 class Cochain:
-    """Z_N-valued function on one nerve level, stored as exponents."""
+    """Z_N-valued function on one nerve level, stored as exponents in [0, N).
+
+    They are int64 while N fits int64 and Python ints (an object array) past
+    it; either way the reduction mod N is exact.
+    """
 
     degree: int
     modulus: int
@@ -150,21 +155,33 @@ class Cochain:
     def __post_init__(self):
         if self.modulus < 1:
             raise DomainError(f"modulus must be positive, got {self.modulus}")
-        self.values = np.mod(np.asarray(self.values, dtype=np.int64), self.modulus)
+        try:
+            values = np.asarray(self.values, dtype=np.int64)
+        except OverflowError:  # Python ints past int64
+            values = np.asarray(self.values, dtype=object)
+        big = self.modulus > INT64_MAX
+        values = np.mod(values.astype(object) if big else values, self.modulus)
+        self.values = values if big else values.astype(np.int64, copy=False)
 
 
 def coboundary(f: Cochain, nv: Nerve) -> Cochain:
-    """Alternating face sum; raises if the next level is not tabulated."""
+    """Alternating face sum; raises if the next level is not tabulated.
+
+    The sum lies in [-floor(k/2) (N-1), ceil(k/2) (N-1)] for k = degree + 2
+    faces; it runs on int64 when that fits and on Python ints otherwise.
+    """
     d = f.degree
     if d + 1 > nv.p_max:
         raise CapacityError(f"nerve holds levels up to {nv.p_max}, cannot bound degree {d}")
     if f.values.shape[0] != nv.size(d):
         raise ShapeError(f"cochain has {f.values.shape[0]} values, level {d} has {nv.size(d)}")
-    out = np.zeros(nv.size(d + 1), dtype=np.int64)
+    dtype = np.int64 if (d + 3) // 2 * (f.modulus - 1) <= INT64_MAX else object
+    values = f.values.astype(dtype, copy=False)
+    out = np.zeros(nv.size(d + 1), dtype=dtype)
     sign = 1
     for i in range(d + 2):
         table = np.asarray(nv.faces[d + 1][i])
-        out += sign * f.values[table]
+        out += sign * values[table]
         sign = -sign
     return Cochain(degree=d + 1, modulus=f.modulus, values=out)
 

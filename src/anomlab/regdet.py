@@ -23,10 +23,17 @@ naming the finite log, when it is too large to represent. Order 1 is the
 plain determinant.
 
 det_p is not multiplicative; the defect is tracked two ways. gamma_p is the
-additive defect of principal logarithms reported modulo 2 pi i, and omega_p
-is the branch-free ratio det_p((1+A)(1+B)) / det_p(1+A) that the
-determinant-line module builds on; it is exp of a difference of logs, so
+additive defect of principal logarithms reported modulo 2 pi i, from three
+dual-route-checked logs. omega_p is the branch-free ratio
+det_p((1+A)(1+B)) / det_p(1+A) that the determinant-line module builds on.
+With 1 + C = (1 + A)(1 + B), log det(1 + A) cancels exactly mod 2 pi i, so
+
+    omega_p(A, B) = det(1 + B) exp(Tr F(C) - Tr F(A)),
+
+one dual-route-checked log, that of det(1 + B), plus two trace series. So
 the ratio of two determinants that overflow one by one is still finite.
+Singularity of det_p(1 + A) is gated on the LU log of 1 + A plus Re Tr F(A);
+that log enters no value and takes no QR.
 """
 
 from __future__ import annotations
@@ -124,15 +131,27 @@ def _route_gap(via_lu: complex, via_qr: complex, allowance: float) -> float:
     return math.hypot(d.real, math.remainder(d.imag, TWO_PI)) / (1.0 + allowance / DUAL_ROUTE_TOL)
 
 
+def _one_plus(m: np.ndarray) -> np.ndarray:
+    """1 + A as a new array."""
+    one_plus = m.copy()
+    one_plus.reshape(-1)[:: m.shape[0] + 1] += 1.0
+    return one_plus
+
+
+def _lu_log(one_plus: np.ndarray) -> complex:
+    """log det from the LU factors (slogdet), unfolded; nan or +inf when they overflow."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        sign, log_abs = np.linalg.slogdet(one_plus)
+    return complex(log_abs, cmath.phase(sign))
+
+
 def _log_det_p(m: np.ndarray, p: int) -> tuple[complex, float]:
     """log det_p(1 + A) by the LU route, unfolded, and the LU-QR gap of log det(1 + A)."""
     n = m.shape[0]
-    one_plus = m.copy()
-    one_plus.reshape(-1)[:: n + 1] += 1.0
+    one_plus = _one_plus(m)
+    via_lu = _lu_log(one_plus)
     upper = np.arange(n)[:, None] < np.arange(n)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        sign, log_abs = np.linalg.slogdet(one_plus)
-        via_lu = complex(log_abs, cmath.phase(sign))
         # QR of the transpose, which is already column-major as LAPACK wants
         # it. numpy hands the factor back transposed: row i holds column i of
         # R on and left of the diagonal, and v_i without its unit entry right
@@ -256,12 +275,23 @@ def gamma_p(a, b, p) -> complex:
 def omega_p(a, b, p) -> complex:
     """Branch-free multiplicativity ratio det_p((1+A)(1+B)) / det_p(1+A).
 
+    With 1 + C = (1 + A)(1 + B), log det(1 + A) cancels mod 2 pi i, so the
+    ratio is det(1 + B) exp(Tr F(C) - Tr F(A)). Only log det(1 + B) is taken
+    by both routes and must pass the dual-route check; the LU log of 1 + A
+    serves the singularity gate alone: it raises SingularDeterminantError
+    when it plus Re Tr F(A) puts |det_p(1 + A)| within 1e-12 of 0, and
+    FloatOverflowError when it is nan or +inf.
+
     Satisfies the cocycle identity
     omega_p(A, BC) = omega_p(AB, C) * omega_p(A, B)
     where juxtaposition is the product of unital perturbations.
     """
     p = _check_order(p)
     ma, mb = _operands(a, b)
-    log_den = _nonsingular(_checked_log_det_p(ma, p), p, "1+A")
-    log_num = _checked_log_det_p(_product_perturbation(ma, mb), p)
-    return _exp(log_num - log_den, f"omega_{p}")
+    lu_log_a = _lu_log(_one_plus(ma))
+    if not lu_log_a.real < math.inf:  # inf or nan
+        raise FloatOverflowError("the LU factors of 1 + A overflow float64")
+    trace_a = _trace_series(ma, p)
+    _nonsingular(lu_log_a + trace_a.real, p, "1+A")
+    trace_c = _trace_series(_product_perturbation(ma, mb), p)
+    return _exp(_checked_log_det_p(mb, 1) + trace_c - trace_a, f"omega_{p}")

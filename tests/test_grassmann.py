@@ -209,3 +209,15 @@ def test_alpha_ratio_error_paths():
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(ChartSingularityError):
         alpha_ratio(swap, np.eye(1), w, t, 2)
+
+
+@pytest.mark.parametrize("t", [np.zeros((2, 2)), np.diag([1.0, 1e-200])])
+def test_alpha_ratio_rejects_singular_t(t):
+    # a singular t makes both omega factors vanish, so their ratio is 0 / 0;
+    # it is gated as in frame_act
+    w = standard_frame(Polarization(3, 2))
+    for p in (1, 2, 3):
+        with pytest.raises(SingularTransformError):
+            alpha_ratio(np.eye(3), np.eye(2), w, t, p)
+    with pytest.raises(SingularTransformError):
+        frame_act(w, t)

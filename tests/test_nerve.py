@@ -1,6 +1,7 @@
 """Nerve levels, simplicial identities, coboundaries, and cohomology."""
 
 import itertools
+import random
 import sys
 from math import gcd
 
@@ -150,6 +151,47 @@ def test_cochain_validation():
         Cochain(0, 0, np.zeros(2, dtype=np.int64))
     c = Cochain(0, 3, np.array([4, -1]))
     np.testing.assert_array_equal(c.values, [1, 2])
+
+
+def _python_int_coboundary(values, nv, d, modulus):
+    """The alternating face sum mod N, entry by entry in Python ints."""
+    faces = [np.asarray(nv.faces[d + 1][i]).tolist() for i in range(d + 2)]
+    return [
+        sum((-1) ** i * int(values[face[row]]) for i, face in enumerate(faces)) % modulus
+        for row in range(nv.size(d + 1))
+    ]
+
+
+@pytest.mark.parametrize(
+    "modulus", [2**62 - 1, 2**62 + 5, 2**63 - 1, 2**63, 2**64 + 13, 3**50]
+)
+def test_coboundary_is_exact_past_int64(modulus):
+    rnd = random.Random(modulus % 1000)
+    groupoids = [point_groupoid(cyclic_group(3)), _swap_groupoid()]
+    for nv in (nerve(g, 3) for g in groupoids):
+        for d in (0, 1, 2):
+            size = nv.size(d)
+            top = [modulus - 1] * size
+            # on point Z3 at degree 1 this is [N - 1, 0, N - 1]: f(g) + f(h)
+            # = 2N - 2 passes int64 once N > 2^62
+            wrap = np.resize([modulus - 1, 0, modulus - 1], size).tolist()
+            drawn = [rnd.randrange(modulus) for _ in range(size)]
+            for values in (top, wrap, drawn):
+                f = Cochain(d, modulus, values)
+                df = coboundary(f, nv)
+                assert [int(v) for v in df.values] == _python_int_coboundary(values, nv, d, modulus)
+                if d < 2:
+                    assert not any(coboundary(df, nv).values)
+
+
+def test_cochain_reduces_moduli_and_values_past_int64():
+    c = Cochain(0, 2**63, [1, -1])
+    assert c.values.tolist() == [1, 2**63 - 1]
+    c = Cochain(0, 3**50, [3**50 + 2, -(2**70)])
+    assert c.values.tolist() == [2, 3**50 - 2**70]
+    c = Cochain(0, 7, [2**70, -(2**70)])
+    assert c.values.dtype == np.int64
+    assert c.values.tolist() == [2**70 % 7, -(2**70) % 7]
 
 
 def test_classifying_space_cohomology():

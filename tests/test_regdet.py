@@ -20,6 +20,11 @@ from anomlab.errors import (
     SingularDeterminantError,
 )
 from anomlab.regdet import (
+    _checked_log_det_p,
+    _exp,
+    _nonsingular,
+    _operands,
+    _product_perturbation,
     det_p,
     dual_route_gap,
     gamma_p,
@@ -381,6 +386,78 @@ def test_factor_overflow_is_a_typed_error():
         det_p(np.array([[1e308, 1e308], [-1e308, 1e308]]), 1)
     with pytest.raises(FloatOverflowError):
         omega_p(np.diag([1e200, 1e200]), np.diag([1e200, 1e200]), 1)
+
+
+def _two_log_omega_p(a, b, p):
+    """exp(log det_p(1 + C) - log det_p(1 + A)) with both logs dual-route checked,
+    1 + C = (1 + A)(1 + B): the route omega_p took before log det(1 + A) cancelled."""
+    ma, mb = _operands(a, b)
+    log_den = _nonsingular(_checked_log_det_p(ma, p), p, "1+A")
+    log_num = _checked_log_det_p(_product_perturbation(ma, mb), p)
+    return _exp(log_num - log_den, f"omega_{p}")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 32, 128])
+def test_omega_matches_the_two_log_route(n):
+    rng = np.random.default_rng(130 + n)
+    for trial in range(4):
+        radius = (0.3, 0.7, 0.95, 2.0)[trial]
+        a = _random_small(rng, n, radius=radius)
+        b = _random_small(rng, n, radius=radius)
+        if trial % 2:  # non-normal: a strictly upper part well above the spectrum
+            a = a + np.triu(rng.standard_normal((n, n)), 1) * 0.5 / math.sqrt(n)
+        for p in range(1, 6):
+            got, want = omega_p(a, b, p), _two_log_omega_p(a, b, p)
+            assert _log_gap(cmath.log(got), cmath.log(want)) < 1e-12, (trial, p)
+
+
+def _ill_conditioned_pair(rng, n, smallest):
+    """A with 1 + A = U T U*, T upper triangular with diagonal in [1.5, 2] but one
+    entry at `smallest`, so that det_p(1 + A) stays clear of the singular gate;
+    and a small B."""
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    t = np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 1) * 0.3
+    t[np.diag_indices(n)] = np.append(rng.uniform(1.5, 2.0, n - 1), smallest)
+    return u @ t @ u.conj().T - np.eye(n), _random_small(rng, n, radius=0.5)
+
+
+def test_omega_on_ill_conditioned_one_plus_a_matches_mpmath():
+    # cond(1 + A) is about 1e12, so log det(1 + A) carries rounding of about
+    # 1e-4 on either route; it cancels from the new value and not from the old
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(131)
+    for trial in range(6):
+        n = (2, 3, 5)[trial % 3]
+        a, b = _ill_conditioned_pair(rng, n, 5e-12)
+        assert 1e11 < np.linalg.cond(np.eye(n) + a) < 1e13
+        with mpmath.workdps(60):
+            ma = mpmath.matrix([[mpmath.mpc(complex(v)) for v in row] for row in a])
+            mb = mpmath.matrix([[mpmath.mpc(complex(v)) for v in row] for row in b])
+            one = mpmath.eye(n)
+
+            def log_det_p(m, p):
+                power, total = one, mpmath.log(mpmath.det(one + m))
+                for j in range(1, p):
+                    power = power * m
+                    total += (-1) ** j * sum(power[i, i] for i in range(n)) / j
+                return total
+
+            mc = ma + mb + ma * mb
+            exact = [complex(log_det_p(mc, p) - log_det_p(ma, p)) for p in range(1, 6)]
+        for p in range(1, 6):
+            new = _log_gap(cmath.log(omega_p(a, b, p)), exact[p - 1])
+            old = _log_gap(cmath.log(_two_log_omega_p(a, b, p)), exact[p - 1])
+            assert new <= old, (trial, p, new, old)
+            assert new < 1e-12, (trial, p, new)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_omega_overflowing_lu_log_of_one_plus_a_is_a_typed_error(p):
+    # the LU log of 1 + A is +inf here, while B = 0 leaves det(1 + B) = 1 and,
+    # at p = 1, no trace to overflow: the gate must not pass it as nonsingular
+    a = np.array([[1e308, 1e308], [-1e308, 1e308]])
+    with pytest.raises(FloatOverflowError):
+        omega_p(a, np.zeros((2, 2)), p)
 
 
 def test_gamma_and_omega_agree_with_det_p_logs():
