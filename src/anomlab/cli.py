@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import jsonio
-from .errors import AnomlabError, DomainError, FormatError
+from .errors import AnomlabError, DomainError, FormatError, integer
 from .fock import build_car, schwinger_detail
 from .groupoid import PhaseCocycle, centrality_check, given_entries, glue_local_data
 from .instances import (
@@ -225,16 +225,15 @@ def _cmd_compute(args, parser) -> int:
 
 def _cmd_generate(args, parser) -> int:
     rng = generator(args.seed)
-    if args.kind == "random-hermitian":
-        obj = jsonio.matrix_to_obj(random_hermitian(rng, _checked_size(args.modes)))
-    elif args.kind == "random-unital":
-        obj = jsonio.matrix_to_obj(random_perturbation(rng, _checked_size(args.modes), 0.5))
+    if args.kind in ("random-hermitian", "random-unital"):
+        n = integer(args.modes, "matrix size", lo=1, hi=64)
+        m = random_hermitian(rng, n) if args.kind == "random-hermitian" else random_perturbation(rng, n, 0.5)
+        obj = jsonio.matrix_to_obj(m)
     elif args.kind == "random-action-groupoid":
         _group, _points, _action, gpd = random_action_instance(rng, max_points=3, max_order=6)
         obj = jsonio.groupoid_to_obj(gpd)
     else:  # refined-cover
-        if not 2 <= args.modulus <= 8:
-            raise DomainError(f"refined-cover modulus must lie in [2, 8], got {args.modulus}")
+        integer(args.modulus, "refined-cover modulus", lo=2, hi=8)
         _gpd, group, points, action, cocycle, data, modulus = random_cover_instance(
             rng, max_points=2, max_order=4, max_modulus=args.modulus, n_charts=2
         )
@@ -242,12 +241,6 @@ def _cmd_generate(args, parser) -> int:
     text = json.dumps(obj, sort_keys=True, indent=1)
     _emit(text, args.out)
     return 0
-
-
-def _checked_size(n: int) -> int:
-    if not 1 <= n <= 64:
-        raise DomainError(f"matrix size must lie in [1, 64], got {n}")
-    return n
 
 
 def _cmd_report(args, parser) -> int:

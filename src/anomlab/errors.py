@@ -3,7 +3,15 @@
 Everything raised on bad mathematical input derives from DomainError so the
 command line can map it to a single exit code; FormatError covers malformed
 files and is mapped separately.
+
+integer() and real() are the one gate per scalar argument (an order, a
+mode count, a modulus, a degree, a step, a level): each raises the caller's
+DomainError class on a wrong type, a bool, a nan or a value out of range.
 """
+
+import math
+
+import numpy as np
 
 
 class AnomlabError(Exception):
@@ -104,3 +112,34 @@ class InternalConsistencyError(AnomlabError):
 
 class FormatError(AnomlabError):
     """File content does not match the documented schema."""
+
+
+def _bounded(value, what, error, lo, hi):
+    if (lo is not None and value < lo) or (hi is not None and value > hi):
+        span = f"lie in [{lo}, {hi}]" if None not in (lo, hi) else f"be >= {lo}" if hi is None else f"be <= {hi}"
+        raise error(f"{what} must {span}, got {value!r}")
+    return value
+
+
+def integer(value, what: str, error=DomainError, lo=None, hi=None) -> int:
+    """value as a Python int, exact past int64, when it is an int or a numpy
+    integer within [lo, hi]; bool, np.bool_, floats and every other type raise
+    error."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{what} must be an integer, got {value!r}")
+    return _bounded(int(value), what, error, lo, hi)
+
+
+def real(value, what: str, error=DomainError, lo=None, hi=None) -> float:
+    """value as a float when it is an int, a float or a numpy scalar of either
+    kind within [lo, hi]; an int past the float range reads as +-inf, and
+    bool, nan and every other type raise error."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise error(f"{what} must be a real number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf if value > 0 else -math.inf
+    if math.isnan(x):
+        raise error(f"{what} must be a number, got nan")
+    return _bounded(x, what, error, lo, hi)

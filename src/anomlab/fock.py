@@ -24,14 +24,17 @@ built by bit arithmetic beside the hop tables: every entry of the defect, for
 every j, is one gather of a diagonal slot or hop against X or a difference of
 two gathered hops, and no sparse product is formed. The Schwinger term is
 the scalar by which d_gamma fails to be a Lie homomorphism, read off the
-sparse defect operator. dGamma(X) preserves the particle number, so its
-exponential is taken one number sector at a time.
+sparse defect operator. scipy.sparse is imported where the first compressed
+matrix is built, so `import anomlab` loads no scipy. dGamma(X) preserves the
+particle number, so its exponential is taken one number sector at a time.
 
 Vacuum lines sit over Hermitian backgrounds: the line of a spectral window
 (lo, hi) is spanned by the wedge of its eigenvectors, tracked here as the
 orthonormal eigenvector frame plus a phase. Rotating the frame multiplies
 the phase by the rotation determinant; triple overlaps of windows glue up
-to a unit-modulus witness.
+to a unit-modulus witness. A level is any real number but nan (errors.real):
++-inf is a window edge past the whole spectrum. The mode count passes
+errors.integer, in [1, MAX_MODES].
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .errors import (
     CoverMembershipError,
@@ -50,6 +52,8 @@ from .errors import (
     ShapeError,
     SizeError,
     SymmetryError,
+    integer,
+    real,
 )
 from .linalg import (
     Polarization,
@@ -177,13 +181,10 @@ def _tables(modes: int) -> dict:
 
 def build_car(modes, pol: Polarization) -> FockSpace:
     """Construct the CAR tables for `modes` modes split by `pol`."""
-    if not isinstance(modes, (int, np.integer)) or isinstance(modes, bool):
-        raise SizeError(f"mode count must be an integer, got {modes!r}")
-    if not 1 <= modes <= MAX_MODES:
-        raise SizeError(f"mode count must lie in [1, {MAX_MODES}], got {modes}")
+    modes = integer(modes, "mode count", SizeError, 1, MAX_MODES)
     if pol.dim != modes:
         raise ShapeError(f"polarization dim {pol.dim} does not match mode count {modes}")
-    return FockSpace(modes=int(modes), pol=pol, **_tables(int(modes)))
+    return FockSpace(modes=modes, pol=pol, **_tables(modes))
 
 
 def _one_particle_vector(space: FockSpace, v) -> np.ndarray:
@@ -298,8 +299,8 @@ def _check_d_gamma(space: FockSpace, data: np.ndarray, x: np.ndarray) -> None:
         raise InternalConsistencyError(f"vacuum expectation {expectation!r} exceeds {bound:.3e}")
 
 
-def _d_gamma_csr(space: FockSpace, x: np.ndarray) -> sparse.csr_matrix:
-    """Verified d_gamma(x) as a CSR matrix on the hop tables.
+def _d_gamma_csr(space: FockSpace, x: np.ndarray):
+    """Verified d_gamma(x) as a scipy.sparse CSR matrix on the hop tables.
 
     The data is checked by `_check_d_gamma` before the matrix is formed, so
     this builds exactly one sparse object.
@@ -311,14 +312,14 @@ def _d_gamma_csr(space: FockSpace, x: np.ndarray) -> sparse.csr_matrix:
         data[space.hop_indptr[:-1]] = space.occupation @ diag - diag[space.pol.plus_dim:].sum()
     _require_finite(data, "d_gamma entries")
     _check_d_gamma(space, data, x)
+    # imported on first use: scipy.sparse adds about 0.3 s to `import anomlab`
+    from scipy import sparse
+
     return sparse.csr_matrix((data, space.hop_cols, space.hop_indptr), shape=(dim, dim))
 
 
 def _one_particle_operator(space: FockSpace, x) -> np.ndarray:
-    xm = as_square(x)
-    if xm.shape[0] != space.modes:
-        raise ShapeError(f"one-particle operator must be {space.modes}x{space.modes}")
-    return xm
+    return as_square(x, space.modes, "one-particle operator")
 
 
 def d_gamma(space: FockSpace, x) -> FockOperator:
@@ -353,10 +354,12 @@ def schwinger_detail(space: FockSpace, x, y) -> dict:
     dx = _d_gamma_csr(space, xm)
     dy = _d_gamma_csr(space, ym)
     dxy = _d_gamma_csr(space, bracket)
+    from scipy.sparse import identity  # loaded by _d_gamma_csr by now
+
     with np.errstate(over="ignore", invalid="ignore"):
         s = dx @ dy - dy @ dx - dxy
         c = complex(s.diagonal().sum()) / space.dim
-        residue = float(np.linalg.norm((s - c * sparse.identity(space.dim, format="csr")).data))
+        residue = float(np.linalg.norm((s - c * identity(space.dim, format="csr")).data))
     _require_finite(s.data, "Schwinger defect operator")
     _require_finite([c, residue], "Schwinger scalar or residue")
     eps = np.finfo(float).eps
@@ -399,23 +402,19 @@ def schwinger_over_backgrounds(x, y, backgrounds) -> list:
     side. Backgrounds with an eigenvalue within 1e-8 of zero are rejected.
     """
     xm = as_square(x)
-    ym = as_square(y)
+    n = xm.shape[0]
+    ym = as_square(y, n, "y")
     values = []
     for bg in backgrounds:
-        if not isinstance(bg, SpectralBackground):
-            bg = SpectralBackground(as_square(bg))
-        if bg.dim != xm.shape[0]:
-            raise ShapeError(
-                f"background is {bg.dim}x{bg.dim}, operators are {xm.shape[0]}x{xm.shape[0]}"
-            )
-        w, v = bg.eigensystem()
+        matrix = bg.matrix if isinstance(bg, SpectralBackground) else bg
+        w, v = hermitian_eigensystem(as_square(matrix, n, "background"))
         if np.min(np.abs(w)) < LEVEL_MARGIN:
             raise GapError("background has an eigenvalue within 1e-8 of zero")
         pos = np.nonzero(w > 0)[0]
         neg = np.nonzero(w < 0)[0]
         frame = np.hstack([v[:, pos], v[:, neg]])
         k = int(pos.size)
-        space = build_car(bg.dim, Polarization(bg.dim, k))
+        space = build_car(n, Polarization(n, k))
         xr = frame.conj().T @ xm @ frame
         yr = frame.conj().T @ ym @ frame
         values.append(schwinger_term(space, xr, yr))
@@ -454,6 +453,7 @@ class VacuumLine:
 
 
 def _check_level(w: np.ndarray, level: float) -> None:
+    level = real(level, "level", CoverMembershipError)  # +-inf lies past the whole spectrum
     if w.size and float(np.min(np.abs(w - level))) <= LEVEL_MARGIN:
         raise CoverMembershipError(
             f"level {level} is within 1e-8 of the spectrum"
@@ -476,9 +476,7 @@ def vacuum_line(bg: SpectralBackground, lo: float, hi: float) -> VacuumLine:
 def line_transition(line: VacuumLine, rotation) -> VacuumLine:
     """Rotate the frame by a unitary; the phase picks up its determinant."""
     d = line.frame.shape[1]
-    r = as_square(rotation)
-    if r.shape[0] != d:
-        raise ShapeError(f"rotation must be {d}x{d}, got {r.shape}")
+    r = as_square(rotation, d, "rotation")
     dev = float(np.max(np.abs(r.conj().T @ r - np.eye(d)))) if d else 0.0
     if dev > UNITARY_TOL:
         raise SymmetryError(f"rotation is not unitary within {UNITARY_TOL}")
@@ -526,9 +524,7 @@ def gerbe_triple_check(bg: SpectralBackground, l1: float, l2: float, l3: float) 
 
 def vacuum_at_level(space: FockSpace, bg: SpectralBackground, level: float) -> np.ndarray:
     """Fill every eigenmode below `level`, in ascending eigenvalue order."""
-    if bg.dim != space.modes:
-        raise ShapeError(f"background is {bg.dim}x{bg.dim}, space has {space.modes} modes")
-    w, v = bg.eigensystem()
+    w, v = hermitian_eigensystem(as_square(bg.matrix, space.modes, "background"))
     _check_level(w, level)
     filled = int(np.sum(w < level))
     state = np.zeros(space.dim, dtype=np.complex128)

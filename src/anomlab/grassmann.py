@@ -85,10 +85,7 @@ def chart_index(w: Frame) -> int:
 
 def frame_act(w: Frame, t) -> Frame:
     """Right translation of the frame by an invertible k x k matrix."""
-    tm = as_square(t)
-    k = w.pol.plus_dim
-    if tm.shape[0] != k:
-        raise ShapeError(f"transform must be {k}x{k}, got {tm.shape}")
+    tm = as_square(t, w.pol.plus_dim, "transform")
     if abs(determinant(tm)) <= SINGULAR_TOL:
         raise SingularTransformError("frame transform is singular within 1e-12")
     return Frame(w.pol, w.matrix @ tm)
@@ -124,9 +121,7 @@ def detline_act(element: DetLineElement, t, p) -> DetLineElement:
     wp = w_plus(element.frame)
     _require_chart(wp, "w_plus")
     k = element.frame.pol.plus_dim
-    tm = as_square(t)
-    if tm.shape[0] != k:
-        raise ShapeError(f"transform must be {k}x{k}, got {tm.shape}")
+    tm = as_square(t, k, "transform")
     one = np.eye(k, dtype=np.complex128)
     moved = frame_act(element.frame, tm)
     factor = omega_p(wp - one, tm - one, p)
@@ -149,13 +144,9 @@ def alpha_ratio(g, q, w: Frame, t, p) -> complex:
     multiplicative in t along the translated frames.
     """
     n, k = w.pol.dim, w.pol.plus_dim
-    gm = as_square(g)
-    qm = as_square(q)
-    tm = as_square(t)
-    if gm.shape[0] != n:
-        raise ShapeError(f"ambient transform must be {n}x{n}, got {gm.shape}")
-    if qm.shape[0] != k or tm.shape[0] != k:
-        raise ShapeError(f"column transforms must be {k}x{k}")
+    gm = as_square(g, n, "ambient transform")
+    qm = as_square(q, k, "column transform q")
+    tm = as_square(t, k, "column transform t")
     if abs(determinant(qm)) <= SINGULAR_TOL:
         raise SingularTransformError("q is singular within 1e-12")
     if abs(determinant(tm)) <= SINGULAR_TOL:

@@ -36,6 +36,8 @@ from .errors import (
     MissingValueError,
     ShapeError,
     UnsupportedCoefficientsError,
+    integer,
+    real,
 )
 from .linalg import as_square, matrix_exponential
 
@@ -370,9 +372,8 @@ class PhaseCocycle:
 
     def __post_init__(self):
         if self.modulus is not None:
-            if not isinstance(self.modulus, (int, np.integer)) or self.modulus < 1:
-                raise DomainError(f"modulus must be a positive integer or None, got {self.modulus!r}")
-            self.modulus = int(self.modulus)
+            # exponents are stored as int64
+            self.modulus = integer(self.modulus, "modulus", lo=1, hi=np.iinfo(np.int64).max)
         if isinstance(self.values, dict):
             self.pairs, values = list(self.values), list(self.values.values())
             # exponents beyond int64 are reduced while still Python ints
@@ -727,9 +728,7 @@ def validate_local_data(data: LocalExtensionData, modulus: int) -> np.ndarray:
     terms that cancel in the identity, so (4) fails for some choice exactly
     when it fails in least-index charts, the charts the loop tries first.
     """
-    if not isinstance(modulus, (int, np.integer)) or modulus < 1:
-        raise DomainError(f"modulus must be a positive integer, got {modulus!r}")
-    n = int(modulus)
+    n = integer(modulus, "modulus", lo=1)
     group = data.group
     m = group.order
     if set().union(*data.cover) != set(range(m)):
@@ -809,12 +808,9 @@ def eta_from_omega(omega, x, y, point, h: float) -> float:
     exp(t x) exp(s y) exp(-t x) exp(-s y) and returns the central mixed
     second difference at (t, s) = (0, 0) with step h.
     """
-    if not ETA_MIN_STEP <= h <= ETA_MAX_STEP:
-        raise DomainError(f"step must lie in [{ETA_MIN_STEP}, {ETA_MAX_STEP}], got {h}")
+    h = real(h, "step", lo=ETA_MIN_STEP, hi=ETA_MAX_STEP)
     xm = as_square(x)
-    ym = as_square(y)
-    if xm.shape != ym.shape:
-        raise DomainError(f"generator shapes differ: {xm.shape} vs {ym.shape}")
+    ym = as_square(y, xm.shape[0], "generator y")
 
     def word_phase(t: float, s: float) -> float:
         g1 = matrix_exponential(t * xm)

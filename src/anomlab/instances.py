@@ -20,7 +20,7 @@ import itertools
 
 import numpy as np
 
-from .errors import InternalConsistencyError, SizeError
+from .errors import InternalConsistencyError, SizeError, integer
 from .grassmann import Frame
 from .groupoid import (
     FiniteGroup,
@@ -136,8 +136,7 @@ def group_from_permutations(generators) -> FiniteGroup:
 
 
 def cyclic_group(m) -> FiniteGroup:
-    if m < 1:
-        raise SizeError(f"cyclic order must be positive, got {m}")
+    m = integer(m, "cyclic order", SizeError, lo=1)
     e = np.arange(m)
     return FiniteGroup(
         elements=tuple(range(m)),
@@ -198,8 +197,7 @@ def coset_right_action(group: FiniteGroup, sub) -> tuple:
 
 def random_right_action(rng, group: FiniteGroup, max_points) -> tuple:
     """Disjoint union of one or two random coset actions with at most max_points points."""
-    if max_points < 1:
-        raise SizeError(f"need at least one point, got {max_points}")
+    max_points = integer(max_points, "max_points", SizeError, lo=1)
     subs = subgroups(group)
     choices = [s for s in subs if group.order // len(s) <= max_points]
     sub = choices[int(rng.integers(len(choices)))]

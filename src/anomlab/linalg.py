@@ -8,11 +8,15 @@ material for the regularized determinants and line bundles in the other
 modules.
 
 Everything here targets small dense matrices (tens of rows); there is no
-sparse or iterative path on purpose.
+sparse or iterative path on purpose. Orders pass the gates of the errors
+module: the integer order of det_p and of the graded metric through
+integer(), Schatten and weak orders through real(). scipy.linalg is
+imported on first use, by matrix_exponential.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,11 +26,14 @@ from .errors import (
     InvalidOrderError,
     ShapeError,
     SymmetryError,
+    integer,
+    real,
 )
 
 HERMITIAN_TOL = 1e-10
 SINGULAR_TOL = 1e-12
 RANK_TOL = 1e-10
+FLOAT_MAX = float(np.finfo(np.float64).max)
 
 
 def as_matrix(a) -> np.ndarray:
@@ -39,19 +46,17 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def as_square(a) -> np.ndarray:
+def as_square(a, n=None, what: str = "matrix") -> np.ndarray:
+    """as_matrix(a) required to be square, and n x n when n is given."""
     m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise ShapeError(f"expected a square matrix, got shape {m.shape}")
+    side = m.shape[0] if n is None else n
+    if m.shape != (side, side):
+        raise ShapeError(f"{what} must be {'square' if n is None else f'{n}x{n}'}, got shape {m.shape}")
     return m
 
 
 def _check_order(p) -> int:
-    if isinstance(p, bool) or not isinstance(p, (int, np.integer)):
-        raise InvalidOrderError(f"order must be an integer, got {p!r}")
-    if p < 1:
-        raise InvalidOrderError(f"order must be >= 1, got {p}")
-    return int(p)
+    return integer(p, "order", InvalidOrderError, lo=1)
 
 
 @dataclass(frozen=True)
@@ -62,12 +67,9 @@ class Polarization:
     plus_dim: int
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ShapeError(f"dim must be >= 1, got {self.dim}")
-        if not 0 <= self.plus_dim <= self.dim:
-            raise ShapeError(
-                f"plus_dim must lie in [0, {self.dim}], got {self.plus_dim}"
-            )
+        dim = integer(self.dim, "dim", ShapeError, lo=1)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "plus_dim", integer(self.plus_dim, "plus_dim", ShapeError, 0, dim))
 
     @property
     def minus_dim(self) -> int:
@@ -100,18 +102,14 @@ class BlockOperator:
 
 
 def block_decompose(a, pol: Polarization) -> BlockOperator:
-    m = as_square(a)
-    if m.shape[0] != pol.dim:
-        raise ShapeError(f"operator is {m.shape[0]}x{m.shape[0]}, polarization dim is {pol.dim}")
+    m = as_square(a, pol.dim, "operator")
     k = pol.plus_dim
     return BlockOperator(a=m[:k, :k], b=m[:k, k:], c=m[k:, :k], d=m[k:, k:])
 
 
 def sign_commutator(a, pol: Polarization) -> np.ndarray:
     """Commutator with the sign operator; kills diagonal blocks, doubles off-diagonal ones."""
-    m = as_square(a)
-    if m.shape[0] != pol.dim:
-        raise ShapeError(f"operator is {m.shape[0]}x{m.shape[0]}, polarization dim is {pol.dim}")
+    m = as_square(a, pol.dim, "operator")
     eps = pol.epsilon
     return eps @ m - m @ eps
 
@@ -123,18 +121,15 @@ def singular_values(a) -> np.ndarray:
 def schatten_norm(a, p) -> float:
     """Schatten p-norm: the l^p norm of the singular value sequence.
 
-    p may be any real >= 1; p = inf is not accepted here (use operator_norm).
+    p may be any finite real >= 1; p = inf is not accepted here (use
+    operator_norm). The largest singular value is factored out, so the norm
+    neither overflows nor underflows where it fits float64.
     """
-    if isinstance(p, bool):
-        raise InvalidOrderError("order must be a number >= 1")
-    if not isinstance(p, (int, float, np.integer, np.floating)):
-        raise InvalidOrderError(f"order must be a number, got {p!r}")
-    if not p >= 1:
-        raise InvalidOrderError(f"Schatten order must be >= 1, got {p}")
+    p = real(p, "Schatten order", InvalidOrderError, 1, FLOAT_MAX)
     s = singular_values(a)
-    if s.size == 0:
+    if s.size == 0 or s[0] == 0.0:
         return 0.0
-    return float(np.sum(s ** float(p)) ** (1.0 / float(p)))
+    return float(s[0] * np.sum((s / s[0]) ** p) ** (1.0 / p))
 
 
 def weak_quasi_norm(a, p) -> float:
@@ -142,15 +137,12 @@ def weak_quasi_norm(a, p) -> float:
 
     Singular values are taken in decreasing order with k starting at 1.
     """
-    if not isinstance(p, (int, float, np.integer, np.floating)) or isinstance(p, bool):
-        raise InvalidOrderError(f"order must be a number, got {p!r}")
-    if not p >= 1:
-        raise InvalidOrderError(f"weak order must be >= 1, got {p}")
+    p = real(p, "weak order", InvalidOrderError, 1, math.inf)
     s = singular_values(a)
     if s.size == 0:
         return 0.0
     k = np.arange(1, s.size + 1, dtype=float)
-    return float(np.max(k ** (1.0 / float(p)) * s))
+    return float(np.max(k ** (1.0 / p) * s))
 
 
 def operator_norm(a) -> float:
@@ -160,16 +152,9 @@ def operator_norm(a) -> float:
 
 
 def mr_distance(g, h, pol: Polarization, p) -> float:
-    """Graded metric: operator norms on the diagonal blocks, Schatten 2p on the off-diagonal ones."""
-    _check_order(p)
-    bg = block_decompose(g, pol)
-    bh = block_decompose(h, pol)
-    return (
-        operator_norm(bg.a - bh.a)
-        + operator_norm(bg.d - bh.d)
-        + schatten_norm(bg.b - bh.b, 2 * p)
-        + schatten_norm(bg.c - bh.c, 2 * p)
-    )
+    """Graded metric: operator norms on the diagonal blocks of g - h, Schatten 2p on the off-diagonal ones."""
+    difference = as_square(g, pol.dim, "operator") - as_square(h, pol.dim, "operator")
+    return mr_norm_report(difference, pol, p).mr_norm
 
 
 @dataclass
@@ -202,13 +187,17 @@ def mr_norm_report(a, pol: Polarization, p) -> NormReport:
 def hermitian_eigensystem(d):
     """Eigenvalues (ascending) and orthonormal eigenvector columns of a Hermitian matrix.
 
-    Rejects matrices whose anti-Hermitian part exceeds 1e-10 in max norm.
+    Rejects matrices whose anti-Hermitian part exceeds 1e-10 in max norm,
+    and raises FloatOverflowError when an eigenvalue does not fit float64.
     """
     m = as_square(d)
     dev = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
     if dev > HERMITIAN_TOL:
         raise SymmetryError(f"matrix is not Hermitian within {HERMITIAN_TOL} (deviation {dev:.3e})")
-    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
+    # halves first, so that the mean of two entries near the float64 limit does not overflow
+    w, v = np.linalg.eigh(m / 2.0 + m.conj().T / 2.0)
+    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(v))):
+        raise FloatOverflowError("Hermitian eigenvalues overflow float64")
     return w, v
 
 

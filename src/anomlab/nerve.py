@@ -39,10 +39,10 @@ import numpy as np
 from .errors import (
     CapacityError,
     CocycleError,
-    DomainError,
     GroupoidAxiomError,
     ShapeError,
     UnsupportedCoefficientsError,
+    integer,
 )
 from .groupoid import CentralExtension, FiniteGroupoid, axioms_check, skeleton
 from .snf import smith_normal_form
@@ -72,8 +72,7 @@ def _check_sound(g: FiniteGroupoid):
 
 def nerve(g: FiniteGroupoid, p_max: int) -> Nerve:
     """Tabulate nerve levels 0..p_max with face and degeneracy maps."""
-    if not isinstance(p_max, (int, np.integer)) or isinstance(p_max, bool) or p_max < 0:
-        raise DomainError(f"p_max must be a non-negative integer, got {p_max!r}")
+    p_max = integer(p_max, "p_max", lo=0)
     if p_max > MAX_DEGREE:
         raise CapacityError(f"nerve degree capped at {MAX_DEGREE}, got {p_max}")
     _check_sound(g)
@@ -133,7 +132,7 @@ def nerve(g: FiniteGroupoid, p_max: int) -> Nerve:
 
     return Nerve(
         groupoid=g,
-        p_max=int(p_max),
+        p_max=p_max,
         levels=levels,
         faces=faces,
         degeneracies=degeneracies,
@@ -153,8 +152,7 @@ class Cochain:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.modulus < 1:
-            raise DomainError(f"modulus must be positive, got {self.modulus}")
+        self.modulus = integer(self.modulus, "modulus", lo=1)
         try:
             values = np.asarray(self.values, dtype=np.int64)
         except OverflowError:  # Python ints past int64
@@ -188,8 +186,7 @@ def coboundary(f: Cochain, nv: Nerve) -> Cochain:
 
 def coboundary_matrix(nv: Nerve, d: int) -> np.ndarray:
     """Integer matrix of the coboundary from level d to level d+1."""
-    if d + 1 > nv.p_max:
-        raise CapacityError(f"nerve holds levels up to {nv.p_max}")
+    d = integer(d, f"degree of a coboundary on levels 0..{nv.p_max}", CapacityError, 0, nv.p_max - 1)
     mat = np.zeros((nv.size(d + 1), nv.size(d)), dtype=np.int64)
     rows = np.arange(nv.size(d + 1))
     sign = 1
@@ -232,13 +229,10 @@ class CohomologyClass:
         return all(v == 0 for v in self.vector)
 
 
-def _check_degree(degree: int, modulus: int):
-    if degree < 0 or degree + 1 > MAX_DEGREE:
-        raise CapacityError(
-            f"cohomology needs nerve level {degree + 1}; supported degrees are 0..{MAX_DEGREE - 1}"
-        )
-    if modulus < 1:
-        raise DomainError(f"modulus must be positive, got {modulus}")
+def _check_degree(degree, modulus) -> tuple[int, int]:
+    """degree within the nerve capacity (CapacityError) and a modulus >= 1."""
+    degree = integer(degree, "cohomology degree", CapacityError, 0, MAX_DEGREE - 1)
+    return degree, integer(modulus, "modulus", lo=1)
 
 
 class _QuotientData:
@@ -356,7 +350,7 @@ def cohomology_group(g: FiniteGroupoid, degree: int, modulus: int) -> Cohomology
     too. class_reducer stays on the full complex of g, since its class
     vectors are coordinates in that complex's basis.
     """
-    _check_degree(degree, modulus)
+    degree, modulus = _check_degree(degree, modulus)
     _check_sound(g)
     here, below = _normalized_coboundaries(nerve(skeleton(g)[0], degree + 1), degree)
     return _uct_group(here, below, degree, modulus)
@@ -388,7 +382,7 @@ def class_reducer(g: FiniteGroupoid, degree: int, modulus: int):
     holds coordinates in the normal-form basis of that complex and is read
     off the cocycle's values on every level-`degree` chain of reducer.nerve.
     """
-    _check_degree(degree, modulus)
+    degree, modulus = _check_degree(degree, modulus)
     nv = nerve(g, degree + 1)
     below = coboundary_matrix(nv, degree - 1) if degree else None
     return _QuotientData(coboundary_matrix(nv, degree), below, degree, modulus, nv)

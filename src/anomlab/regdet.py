@@ -48,8 +48,8 @@ from .errors import (
     DivergenceError,
     FloatOverflowError,
     InternalConsistencyError,
-    ShapeError,
     SingularDeterminantError,
+    integer,
 )
 from .linalg import (
     SINGULAR_TOL,
@@ -105,7 +105,7 @@ def _principal(z: complex) -> complex:
     return complex(z.real, imag)
 
 
-def _trace_series(m: np.ndarray, p: int) -> complex:
+def _trace_series(m: np.ndarray, p: int, name: str = "A") -> complex:
     """Tr F = sum_{j=1}^{p-1} (-1)^j Tr(A^j) / j, with Tr(A^j) = sum(A^(j-1) * A^T)."""
     with np.errstate(over="ignore", invalid="ignore"):
         total = -complex(m.trace()) if p > 1 else 0j
@@ -115,7 +115,7 @@ def _trace_series(m: np.ndarray, p: int) -> complex:
                 power = power @ m
             total += (-1) ** j / j * complex(np.einsum("ij,ji->", power, m))
     if not cmath.isfinite(total):
-        raise FloatOverflowError(f"Tr(A^j), j < {p}, overflows float64")
+        raise FloatOverflowError(f"Tr({name}^j), j < {p}, overflows float64")
     return total
 
 
@@ -145,7 +145,7 @@ def _lu_log(one_plus: np.ndarray) -> complex:
     return complex(log_abs, cmath.phase(sign))
 
 
-def _log_det_p(m: np.ndarray, p: int) -> tuple[complex, float]:
+def _log_det_p(m: np.ndarray, p: int, name: str = "A") -> tuple[complex, float]:
     """log det_p(1 + A) by the LU route, unfolded, and the LU-QR gap of log det(1 + A)."""
     n = m.shape[0]
     one_plus = _one_plus(m)
@@ -169,15 +169,15 @@ def _log_det_p(m: np.ndarray, p: int) -> tuple[complex, float]:
         # first-order rounding of either log, with room: 32 n eps sum_i |R e_i| / |r_ii|
         allowance = 32.0 * n * EPS * float((rows / np.abs(np.diagonal(r))).sum())
     if not (via_lu.real < math.inf and via_qr.real < math.inf):  # inf or nan
-        raise FloatOverflowError("the LU or QR factors of 1 + A overflow float64")
-    return via_lu + _trace_series(m, p), _route_gap(via_lu, via_qr, allowance)
+        raise FloatOverflowError(f"the LU or QR factors of 1 + {name} overflow float64")
+    return via_lu + _trace_series(m, p, name), _route_gap(via_lu, via_qr, allowance)
 
 
-def _checked_log_det_p(m: np.ndarray, p: int) -> complex:
-    log_value, gap = _log_det_p(m, p)
+def _checked_log_det_p(m: np.ndarray, p: int, name: str = "A") -> complex:
+    log_value, gap = _log_det_p(m, p, name)
     if gap > DUAL_ROUTE_TOL:
         raise InternalConsistencyError(
-            f"LU and QR routes to log det(1 + A) disagree by {gap:.3e} (mod 2 pi i)"
+            f"LU and QR routes to log det(1 + {name}) disagree by {gap:.3e} (mod 2 pi i)"
         )
     return log_value
 
@@ -216,8 +216,7 @@ def log_det_p_series(a, p, terms) -> complex:
     Requires spectral radius of A strictly below 1.
     """
     p = _check_order(p)
-    if not isinstance(terms, (int, np.integer)) or isinstance(terms, bool) or terms < 1:
-        raise DivergenceError(f"terms must be a positive integer, got {terms!r}")
+    terms = integer(terms, "terms", DivergenceError, lo=1)
     m = as_square(a)
     radius = float(np.max(np.abs(np.linalg.eigvals(m)))) if m.size else 0.0
     if radius >= 1.0 - SPECTRAL_RADIUS_TOL:
@@ -226,7 +225,7 @@ def log_det_p_series(a, p, terms) -> complex:
         )
     power = np.linalg.matrix_power(m, p - 1) if p > 1 else np.eye(m.shape[0], dtype=np.complex128)
     total = 0.0 + 0.0j
-    for j in range(p, p + int(terms)):
+    for j in range(p, p + terms):
         power = power @ m
         total += ((-1) ** (j + 1) / j) * np.trace(power)
     return complex(total)
@@ -234,10 +233,7 @@ def log_det_p_series(a, p, terms) -> complex:
 
 def _operands(a, b) -> tuple[np.ndarray, np.ndarray]:
     ma = as_square(a)
-    mb = as_square(b)
-    if ma.shape != mb.shape:
-        raise ShapeError(f"operand shapes differ: {ma.shape} vs {mb.shape}")
-    return ma, mb
+    return ma, as_square(b, ma.shape[0], "B")
 
 
 def _product_perturbation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -261,13 +257,14 @@ def _nonsingular(log_value: complex, p: int, what: str) -> complex:
 def gamma_p(a, b, p) -> complex:
     """Multiplicativity defect of principal logs, imaginary part folded into (-pi, pi].
 
-    gamma = Log det_p((1+A)(1+B)) - Log det_p(1+A) - Log det_p(1+B) mod 2 pi i.
+    gamma = Log det_p(1+C) - Log det_p(1+A) - Log det_p(1+B) mod 2 pi i, 1+C = (1+A)(1+B).
     """
     p = _check_order(p)
     ma, mb = _operands(a, b)
+    c = _product_perturbation(ma, mb)
     logs = [
-        _nonsingular(_checked_log_det_p(m, p), p, what)
-        for m, what in ((ma, "1+A"), (mb, "1+B"), (_product_perturbation(ma, mb), "(1+A)(1+B)"))
+        _nonsingular(_checked_log_det_p(m, p, name), p, what)
+        for m, name, what in ((ma, "A", "1+A"), (mb, "B", "1+B"), (c, "C", "(1+A)(1+B)"))
     ]
     return _principal(logs[2] - logs[0] - logs[1])
 
@@ -293,5 +290,5 @@ def omega_p(a, b, p) -> complex:
         raise FloatOverflowError("the LU factors of 1 + A overflow float64")
     trace_a = _trace_series(ma, p)
     _nonsingular(lu_log_a + trace_a.real, p, "1+A")
-    trace_c = _trace_series(_product_perturbation(ma, mb), p)
-    return _exp(_checked_log_det_p(mb, 1) + trace_c - trace_a, f"omega_{p}")
+    trace_c = _trace_series(_product_perturbation(ma, mb), p, "C")
+    return _exp(_checked_log_det_p(mb, 1, "B") + trace_c - trace_a, f"omega_{p}")

@@ -27,7 +27,7 @@ from math import gcd
 
 import numpy as np
 
-from .errors import DomainError, InternalConsistencyError
+from .errors import DomainError, InternalConsistencyError, integer
 
 _GUARD = 1 << 59
 _PRODUCT_LIMIT = 1 << 62  # a guarded entry plus such a product stays below 2^63
@@ -187,10 +187,14 @@ def smith_normal_form(mat, want_u=False, want_v=False, want_vinv=False) -> SNFRe
     base = np.asarray(mat)
     if base.ndim != 2:
         raise ValueError(f"expected a 2-d integer matrix, got ndim={base.ndim}")
+    if base.dtype.kind in "fc" and not np.all(np.isfinite(base)):
+        at = tuple(int(i) for i in np.argwhere(~np.isfinite(base))[0])
+        raise DomainError(f"entry {at} is {base[at]}, not a finite number")
     try:
-        work = np.array(base, dtype=np.int64, copy=True)
+        with np.errstate(invalid="raise"):  # a float past int64 goes to the Python-int path
+            work = np.array(base, dtype=np.int64, copy=True)
         return _reduce(work, want_u, want_v, want_vinv, object_mode=False)
-    except OverflowError:  # a guard tripped, or an entry is beyond int64
+    except (OverflowError, FloatingPointError):  # a guard tripped, or an entry is beyond int64
         # Python ints throughout; floats truncate as in the int64 cast
         work = np.frompyfunc(int, 1, 1)(base)
         return _reduce(work, want_u, want_v, want_vinv, object_mode=True)
@@ -228,8 +232,7 @@ def solve_mod(mat, rhs, modulus: int):
     rows, cols = a.shape
     if b.shape[0] != rows:
         raise ValueError(f"rhs length {b.shape[0]} does not match {rows} rows")
-    if modulus < 1:
-        raise DomainError(f"modulus must be positive, got {modulus}")
+    modulus = integer(modulus, "modulus", lo=1)
     res = smith_normal_form(a, want_u=True, want_v=True)
     y = _mod_product(res.u, b, modulus)
     if np.any(y[res.rank:]):

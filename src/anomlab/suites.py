@@ -23,7 +23,7 @@ from itertools import product
 import numpy as np
 
 from . import instances as inst
-from .errors import DomainError
+from .errors import DomainError, real
 from .fock import (
     SpectralBackground,
     apply_creation,
@@ -258,10 +258,7 @@ def resolve_tolerances(overrides=None) -> dict:
     for key, val in (overrides or {}).items():
         if key not in tol:
             raise DomainError(f"unknown tolerance key {key!r}")
-        val = float(val)
-        if not val >= 0.0:
-            raise DomainError(f"tolerance {key} must be non-negative, got {val}")
-        tol[key] = val
+        tol[key] = real(val, f"tolerance {key}", lo=0.0)
     return tol
 
 

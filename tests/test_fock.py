@@ -2,6 +2,9 @@
 
 import dataclasses
 import itertools
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -9,6 +12,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
+import anomlab
 from anomlab import fock
 
 from anomlab.errors import (
@@ -334,15 +338,26 @@ def test_overflow_raises_float_overflow_error(action):
 
 def test_d_gamma_builds_one_sparse_matrix(monkeypatch):
     built = []
-    init = fock.sparse.csr_matrix.__init__
+    init = scipy.sparse.csr_matrix.__init__
 
     def counting(self, *args, **kwargs):
         built.append(1)
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(fock.sparse.csr_matrix, "__init__", counting)
+    monkeypatch.setattr(scipy.sparse.csr_matrix, "__init__", counting)
     d_gamma(_space(4, 2), _random_complex(np.random.default_rng(454), 4))
     assert len(built) == 1
+
+
+def test_import_loads_no_scipy():
+    # scipy.sparse loads where fock builds its first compressed matrix, scipy.linalg in matrix_exponential
+    code = (
+        "import sys, anomlab\n"
+        "loaded = sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded\n"
+    )
+    src = os.path.dirname(os.path.dirname(anomlab.__file__))
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
 
 
 def test_schwinger_fixture_raising_lowering():

@@ -1,0 +1,150 @@
+"""The argument gates of anomlab.errors and every site that goes through them.
+
+Each site takes its integer or real parameter through errors.integer or
+errors.real and raises its own error class on a bool, a float where an
+integer is due, a nan or a string; valid ints, numpy scalars and (where the
+site supports them) moduli past int64 keep working.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from anomlab.errors import (
+    CapacityError,
+    CoverMembershipError,
+    DivergenceError,
+    DomainError,
+    InvalidOrderError,
+    ShapeError,
+    SizeError,
+    integer,
+    real,
+)
+from anomlab.fock import SpectralBackground, build_car, vacuum_at_level
+from anomlab.groupoid import PhaseCocycle, eta_from_omega, validate_local_data
+from anomlab.instances import cyclic_group, generator, point_groupoid, random_cover_instance
+from anomlab.linalg import Polarization, schatten_norm, weak_quasi_norm
+from anomlab.nerve import Cochain, class_reducer, coboundary_matrix, cohomology_group, nerve
+from anomlab.regdet import det_p, log_det_p_series
+from anomlab.snf import solve_mod
+
+BIG = 2**70  # a modulus past int64
+Z2 = point_groupoid(cyclic_group(2))
+COVER = random_cover_instance(generator(3), max_points=2, max_order=4, max_modulus=4, n_charts=2)
+SPACE = build_car(2, Polarization(2, 1))
+BACKGROUND = SpectralBackground(np.diag([-1.0, 1.0]))
+DIAG = np.diag([3.0, 1.0])
+EYE = np.eye(2)
+
+
+def _zero_omega(point, g1, g2):
+    return 0.0
+
+
+# site, call with the parameter, error class, valid values
+INTEGER_SITES = [
+    ("build_car modes", lambda v: build_car(v, Polarization(3, 1)), SizeError, [3]),
+    ("det_p order", lambda v: det_p(np.zeros((2, 2)), v), InvalidOrderError, [2]),
+    ("Polarization dim", lambda v: Polarization(v, 0), ShapeError, [2]),
+    ("Polarization plus_dim", lambda v: Polarization(3, v), ShapeError, [2]),
+    ("nerve p_max", lambda v: nerve(Z2, v), DomainError, [2]),
+    ("cohomology_group degree", lambda v: cohomology_group(Z2, v, 2), CapacityError, [2]),
+    ("cohomology_group modulus", lambda v: cohomology_group(Z2, 2, v), DomainError, [2, BIG]),
+    ("class_reducer degree", lambda v: class_reducer(Z2, v, 2), CapacityError, [2]),
+    ("class_reducer modulus", lambda v: class_reducer(Z2, 2, v), DomainError, [2]),
+    ("Cochain modulus", lambda v: Cochain(0, v, [1]), DomainError, [2, BIG]),
+    ("coboundary_matrix degree", lambda v: coboundary_matrix(nerve(Z2, 2), v), CapacityError, [1]),
+    ("log_det_p_series terms", lambda v: log_det_p_series(0.1 * np.eye(2), 2, v), DivergenceError, [3]),
+    ("PhaseCocycle modulus", lambda v: PhaseCocycle(v, {(0, 0): 3}), DomainError, [2]),
+    ("validate_local_data modulus", lambda v: validate_local_data(COVER[5], v), DomainError, [COVER[6]]),
+    ("solve_mod modulus", lambda v: solve_mod([[1]], [1], v), DomainError, [2, BIG]),
+    ("cyclic_group order", lambda v: cyclic_group(v), SizeError, [3]),
+]
+
+# site, call with the parameter, error class, valid values, values out of range
+REAL_SITES = [
+    ("schatten_norm order", lambda v: schatten_norm(DIAG, v), InvalidOrderError, [2, 2.5], [math.inf]),
+    ("weak_quasi_norm order", lambda v: weak_quasi_norm(DIAG, v), InvalidOrderError, [2, 2.5, math.inf], []),
+    ("eta_from_omega step", lambda v: eta_from_omega(_zero_omega, EYE, EYE, None, v), DomainError, [1e-3], []),
+    (
+        "vacuum_at_level level",
+        lambda v: vacuum_at_level(SPACE, BACKGROUND, v),
+        CoverMembershipError,
+        [0.5, math.inf, -math.inf],
+        [],
+    ),
+]
+
+NOT_INTEGERS = [True, np.bool_(True), 2.5, np.float64(2.0), "3"]
+NOT_REALS = [True, np.bool_(True), math.nan, np.float64(math.nan), "3", None, 1j]
+
+
+def _raises_exactly(error, call, value):
+    with pytest.raises(DomainError) as info:
+        call(value)
+    assert info.type is error, f"{value!r} raised {info.type.__name__}: {info.value}"
+
+
+@pytest.mark.parametrize("site, call, error, valid", INTEGER_SITES, ids=[s[0] for s in INTEGER_SITES])
+def test_integer_sites_accept_ints_and_reject_the_rest(site, call, error, valid):
+    for value in valid:
+        call(value)
+        if value < 2**63:
+            call(np.int64(value))
+    for value in NOT_INTEGERS:
+        _raises_exactly(error, call, value)
+
+
+@pytest.mark.parametrize("site, call, error, valid, out_of_range", REAL_SITES, ids=[s[0] for s in REAL_SITES])
+def test_real_sites_accept_reals_and_reject_the_rest(site, call, error, valid, out_of_range):
+    for value in valid:
+        call(value)
+        call(np.float64(value))
+    for value in NOT_REALS + out_of_range:
+        _raises_exactly(error, call, value)
+
+
+def test_defects_the_gates_close():
+    # each of these returned a value, or raised a bare TypeError, before the gates
+    assert cohomology_group(Z2, 2, 2).modulus == 2
+    assert PhaseCocycle(None, {(0, 0): 1j}).continuous
+    with pytest.raises(DomainError, match="modulus must be an integer, got True"):
+        cohomology_group(Z2, 2, True)
+    with pytest.raises(CapacityError, match="cohomology degree must be an integer, got 1.5"):
+        cohomology_group(Z2, 1.5, 2)
+    with pytest.raises(SizeError, match="cyclic order must be an integer"):
+        cyclic_group(2.5)
+    with pytest.raises(DomainError, match="modulus"):
+        solve_mod([[1]], [1], 2.5)
+    with pytest.raises(CapacityError, match="must be an integer, got 1.0"):
+        coboundary_matrix(nerve(Z2, 2), 1.0)
+    with pytest.raises(InvalidOrderError, match="got inf"):
+        schatten_norm(DIAG, math.inf)
+    with pytest.raises(CoverMembershipError, match="nan"):
+        vacuum_at_level(SPACE, BACKGROUND, math.nan)
+
+
+def test_gates_return_plain_python_numbers():
+    assert type(integer(np.int64(5), "n")) is int
+    assert integer(BIG, "n", lo=1) == BIG
+    assert type(real(np.float32(0.5), "x")) is float
+    assert real(10**400, "x") == math.inf and real(-(10**400), "x") == -math.inf
+    assert Polarization(np.int64(4), np.int64(2)) == Polarization(4, 2)
+    assert type(Polarization(np.int64(4), 2).dim) is int
+
+
+@pytest.mark.parametrize(
+    "lo, hi, value, message",
+    [
+        (1, None, 0, "n must be >= 1, got 0"),
+        (None, 3, 4, "n must be <= 3, got 4"),
+        (1, 3, 4, r"n must lie in \[1, 3\], got 4"),
+    ],
+)
+def test_gate_messages_name_the_bound(lo, hi, value, message):
+    with pytest.raises(SizeError, match=message):
+        integer(value, "n", SizeError, lo, hi)
+    with pytest.raises(SizeError, match=message.replace("got 4", "got 4.0").replace("got 0", "got 0.0")):
+        real(value, "n", SizeError, lo, hi)

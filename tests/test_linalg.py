@@ -185,6 +185,32 @@ def test_matrix_exponential_inverse_pair():
     np.testing.assert_allclose(prod, np.eye(4), atol=1e-12)
 
 
+def test_schatten_norm_neither_overflows_nor_underflows():
+    # |c I_2|_p = c 2^(1/p)
+    for c in (1e200, 1e-200, 1e300):
+        for p in (1, 2, 3.5):
+            assert schatten_norm(c * np.eye(2), p) == pytest.approx(c * 2 ** (1 / p), rel=1e-14)
+    assert schatten_norm(np.diag([1e308, 1e308]), 2) == pytest.approx(1e308 * 2**0.5, rel=1e-14)
+    assert schatten_norm(np.zeros((2, 2)), 2) == 0.0
+    # singular values 3 and 4: |.|_1 = 7, |.|_2 = 5, |.|_p tends to 4 as p grows
+    assert schatten_norm(np.diag([3.0, 4.0]), 2) == pytest.approx(5.0, rel=1e-15)
+    assert schatten_norm(np.diag([3.0, 4.0]), 1e300) == 4.0
+
+
+def test_hermitian_eigensystem_near_the_float64_limit():
+    w, v = hermitian_eigensystem(np.diag([1e308, -1e308]))
+    np.testing.assert_array_equal(w, [-1e308, 1e308])
+    np.testing.assert_allclose(np.abs(v), [[0, 1], [1, 0]])
+    # 1.5e308 [[1, 1], [1, 1]] has eigenvalues 0 and 3e308 (its mean used to overflow)
+    with pytest.raises(FloatOverflowError, match="eigenvalues overflow"):
+        hermitian_eigensystem(1.5e308 * np.ones((2, 2)))
+    # 1e308 [[1, 1], [1, 1]]: the top eigenvalue 2e308 exceeds float64
+    with pytest.raises(FloatOverflowError):
+        hermitian_eigensystem(1e308 * np.ones((2, 2)))
+    w, _ = hermitian_eigensystem(0.5e308 * np.ones((2, 2)))
+    np.testing.assert_allclose(w, [0.0, 1e308], atol=1e292)
+
+
 def test_matrix_exponential_overflow_is_a_typed_error():
     with pytest.raises(FloatOverflowError, match="overflow"):
         matrix_exponential([[800.0]])

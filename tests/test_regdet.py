@@ -388,6 +388,20 @@ def test_factor_overflow_is_a_typed_error():
         omega_p(np.diag([1e200, 1e200]), np.diag([1e200, 1e200]), 1)
 
 
+def test_overflow_messages_name_the_operand_at_fault():
+    b = np.array([[1e308, 1e308], [-1e308, 1e308]])
+    # 1 + C = (1 + A)(1 + B) = (1 + B) / 2 is finite; the LU factors of 1 + B are not
+    with pytest.raises(FloatOverflowError, match=r"factors of 1 \+ B overflow"):
+        omega_p(-np.eye(2) / 2, b, 2)
+    # C = A + B + AB = 0.1 + 1.1 B is finite; its trace 2.2e308 + 0.2 is not
+    with pytest.raises(FloatOverflowError, match=r"Tr\(C\^j\), j < 2, overflows"):
+        omega_p(0.1 * np.eye(2), b, 2)
+    with pytest.raises(FloatOverflowError, match=r"Tr\(A\^j\), j < 2, overflows"):
+        det_p(np.diag([1e308, 1e308]), 2)
+    with pytest.raises(FloatOverflowError, match=r"factors of 1 \+ A overflow"):
+        det_p(b, 1)
+
+
 def _two_log_omega_p(a, b, p):
     """exp(log det_p(1 + C) - log det_p(1 + A)) with both logs dual-route checked,
     1 + C = (1 + A)(1 + B): the route omega_p took before log det(1 + A) cancelled."""

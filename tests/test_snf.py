@@ -99,6 +99,20 @@ def test_object_fallback_on_large_entries():
     assert res.factors == [10**30]
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1, np.nan)])
+def test_non_finite_entries_are_domain_errors(bad):
+    mat = np.array([[1.0, 2.0], [3.0, bad]])
+    with pytest.raises(DomainError, match=r"entry \(1, 1\)"):
+        smith_normal_form(mat)
+
+
+def test_finite_floats_truncate():
+    assert smith_normal_form(np.array([[2.7, 0.0], [0.0, -3.9]])).factors == [1, 6]
+    # past int64 a float truncates exactly, as the Python int it equals
+    assert smith_normal_form(np.array([[1e300]])).factors == [int(1e300)]
+    assert smith_normal_form(np.array([[2.0, 1e19]])).factors == [2]
+
+
 def test_products_beyond_int64_take_the_exact_path():
     # entries fit in int64, but q * row during elimination would wrap
     res = _check_form([[-5, 3856983384684412], [4386803920442610, -1]])
