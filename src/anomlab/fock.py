@@ -462,6 +462,7 @@ def _check_level(w: np.ndarray, level: float) -> None:
 
 def vacuum_line(bg: SpectralBackground, lo: float, hi: float) -> VacuumLine:
     """Line of the spectral window (lo, hi); phase starts at 1."""
+    lo, hi = (real(level, "level", CoverMembershipError) for level in (lo, hi))
     if not lo < hi:
         raise DomainError(f"window requires lo < hi, got ({lo}, {hi})")
     w, v = bg.eigensystem()
@@ -469,7 +470,7 @@ def vacuum_line(bg: SpectralBackground, lo: float, hi: float) -> VacuumLine:
     _check_level(w, hi)
     inside = np.nonzero((w > lo) & (w < hi))[0]
     return VacuumLine(
-        background=bg, lo=float(lo), hi=float(hi), frame=v[:, inside], phase=1.0 + 0.0j
+        background=bg, lo=lo, hi=hi, frame=v[:, inside], phase=1.0 + 0.0j
     )
 
 
@@ -501,6 +502,7 @@ def gerbe_triple_check(bg: SpectralBackground, l1: float, l2: float, l3: float) 
     frames of the same window; its modulus must be 1 within 1e-10. Window
     dimensions are required to add exactly.
     """
+    l1, l2, l3 = (real(level, "level", CoverMembershipError) for level in (l1, l2, l3))
     if not (l1 < l2 < l3):
         raise DomainError(f"levels must increase: got ({l1}, {l2}, {l3})")
     low = vacuum_line(bg, l1, l2)

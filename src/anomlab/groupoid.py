@@ -516,7 +516,11 @@ class CentralExtension:
 
 
 def central_extend(g: FiniteGroupoid, c: PhaseCocycle) -> CentralExtension:
-    """Build the central extension twisted by c; c must be a valid 2-cocycle."""
+    """Build the central extension twisted by c; g must satisfy the groupoid
+    axioms and c must be a valid 2-cocycle on it."""
+    bad = axioms_check(g)
+    if bad:
+        raise GroupoidAxiomError("extension needs a sound base groupoid: " + bad[0])
     violation = cocycle_check(g, c)
     limit = 0.0 if not c.continuous else CONTINUOUS_TOL
     if violation > limit:

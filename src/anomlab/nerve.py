@@ -152,6 +152,7 @@ class Cochain:
     values: np.ndarray
 
     def __post_init__(self):
+        self.degree = integer(self.degree, "degree", lo=0)
         self.modulus = integer(self.modulus, "modulus", lo=1)
         try:
             values = np.asarray(self.values, dtype=np.int64)

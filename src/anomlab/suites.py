@@ -1,13 +1,18 @@
 """Seeded verification suites and machine-readable reports.
 
-Each suite draws its instances from the PCG64 stream for the given seed,
-measures a violation per case, and compares it against a named tolerance.
-Exact integer checks report violation 0.0 or 1.0 against threshold 0.0.
-Reports serialize as JSON lines, one object per case plus a summary; the
-summary's wall_time and started fields are the only nondeterministic
-content for a fixed seed. A suite that raises keeps the cases recorded
-before it and ends with a failed case of violation inf whose `error` field
-holds the exception class and message.
+Each suite is a generator over the PCG64 stream for the given seed. It draws
+one case's inputs and yields (name, inputs, tolerance key, check); check()
+returns the case's violation and draws nothing, or, for an exact integer
+check, whether the identity holds (recorded as violation 0.0 or 1.0 against
+threshold 0.0). A result that several cases share is computed once, on
+first use. run_suite alone turns a case into a record: it runs the check,
+digests the inputs and looks up the threshold. A check that raises fails its
+own case with violation inf and an `error` field holding the exception class
+and message, and the suite goes on; a suite that raises while drawing keeps
+the cases recorded before it and ends with such a case named `error`. A case
+with an error never passes. Reports serialize as JSON lines, one object per
+case plus a summary; the summary's wall_time and started fields are the only
+nondeterministic content for a fixed seed.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import cache
 from itertools import product
 
 import numpy as np
@@ -52,6 +58,7 @@ from .groupoid import (
     cocycle_check,
     glue_local_data,
     skeleton,
+    zero_cocycle,
 )
 from .linalg import Polarization, matrix_exponential, sign_commutator
 from .nerve import (
@@ -148,7 +155,7 @@ class CaseRecord:
 
     @property
     def passed(self) -> bool:
-        return self.violation <= self.threshold
+        return self.error is None and self.violation <= self.threshold
 
 
 @dataclass
@@ -219,40 +226,6 @@ def report_to_text(report: Report) -> str:
     return "\n".join(rows)
 
 
-class _Recorder:
-    def __init__(self, suite: str, tolerances: dict):
-        self.suite = suite
-        self.tolerances = tolerances
-        self.cases = []
-
-    def add(self, name: str, inputs, violation: float, tol_key: str):
-        self.cases.append(
-            CaseRecord(
-                suite=self.suite,
-                name=name,
-                inputs=digest(inputs),
-                violation=float(violation),
-                threshold=float(self.tolerances[tol_key]),
-            )
-        )
-
-    def add_exact(self, name: str, inputs, ok: bool):
-        self.add(name, inputs, 0.0 if ok else 1.0, "exact")
-
-    def add_error(self, exc: Exception):
-        message = f"{type(exc).__name__}: {exc}"
-        self.cases.append(
-            CaseRecord(
-                suite=self.suite,
-                name="error",
-                inputs=digest(message),
-                violation=math.inf,
-                threshold=float(self.tolerances["exact"]),
-                error=message,
-            )
-        )
-
-
 def resolve_tolerances(overrides=None) -> dict:
     tol = dict(DEFAULT_TOLERANCES)
     for key, val in (overrides or {}).items():
@@ -262,19 +235,36 @@ def resolve_tolerances(overrides=None) -> dict:
     return tol
 
 
+def _violation(result) -> float:
+    """A check's result as a violation; an exact check's verdict reads 0.0 or 1.0."""
+    if isinstance(result, (bool, np.bool_)):
+        return 0.0 if result else 1.0
+    return float(result)
+
+
+def _error(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
 def run_suite(name: str, seed: int, tolerances=None) -> Report:
     if name not in SUITE_NAMES:
         raise DomainError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     tol = resolve_tolerances(tolerances)
-    rec = _Recorder(name, tol)
     rng = inst.generator(seed)
     started = datetime.now(timezone.utc).isoformat(timespec="seconds")
     t0 = time.perf_counter()
+    cases = []
     try:
-        _SUITE_FUNCS[name](rng, rec)
-    except Exception as exc:  # one raising case must not cost the cases before it
-        rec.add_error(exc)
-    report = Report(suite=name, seed=int(seed), tolerances=tol, cases=rec.cases)
+        for case, inputs, tol_key, check in _SUITE_FUNCS[name](rng):
+            try:
+                violation, error = _violation(check()), None
+            except Exception as exc:  # a raising check fails its own case only
+                violation, error = math.inf, _error(exc)
+            cases.append(CaseRecord(name, case, digest(inputs), violation, tol[tol_key], error))
+    except Exception as exc:  # a raising draw ends the suite, keeping the cases before it
+        message = _error(exc)
+        cases.append(CaseRecord(name, "error", digest(message), math.inf, tol["exact"], message))
+    report = Report(suite=name, seed=int(seed), tolerances=tol, cases=cases)
     report.wall_time = time.perf_counter() - t0
     report.started = started
     return report
@@ -286,59 +276,63 @@ def run_suites(name: str, seed: int, tolerances=None) -> list:
     return [run_suite(name, seed, tolerances)]
 
 
+def _relative_gap(lhs, rhs) -> float:
+    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
+
+
 # ---------------------------------------------------------------------------
 # detp
 
 
-def _suite_detp(rng, rec):
+def _suite_detp(rng):
     for i in range(SERIES_CASES):
         n = int(rng.integers(1, 9))
         p = int(rng.integers(1, 5))
         a = inst.random_perturbation(rng, n, 0.1)
-        lhs = det_p(a, p).log_value
-        rhs = log_det_p_series(a, p, 40)
-        rec.add(f"series/{i:03d}", {"n": n, "p": p, "a": a}, abs(lhs - rhs), "series")
+        inputs = {"n": n, "p": p, "a": a}
+        yield f"series/{i:03d}", inputs, "series", lambda: abs(det_p(a, p).log_value - log_det_p_series(a, p, 40))
 
     for i in range(DUAL_CASES):
         n = int(rng.integers(1, 9))
         p = int(rng.integers(1, 5))
         a = inst.random_perturbation(rng, n, 0.8)
-        rec.add(f"dual-route/{i:03d}", {"n": n, "p": p, "a": a}, dual_route_gap(a, p), "dual_route")
-        classical = np.linalg.det(np.eye(n) + a)
-        gap = abs(det_p(a, 1).value - classical) / max(abs(classical), 1e-300)
-        rec.add(f"classical/{i:03d}", {"n": n, "a": a}, gap, "classical")
+        yield f"dual-route/{i:03d}", {"n": n, "p": p, "a": a}, "dual_route", lambda: dual_route_gap(a, p)
+        yield f"classical/{i:03d}", {"n": n, "a": a}, "classical", lambda: _classical_gap(a)
 
     for i in range(OMEGA_TRIPLES):
         n = int(rng.integers(2, 7))
         p = int(rng.integers(1, 5))
         a, b, c = (inst.random_perturbation(rng, n, 0.5) for _ in range(3))
-        bc = b + c + b @ c
-        ab = a + b + a @ b
-        lhs = omega_p(a, bc, p)
-        rhs = omega_p(ab, c, p) * omega_p(a, b, p)
-        vio = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
-        rec.add(f"omega-cocycle/{i:03d}", {"n": n, "p": p, "a": a, "b": b, "c": c}, vio, "omega_cocycle")
+        inputs = {"n": n, "p": p, "a": a, "b": b, "c": c}
+        yield f"omega-cocycle/{i:03d}", inputs, "omega_cocycle", lambda: _relative_gap(
+            omega_p(a, b + c + b @ c, p), omega_p(a + b + a @ b, c, p) * omega_p(a, b, p)
+        )
 
     for i in range(GAMMA_CASES):
         n = int(rng.integers(1, 7))
         p = int(rng.integers(1, 5))
         a = inst.random_perturbation(rng, n, 0.5)
         b = inst.random_perturbation(rng, n, 0.5)
-        d = gamma_p(a, b, p) - gamma_p(b, a, p)
-        imag = math.remainder(d.imag, 2.0 * math.pi)
-        vio = math.hypot(d.real, imag)
-        rec.add(f"gamma-symmetry/{i:03d}", {"n": n, "p": p, "a": a, "b": b}, vio, "gamma_symmetry")
+        yield f"gamma-symmetry/{i:03d}", {"n": n, "p": p, "a": a, "b": b}, "gamma_symmetry", lambda: _gamma_gap(a, b, p)
 
-    fix = det_p(np.diag([0.5, 0.0]), 2).value
-    rec.add("fixture/det2-diag", {"a": [0.5, 0.0]}, abs(fix - 1.5 * math.exp(-0.5)), "fixture")
-    s1 = log_det_p_series(np.array([[0.1]]), 1, 60)
-    rec.add("fixture/series-p1", {"a": 0.1}, abs(s1 - math.log(1.1)), "fixture")
-    s2 = log_det_p_series(np.array([[0.1]]), 2, 60)
-    rec.add("fixture/series-p2", {"a": 0.1}, abs(s2 - (math.log(1.1) - 0.1)), "fixture")
-    g = gamma_p(np.array([[0.1]]), np.array([[0.1]]), 2)
-    rec.add("fixture/gamma2", {"a": 0.1}, abs(g - (-0.01)), "fixture")
-    om = omega_p(np.array([[0.1]]), np.array([[0.1]]), 2)
-    rec.add("fixture/omega2", {"a": 0.1}, abs(om - 1.1 * math.exp(-0.11)), "fixture")
+    x = np.array([[0.1]])
+    yield "fixture/det2-diag", {"a": [0.5, 0.0]}, "fixture", lambda: abs(
+        det_p(np.diag([0.5, 0.0]), 2).value - 1.5 * math.exp(-0.5)
+    )
+    yield "fixture/series-p1", {"a": 0.1}, "fixture", lambda: abs(log_det_p_series(x, 1, 60) - math.log(1.1))
+    yield "fixture/series-p2", {"a": 0.1}, "fixture", lambda: abs(log_det_p_series(x, 2, 60) - (math.log(1.1) - 0.1))
+    yield "fixture/gamma2", {"a": 0.1}, "fixture", lambda: abs(gamma_p(x, x, 2) - (-0.01))
+    yield "fixture/omega2", {"a": 0.1}, "fixture", lambda: abs(omega_p(x, x, 2) - 1.1 * math.exp(-0.11))
+
+
+def _classical_gap(a) -> float:
+    classical = np.linalg.det(np.eye(a.shape[0]) + a)
+    return abs(det_p(a, 1).value - classical) / max(abs(classical), 1e-300)
+
+
+def _gamma_gap(a, b, p) -> float:
+    d = gamma_p(a, b, p) - gamma_p(b, a, p)
+    return math.hypot(d.real, math.remainder(d.imag, 2.0 * math.pi))
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +345,7 @@ def _random_pol(rng, n_lo=2, n_hi=6):
     return Polarization(n, k)
 
 
-def _suite_grassmann(rng, rec):
+def _suite_grassmann(rng):
     for i in range(LINE_ACTION_CASES):
         pol = _random_pol(rng)
         p = int(rng.integers(1, 4))
@@ -360,15 +354,8 @@ def _suite_grassmann(rng, rec):
         t1 = np.eye(k) + inst.random_perturbation(rng, k, 0.3)
         t2 = np.eye(k) + inst.random_perturbation(rng, k, 0.3)
         elem = DetLineElement(w, complex(np.exp(2j * np.pi * rng.random())))
-        two_steps = detline_act(detline_act(elem, t1, p), t2, p)
-        one_step = detline_act(elem, t1 @ t2, p)
-        vio = abs(two_steps.coeff - one_step.coeff) / max(abs(one_step.coeff), 1e-300)
-        rec.add(
-            f"line-action/{i:03d}",
-            {"pol": (pol.dim, k), "p": p, "w": w.matrix, "t1": t1, "t2": t2},
-            vio,
-            "line_action",
-        )
+        inputs = {"pol": (pol.dim, k), "p": p, "w": w.matrix, "t1": t1, "t2": t2}
+        yield f"line-action/{i:03d}", inputs, "line_action", lambda: _line_action_gap(elem, t1, t2, p)
 
     for i in range(EQUIVARIANCE_CASES):
         pol = _random_pol(rng)
@@ -376,14 +363,10 @@ def _suite_grassmann(rng, rec):
         w = inst.random_frame(rng, pol)
         k = pol.plus_dim
         t = np.eye(k) + inst.random_perturbation(rng, k, 0.3)
-        lhs = canonical_section(frame_act(w, t), p)
-        rhs = canonical_section(w, p) * omega_p(w_plus(w) - np.eye(k), t - np.eye(k), p)
-        vio = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
-        rec.add(
-            f"equivariance/{i:03d}",
-            {"pol": (pol.dim, k), "p": p, "w": w.matrix, "t": t},
-            vio,
-            "equivariance",
+        inputs = {"pol": (pol.dim, k), "p": p, "w": w.matrix, "t": t}
+        yield f"equivariance/{i:03d}", inputs, "equivariance", lambda: _relative_gap(
+            canonical_section(frame_act(w, t), p),
+            canonical_section(w, p) * omega_p(w_plus(w) - np.eye(k), t - np.eye(k), p),
         )
 
     for i in range(ALPHA_CASES):
@@ -395,24 +378,29 @@ def _suite_grassmann(rng, rec):
         q = inst.random_unitary(rng, k)
         t1 = np.eye(k) + inst.random_perturbation(rng, k, 0.25)
         t2 = np.eye(k) + inst.random_perturbation(rng, k, 0.25)
-        lhs = alpha_ratio(g, q, w, t1 @ t2, p)
-        rhs = alpha_ratio(g, q, w, t1, p) * alpha_ratio(g, q, frame_act(w, t1), t2, p)
-        vio = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
-        rec.add(
-            f"alpha/{i:03d}",
-            {"pol": (pol.dim, k), "p": p, "w": w.matrix, "g": g, "q": q, "t1": t1, "t2": t2},
-            vio,
-            "alpha",
+        inputs = {"pol": (pol.dim, k), "p": p, "w": w.matrix, "g": g, "q": q, "t1": t1, "t2": t2}
+        yield f"alpha/{i:03d}", inputs, "alpha", lambda: _relative_gap(
+            alpha_ratio(g, q, w, t1 @ t2, p), alpha_ratio(g, q, w, t1, p) * alpha_ratio(g, q, frame_act(w, t1), t2, p)
         )
+
+
+def _line_action_gap(elem, t1, t2, p) -> float:
+    two_steps = detline_act(detline_act(elem, t1, p), t2, p)
+    one_step = detline_act(elem, t1 @ t2, p)
+    return abs(two_steps.coeff - one_step.coeff) / max(abs(one_step.coeff), 1e-300)
 
 
 # ---------------------------------------------------------------------------
 # fock
 
 
-def _space(rng, m_lo=2, m_hi=4):
-    m = int(rng.integers(m_lo, m_hi + 1))
-    k = int(rng.integers(1, m))
+def _modes(rng):
+    m = int(rng.integers(2, 5))
+    return m, int(rng.integers(1, m))
+
+
+def _space(rng):
+    m, k = _modes(rng)
     return build_car(m, Polarization(m, k))
 
 
@@ -425,128 +413,117 @@ def _quarter_trace(x, y, pol):
     return complex(np.trace(eps @ sign_commutator(x, pol) @ sign_commutator(y, pol)) / 4.0)
 
 
-def _suite_fock(rng, rec):
+def _suite_fock(rng):
     for m in range(1, 5):
-        space = build_car(m, Polarization(m, m // 2))
-        worst = 0.0
-        eye = np.eye(space.dim)
-        mats = [creation(space, e) for e in np.eye(m)]
-        for i in range(m):
-            for j in range(m):
-                cc = mats[i] @ mats[j] + mats[j] @ mats[i]
-                worst = max(worst, float(np.max(np.abs(cc))))
-                ca = mats[i] @ mats[j].conj().T + mats[j].conj().T @ mats[i]
-                target = eye if i == j else 0.0
-                worst = max(worst, float(np.max(np.abs(ca - target))))
-        rec.add(f"car-relations/m{m}", {"m": m}, worst, "car")
+        yield f"car-relations/m{m}", {"m": m}, "car", lambda: _car_gap(m)
 
     for i in range(SCHWINGER_PAIRS):
         space = _space(rng)
         m = space.modes
         x = inst.random_anti_hermitian(rng, m)
         y = inst.random_anti_hermitian(rng, m)
-        detail = schwinger_detail(space, x, y)
-        rec.add(f"schwinger-residue/{i:03d}", {"m": m, "x": x, "y": y}, detail["residue"], "schwinger_residue")
-        reverse = schwinger_term(space, y, x)
-        rec.add(
-            f"schwinger-antisymmetry/{i:03d}",
-            {"m": m, "x": x, "y": y},
-            abs(detail["value"] + reverse),
-            "schwinger_antisymmetry",
+        inputs = {"m": m, "x": x, "y": y}
+        detail = cache(lambda: schwinger_detail(space, x, y))
+        yield f"schwinger-residue/{i:03d}", inputs, "schwinger_residue", lambda: detail()["residue"]
+        yield f"schwinger-antisymmetry/{i:03d}", inputs, "schwinger_antisymmetry", lambda: abs(
+            detail()["value"] + schwinger_term(space, y, x)
         )
-        rec.add(
-            f"schwinger-trace-formula/{i:03d}",
-            {"m": m, "x": x, "y": y},
-            abs(detail["value"] - _quarter_trace(x, y, space.pol)),
-            "schwinger_trace_formula",
+        yield f"schwinger-trace-formula/{i:03d}", inputs, "schwinger_trace_formula", lambda: abs(
+            detail()["value"] - _quarter_trace(x, y, space.pol)
         )
 
     for i in range(LIE_TRIPLES):
         space = _space(rng)
         m = space.modes
         x, y, z = (inst.random_anti_hermitian(rng, m) for _ in range(3))
-        total = (
+        yield f"lie-cocycle/{i:03d}", {"m": m, "x": x, "y": y, "z": z}, "lie_cocycle", lambda: abs(
             schwinger_term(space, _comm(x, y), z)
             + schwinger_term(space, _comm(y, z), x)
             + schwinger_term(space, _comm(z, x), y)
         )
-        rec.add(f"lie-cocycle/{i:03d}", {"m": m, "x": x, "y": y, "z": z}, abs(total), "lie_cocycle")
 
     for i in range(BLOCK_PAIRS):
         space = _space(rng)
         x = inst.random_block_diagonal_anti_hermitian(rng, space.pol)
         y = inst.random_block_diagonal_anti_hermitian(rng, space.pol)
-        val = schwinger_term(space, x, y)
-        rec.add(f"schwinger-block-diagonal/{i:02d}", {"m": space.modes, "x": x, "y": y}, abs(val), "block_diagonal")
+        inputs = {"m": space.modes, "x": x, "y": y}
+        yield f"schwinger-block-diagonal/{i:02d}", inputs, "block_diagonal", lambda: abs(schwinger_term(space, x, y))
 
-    space = build_car(2, Polarization(2, 1))
-    raising = np.array([[0.0, 1.0], [0.0, 0.0]])
-    lowering = raising.T.copy()
-    fixture = schwinger_term(space, raising, lowering)
-    rec.add("schwinger-fixture/m2k1", {"m": 2}, abs(fixture - (-1.0)), "schwinger_fixture")
+    up = np.array([[0.0, 1.0], [0.0, 0.0]])
+    yield "schwinger-fixture/m2k1", {"m": 2}, "schwinger_fixture", lambda: abs(
+        schwinger_term(build_car(2, Polarization(2, 1)), up, up.T.copy()) - (-1.0)
+    )
 
     for i in range(BOGOLIUBOV_GENERATORS):
         space = _space(rng)
         m = space.modes
         x = inst.random_anti_hermitian(rng, m, 0.8)
-        implementer = bogoliubov_implement(space, x).matrix
-        inv = implementer.conj().T
-        u = matrix_exponential(x)
-        worst = 0.0
-        for _ in range(BOGOLIUBOV_VECTORS):
-            v = inst.random_complex(rng, m, 1).reshape(-1)
-            v /= np.linalg.norm(v)
-            lhs = implementer @ creation(space, v) @ inv
-            rhs = creation(space, u @ v)
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-        rec.add(f"bogoliubov/{i:02d}", {"m": m, "x": x}, worst, "bogoliubov")
+        vectors = [inst.random_complex(rng, m, 1).reshape(-1) for _ in range(BOGOLIUBOV_VECTORS)]
+        yield f"bogoliubov/{i:02d}", {"m": m, "x": x}, "bogoliubov", lambda: _bogoliubov_gap(space, x, vectors)
 
-    count = 0
-    attempts = 0
-    while count < GERBE_BACKGROUNDS and attempts < GERBE_BACKGROUNDS * 20:
-        attempts += 1
-        m = int(rng.integers(2, 7))
-        bg = SpectralBackground(inst.random_hermitian(rng, m))
-        levels = _safe_levels(rng, bg, 3)
-        if levels is None:
-            continue
-        l1, l2, l3 = levels
-        witness = gerbe_triple_check(bg, l1, l2, l3)
-        rec.add(
-            f"gerbe-witness/{count:03d}",
-            {"m": m, "bg": bg.matrix, "levels": [l1, l2, l3]},
-            abs(abs(witness) - 1.0),
-            "witness",
-        )
-        count += 1
+    for i, (m,), bg, levels in _leveled_backgrounds(rng, GERBE_BACKGROUNDS, 3, lambda r: (int(r.integers(2, 7)),)):
+        inputs = {"m": m, "bg": bg.matrix, "levels": levels}
+        yield f"gerbe-witness/{i:03d}", inputs, "witness", lambda: abs(abs(gerbe_triple_check(bg, *levels)) - 1.0)
 
-    count = 0
-    attempts = 0
-    while count < FILLING_CASES and attempts < FILLING_CASES * 20:
-        attempts += 1
-        m = int(rng.integers(2, 5))
-        k = int(rng.integers(1, m))
-        space = build_car(m, Polarization(m, k))
-        bg = SpectralBackground(inst.random_hermitian(rng, m))
-        levels = _safe_levels(rng, bg, 2)
-        if levels is None:
-            continue
-        lam, mu = levels
-        w, v = bg.eigensystem()
-        between = [i for i in range(m) if lam < w[i] < mu]
-        low = vacuum_at_level(space, bg, lam)
-        high = vacuum_at_level(space, bg, mu)
-        state = low
-        for idx in reversed(between):
-            state = apply_creation(space, v[:, idx], state)
-        overlap = complex(np.vdot(high, state))
-        rec.add(
-            f"filling/{count:02d}",
-            {"m": m, "k": k, "bg": bg.matrix, "levels": [lam, mu]},
-            abs(abs(overlap) - 1.0),
-            "filling",
-        )
-        count += 1
+    for i, (m, k), bg, levels in _leveled_backgrounds(rng, FILLING_CASES, 2, _modes):
+        inputs = {"m": m, "k": k, "bg": bg.matrix, "levels": levels}
+        yield f"filling/{i:02d}", inputs, "filling", lambda: _filling_gap(build_car(m, Polarization(m, k)), bg, *levels)
+
+
+def _car_gap(m) -> float:
+    space = build_car(m, Polarization(m, m // 2))
+    worst = 0.0
+    eye = np.eye(space.dim)
+    mats = [creation(space, e) for e in np.eye(m)]
+    for i in range(m):
+        for j in range(m):
+            cc = mats[i] @ mats[j] + mats[j] @ mats[i]
+            worst = max(worst, float(np.max(np.abs(cc))))
+            ca = mats[i] @ mats[j].conj().T + mats[j].conj().T @ mats[i]
+            target = eye if i == j else 0.0
+            worst = max(worst, float(np.max(np.abs(ca - target))))
+    return worst
+
+
+def _bogoliubov_gap(space, x, vectors) -> float:
+    implementer = bogoliubov_implement(space, x).matrix
+    inv = implementer.conj().T
+    u = matrix_exponential(x)
+    worst = 0.0
+    for v in vectors:
+        v = v / np.linalg.norm(v)
+        lhs = implementer @ creation(space, v) @ inv
+        rhs = creation(space, u @ v)
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    return worst
+
+
+def _filling_gap(space, bg, lam, mu) -> float:
+    """Creating the modes between lam and mu on the lam vacuum gives the mu vacuum up to phase."""
+    w, v = bg.eigensystem()
+    state = vacuum_at_level(space, bg, lam)
+    for idx in reversed([i for i in range(space.modes) if lam < w[i] < mu]):
+        state = apply_creation(space, v[:, idx], state)
+    return abs(abs(complex(np.vdot(vacuum_at_level(space, bg, mu), state))) - 1.0)
+
+
+def _leveled_backgrounds(rng, cases: int, count: int, draw_modes):
+    """The first `cases` of at most 20 * cases backgrounds that admit `count` safe levels.
+
+    Each try draws its mode numbers (the first is the size m), an m x m
+    Hermitian background and then the levels; yields (index, modes,
+    background, levels).
+    """
+    found = 0
+    for _ in range(20 * cases):
+        if found == cases:
+            return
+        modes = draw_modes(rng)
+        bg = SpectralBackground(inst.random_hermitian(rng, modes[0]))
+        levels = _safe_levels(rng, bg, count)
+        if levels is not None:
+            yield found, modes, bg, levels
+            found += 1
 
 
 def _safe_levels(rng, bg: SpectralBackground, count: int, margin=1e-6):
@@ -569,51 +546,54 @@ def _safe_levels(rng, bg: SpectralBackground, count: int, margin=1e-6):
 # groupoid
 
 
-def _suite_groupoid(rng, rec):
+def _suite_groupoid(rng):
     catalog = sorted(inst.group_catalog().items())
     for name, group in catalog:
         max_points = 2 if group.order > 6 else 3
         points, action = inst.random_right_action(rng, group, max_points)
         gpd = action_groupoid(points, group, action)
-        rec.add_exact(f"axioms/{name}", {"group": name, "points": len(points)}, not axioms_check(gpd))
+        yield f"axioms/{name}", {"group": name, "points": len(points)}, "exact", lambda: not axioms_check(gpd)
         modulus = int(rng.integers(2, 5 if group.order > 6 else 9))
         c = inst.random_groupoid_cocycle(rng, gpd, group, points, action, modulus)
-        rec.add(f"cocycle/{name}", {"group": name, "N": modulus}, cocycle_check(gpd, c), "exact")
-        ext = central_extend(gpd, c)
-        rec.add(f"centrality/{name}", {"group": name, "N": modulus}, centrality_check(ext), "exact")
-        rec.add_exact(f"total-axioms/{name}", {"group": name, "N": modulus}, not axioms_check(ext.total))
+        inputs = {"group": name, "N": modulus}
+        yield f"cocycle/{name}", inputs, "exact", lambda: cocycle_check(gpd, c)
+        ext = cache(lambda: central_extend(gpd, c))
+        yield f"centrality/{name}", inputs, "exact", lambda: centrality_check(ext())
+        yield f"total-axioms/{name}", inputs, "exact", lambda: not axioms_check(ext().total)
 
     # capacity corners: N = 8 on the order-8 groups over a single point
     for name in ("Z8", "D4"):
         group = inst.group_catalog()[name]
         gpd = inst.point_groupoid(group)
         c = inst.random_groupoid_cocycle(rng, gpd, group, ["*"], [[0] * group.order], 8)
-        ext = central_extend(gpd, c)
-        rec.add(f"centrality-N8/{name}", {"group": name, "N": 8}, centrality_check(ext), "exact")
+        inputs = {"group": name, "N": 8}
+        yield f"centrality-N8/{name}", inputs, "exact", lambda: centrality_check(central_extend(gpd, c))
 
     for i in range(COVER_ROUNDTRIPS):
         gpd, group, points, action, source, data, modulus = inst.random_cover_instance(
             rng, max_points=3, max_order=6, max_modulus=5, n_charts=3
         )
-        ext = glue_local_data(data, modulus)
-        glued = ext.cocycle
-        nv = nerve(gpd, 2)
-        diff = (cocycle_vector(nv, glued) - cocycle_vector(nv, source)) % modulus
-        witness = solve_mod(coboundary_matrix(nv, 1), diff, modulus)
-        rec.add_exact(
-            f"cover-roundtrip/{i:02d}",
-            {"group": group.elements, "points": points, "N": modulus, "cover": [sorted(ch) for ch in data.cover]},
-            witness is not None,
-        )
+        glued = cache(lambda: glue_local_data(data, modulus).cocycle)
+        inputs = {"group": group.elements, "points": points, "N": modulus, "cover": [sorted(ch) for ch in data.cover]}
+        yield f"cover-roundtrip/{i:02d}", inputs, "exact", lambda: _cohomologous(gpd, modulus, [glued()], source)
         if i < CLASS_CROSSCHECKS:
-            reducer = class_reducer(gpd, 2, modulus)
-            cls_src = reducer.reduce(cocycle_vector(reducer.nerve, source))
-            cls_glu = reducer.reduce(cocycle_vector(reducer.nerve, glued))
-            rec.add_exact(
-                f"cover-class/{i:02d}",
-                {"N": modulus, "i": i},
-                cls_src.vector == cls_glu.vector and cls_src.orders == cls_glu.orders,
-            )
+            inputs = {"N": modulus, "i": i}
+            yield f"cover-class/{i:02d}", inputs, "exact", lambda: _same_class(gpd, glued(), source, modulus)
+
+
+def _cohomologous(gpd, modulus, cocycles, base) -> bool:
+    """Whether each cocycle differs from base by a coboundary, by a witness solve."""
+    nv = nerve(gpd, 2)
+    d1 = coboundary_matrix(nv, 1)
+    ref = cocycle_vector(nv, base)
+    return all(solve_mod(d1, (cocycle_vector(nv, c) - ref) % modulus, modulus) is not None for c in cocycles)
+
+
+def _same_class(gpd, c1, c2, modulus) -> bool:
+    reducer = class_reducer(gpd, 2, modulus)
+    a = reducer.reduce(cocycle_vector(reducer.nerve, c1))
+    b = reducer.reduce(cocycle_vector(reducer.nerve, c2))
+    return a.vector == b.vector and a.orders == b.orders
 
 
 # ---------------------------------------------------------------------------
@@ -648,46 +628,36 @@ def _carry_bases(group, modulus):
     return tables[:4]
 
 
-def _suite_cohomology(rng, rec):
+def _suite_cohomology(rng):
     for i in range(SQUARE_ZERO_CASES):
         group, points, action, gpd = inst.random_action_instance(rng, max_points=3, max_order=6)
         modulus = int(rng.integers(2, 7))
         nv = nerve(gpd, 3)
-        worst = 0
-        for degree in (0, 1):
-            values = rng.integers(modulus, size=nv.size(degree))
-            f = Cochain(degree=degree, modulus=modulus, values=np.asarray(values, dtype=np.int64))
-            ddf = coboundary(coboundary(f, nv), nv)
-            if np.any(ddf.values % modulus):
-                worst = 1
-        rec.add(f"square-zero/{i:02d}", {"i": i, "N": modulus, "group": group.elements}, float(worst), "exact")
+        cochains = [Cochain(d, modulus, rng.integers(modulus, size=nv.size(d))) for d in (0, 1)]
+        yield f"square-zero/{i:02d}", {"i": i, "N": modulus, "group": group.elements}, "exact", lambda: not any(
+            np.any(coboundary(coboundary(f, nv), nv).values % modulus) for f in cochains
+        )
 
     for n in (2, 3):
         gpd = inst.point_groupoid(inst.cyclic_group(n))
-        grp = cohomology_group(gpd, 2, n)
-        brute = _brute_h2_order(gpd, n)
-        rec.add_exact(f"h2-bz{n}/orders", {"n": n}, grp.orders == (n,))
-        rec.add_exact(f"h2-bz{n}/brute-force", {"n": n}, grp.order == brute == n)
+        grp = cache(lambda: cohomology_group(gpd, 2, n))
+        yield f"h2-bz{n}/orders", {"n": n}, "exact", lambda: grp().orders == (n,)
+        yield f"h2-bz{n}/brute-force", {"n": n}, "exact", lambda: grp().order == _brute_h2_order(gpd, n) == n
 
     for n in (2, 3, 4):
-        gpd = inst.translation_groupoid(inst.cyclic_group(n))
-        grp = cohomology_group(gpd, 2, n)
-        rec.add_exact(f"free-action/z{n}-trivial", {"n": n}, grp.trivial)
-        nv = nerve(gpd, 2)
-        d1 = coboundary_matrix(nv, 1)
         group = inst.cyclic_group(n)
-        points = list(range(n))
-        action = group.mult.tolist()
-        all_split = True
-        for _ in range(FREE_ACTION_SAMPLES):
-            c = inst.random_groupoid_cocycle(rng, gpd, group, points, action, n)
-            vec = cocycle_vector(nv, c)
-            if solve_mod(d1, vec, n) is None:
-                all_split = False
-        rec.add_exact(f"free-action/z{n}-split", {"n": n}, all_split)
+        gpd = inst.translation_groupoid(group)
+        yield f"free-action/z{n}-trivial", {"n": n}, "exact", lambda: cohomology_group(gpd, 2, n).trivial
+        points, action = list(range(n)), group.mult.tolist()
+        cocycles = [
+            inst.random_groupoid_cocycle(rng, gpd, group, points, action, n) for _ in range(FREE_ACTION_SAMPLES)
+        ]
+        yield f"free-action/z{n}-split", {"n": n}, "exact", lambda: _cohomologous(
+            gpd, n, cocycles, zero_cocycle(gpd, n)
+        )
 
     unit = action_groupoid([0, 1, 2], inst.cyclic_group(1), [[0], [1], [2]])
-    rec.add_exact("unit-groupoid/trivial", {}, cohomology_group(unit, 2, 4).trivial)
+    yield "unit-groupoid/trivial", {}, "exact", lambda: cohomology_group(unit, 2, 4).trivial
 
     groups = [
         ("Z2", inst.cyclic_group(2)),
@@ -697,26 +667,12 @@ def _suite_cohomology(rng, rec):
     ]
     for gname, group in groups:
         gpd = inst.point_groupoid(group)
-        points, action = ["*"], [[0] * group.order]
         for modulus in (2, 3, 4):
-            reducer = class_reducer(gpd, 2, modulus)
-            nv = reducer.nerve
+            reducer = cache(lambda: class_reducer(gpd, 2, modulus))
             for b_idx, table in enumerate(_carry_bases(group, modulus)):
-                base = inst.inflate_group_cocycle(gpd, group, points, action, table, modulus)
-                if cocycle_check(gpd, base) != 0.0:
-                    rec.add_exact(f"twist/{gname}-N{modulus}-b{b_idx}", {"g": gname}, False)
-                    continue
-                ref = reducer.reduce(cocycle_vector(nv, base)).vector
-                stable = True
-                for b in product(range(modulus), repeat=gpd.n_arrows):
-                    twisted = coboundary_twist(gpd, base, list(b))
-                    if reducer.reduce(cocycle_vector(nv, twisted)).vector != ref:
-                        stable = False
-                        break
-                rec.add_exact(
-                    f"twist/{gname}-N{modulus}-b{b_idx}",
-                    {"g": gname, "N": modulus, "base": table},
-                    stable,
+                inputs = {"g": gname, "N": modulus, "base": table}
+                yield f"twist/{gname}-N{modulus}-b{b_idx}", inputs, "exact", lambda: _twist_stable(
+                    gpd, group, reducer(), table, modulus
                 )
 
     # Morita invariance: H^2 of a presentation is H^2 of its skeleton, and a
@@ -725,13 +681,28 @@ def _suite_cohomology(rng, rec):
         group, points, action, gpd = inst.random_action_instance(rng, max_points=4, max_order=6)
         modulus = int(rng.integers(2, 5))
         inputs = {"i": i, "N": modulus, "group": group.elements, "action": action}
-        reducer = class_reducer(gpd, 2, modulus)
-        rec.add_exact(f"morita/orders-{i:02d}", inputs, cohomology_group(gpd, 2, modulus) == reducer.group())
+        reducer = cache(lambda: class_reducer(gpd, 2, modulus))
+        yield f"morita/orders-{i:02d}", inputs, "exact", lambda: cohomology_group(gpd, 2, modulus) == reducer().group()
         c = inst.random_groupoid_cocycle(rng, gpd, group, points, action, modulus)
-        sk, kept = skeleton(gpd)
-        restricted = class_reducer(sk, 2, modulus).reduce(c.values_at(kept[sk.composable_pairs()]))
-        whole = reducer.reduce(cocycle_vector(reducer.nerve, c))
-        rec.add_exact(f"morita/class-{i:02d}", inputs, whole.trivial == restricted.trivial)
+        yield f"morita/class-{i:02d}", inputs, "exact", lambda: _restriction_agrees(gpd, reducer(), c, modulus)
+
+
+def _twist_stable(gpd, group, reducer, table, modulus) -> bool:
+    """Whether every coboundary twist of the inflated base keeps its class."""
+    base = inst.inflate_group_cocycle(gpd, group, ["*"], [[0] * group.order], table, modulus)
+    if cocycle_check(gpd, base) != 0.0:
+        return False
+    ref = reducer.reduce(cocycle_vector(reducer.nerve, base)).vector
+    return all(
+        reducer.reduce(cocycle_vector(reducer.nerve, coboundary_twist(gpd, base, list(b)))).vector == ref
+        for b in product(range(modulus), repeat=gpd.n_arrows)
+    )
+
+
+def _restriction_agrees(gpd, reducer, c, modulus) -> bool:
+    sk, kept = skeleton(gpd)
+    restricted = class_reducer(sk, 2, modulus).reduce(c.values_at(kept[sk.composable_pairs()]))
+    return reducer.reduce(cocycle_vector(reducer.nerve, c)).trivial == restricted.trivial
 
 
 _SUITE_FUNCS = {

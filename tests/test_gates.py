@@ -22,7 +22,7 @@ from anomlab.errors import (
     integer,
     real,
 )
-from anomlab.fock import SpectralBackground, build_car, vacuum_at_level
+from anomlab.fock import SpectralBackground, build_car, gerbe_triple_check, vacuum_at_level, vacuum_line
 from anomlab.groupoid import PhaseCocycle, eta_from_omega, validate_local_data
 from anomlab.instances import cyclic_group, generator, point_groupoid, random_cover_instance
 from anomlab.linalg import Polarization, schatten_norm, weak_quasi_norm
@@ -55,6 +55,7 @@ INTEGER_SITES = [
     ("class_reducer degree", lambda v: class_reducer(Z2, v, 2), CapacityError, [2]),
     ("class_reducer modulus", lambda v: class_reducer(Z2, 2, v), DomainError, [2]),
     ("Cochain modulus", lambda v: Cochain(0, v, [1]), DomainError, [2, BIG]),
+    ("Cochain degree", lambda v: Cochain(v, 2, [1]), DomainError, [0, 1]),
     ("coboundary_matrix degree", lambda v: coboundary_matrix(nerve(Z2, 2), v), CapacityError, [1]),
     ("log_det_p_series terms", lambda v: log_det_p_series(0.1 * np.eye(2), 2, v), DivergenceError, [3]),
     ("PhaseCocycle modulus", lambda v: PhaseCocycle(v, {(0, 0): 3}), DomainError, [2]),
@@ -73,6 +74,23 @@ REAL_SITES = [
         lambda v: vacuum_at_level(SPACE, BACKGROUND, v),
         CoverMembershipError,
         [0.5, math.inf, -math.inf],
+        [],
+    ),
+    ("vacuum_line lo", lambda v: vacuum_line(BACKGROUND, v, 2.0), CoverMembershipError, [0.5, -math.inf], []),
+    ("vacuum_line hi", lambda v: vacuum_line(BACKGROUND, -2.0, v), CoverMembershipError, [0.5, math.inf], []),
+    (
+        "gerbe_triple_check l1",
+        lambda v: gerbe_triple_check(BACKGROUND, v, 0.0, 2.0),
+        CoverMembershipError,
+        [-2.0, -math.inf],
+        [],
+    ),
+    ("gerbe_triple_check l2", lambda v: gerbe_triple_check(BACKGROUND, -2.0, v, 2.0), CoverMembershipError, [0.0], []),
+    (
+        "gerbe_triple_check l3",
+        lambda v: gerbe_triple_check(BACKGROUND, -2.0, 0.0, v),
+        CoverMembershipError,
+        [2.0, math.inf],
         [],
     ),
 ]
@@ -124,6 +142,10 @@ def test_defects_the_gates_close():
         schatten_norm(DIAG, math.inf)
     with pytest.raises(CoverMembershipError, match="nan"):
         vacuum_at_level(SPACE, BACKGROUND, math.nan)
+    with pytest.raises(CoverMembershipError, match="nan"):
+        vacuum_line(BACKGROUND, math.nan, 2.0)
+    with pytest.raises(DomainError, match="degree must be >= 0, got -1"):
+        Cochain(-1, 2, [1])
 
 
 def test_gates_return_plain_python_numbers():

@@ -15,6 +15,7 @@ from anomlab.errors import (
     DomainError,
     EvaluationError,
     ExtensionError,
+    GroupoidAxiomError,
     MissingValueError,
     UnsupportedCoefficientsError,
 )
@@ -492,6 +493,13 @@ def test_central_extend_input_errors():
     bad[(0, 0)] = 1  # c(e,e) alone violates the cocycle identity
     with pytest.raises(ExtensionError):
         central_extend(g, PhaseCocycle(2, bad))
+    # a base that is not a groupoid is the caller's error, not the library's
+    z3 = point_groupoid(cyclic_group(3))
+    for entry, value in (((0, 0), 99), ((1, 1), 1)):  # out of range; not associative
+        broken = copy.deepcopy(z3)
+        broken.compose[entry] = value
+        with pytest.raises(GroupoidAxiomError, match="sound base groupoid"):
+            central_extend(broken, zero_cocycle(broken, 3))
 
 
 def _seeded_cover(seed):

@@ -1,5 +1,6 @@
 """Verification suite plumbing: records, tolerances, determinism."""
 
+import hashlib
 import json
 import math
 
@@ -25,6 +26,7 @@ def test_case_record_pass_logic():
     assert ok.passed
     bad = CaseRecord("detp", "x", "aa", violation=1e-9, threshold=1e-10)
     assert not bad.passed
+    assert not CaseRecord("detp", "error", "aa", math.inf, math.inf, "DomainError: x").passed
 
 
 def test_digest_is_stable_and_type_aware():
@@ -95,11 +97,11 @@ def test_run_suites_wraps_single_suite():
 
 
 def test_raising_suite_is_recorded_and_the_run_goes_on(monkeypatch, tmp_path):
-    def passing(rng, rec):
-        rec.add("ok", {"i": 0}, 0.0, "exact")
+    def passing(rng):
+        yield "ok", {"i": 0}, "exact", lambda: 0.0
 
-    def raising(rng, rec):
-        rec.add("before", {"i": 1}, 0.0, "exact")
+    def raising(rng):
+        yield "before", {"i": 1}, "exact", lambda: 0.0
         raise InternalConsistencyError("routes disagree")
 
     for name in SUITE_NAMES:
@@ -121,3 +123,82 @@ def test_raising_suite_is_recorded_and_the_run_goes_on(monkeypatch, tmp_path):
     summary = json.loads(merged.read_text().splitlines()[-1])
     assert summary["kind"] == "merged"
     assert summary["failures"] == 1 and not summary["pass"]
+
+
+def _raise_internal():
+    raise InternalConsistencyError("defect operator is not scalar")
+
+
+def test_raising_check_fails_its_own_case_and_the_suite_goes_on(monkeypatch):
+    def battery(rng):
+        yield "first", {"i": 0}, "exact", lambda: True
+        yield "raises", {"i": 1}, "car", _raise_internal
+        yield "after", {"i": 2}, "car", lambda: 0.0
+
+    monkeypatch.setitem(suites._SUITE_FUNCS, "fock", battery)
+    report = run_suite("fock", 7)
+    assert [c.name for c in report.cases] == ["first", "raises", "after"]
+    first, raises, after = report.cases
+    assert first.passed and first.violation == 0.0 and first.error is None
+    assert raises.inputs == digest({"i": 1})
+    assert raises.violation == math.inf and raises.threshold == DEFAULT_TOLERANCES["car"]
+    assert raises.error == "InternalConsistencyError: defect operator is not scalar"
+    assert after.passed and after.error is None
+    line = report.to_lines()[1]
+    assert line["name"] == "raises" and line["pass"] is False
+    assert line["error"] == "InternalConsistencyError: defect operator is not scalar"
+    assert report.failures == 1 and not report.passed
+    assert "FAIL raises" in report_to_text(report)
+
+
+def test_a_case_with_an_error_never_passes(monkeypatch, tmp_path):
+    # an infinite threshold admits the violation inf, but not the error
+    def battery(rng):
+        yield "raises", {"i": 0}, "car", _raise_internal
+        raise InternalConsistencyError("draw failed")
+
+    monkeypatch.setitem(suites._SUITE_FUNCS, "fock", battery)
+    out = tmp_path / "fock.jsonl"
+    argv = ["verify", "--suite", "fock", "--seed", "7", "--out", str(out)]
+    assert cli.main(argv + ["--tolerance", "exact=inf", "--tolerance", "car=inf"]) == 1
+    lines = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [(r["name"], r["pass"]) for r in lines[:-1]] == [("raises", False), ("error", False)]
+    assert lines[-1]["failures"] == 2 and not lines[-1]["pass"]
+
+
+# sha256 over JSON rows at seed 7, taken before the suites became generators.
+# All five suites pin the ordered (suite, name, pass) rows; the integer suites
+# also pin (name, inputs, violation, pass), since their input digests hash
+# integers only. The float suites' digests hash LAPACK output and are not pinned.
+PINNED_ROWS = {
+    "detp": (855, "53e93ac5a76bcfdf8855e94ea215b0eebaa6c4ea9ec8badec4566c36cd79ad99"),
+    "grassmann": (400, "1d2ba3c8c42a8051a6ada990d64d013e2bd63a161bbc88f48722217900021ea0"),
+    "fock": (610, "afb46a95bdcdb5538673c340578e5c274b98dc610da36570cf72ed7bbd54508c"),
+    "groupoid": (110, "940ece10763c28dbbf70e746a69b61ddb11c8e3e37815db1fd7947c284d35430"),
+    "cohomology": (78, "294258e149f9b3988eedc088bc98d7a102cb8ea107aab57f11a3e1ef8fc744a4"),
+}
+PINNED_RECORDS = {
+    "groupoid": "71f604ca4c9b67e7d2313fd3d286e46b5657463378924fe5810348e8280bb243",
+    "cohomology": "26254dacdabb2089ae2d7e59f25e2c4838b2480cbc9627e2b0a446ce4988fa73",
+}
+
+
+def _sha(rows) -> str:
+    return hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode("utf-8")).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def seed7_reports():
+    return {name: run_suite(name, 7) for name in SUITE_NAMES}
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_case_names_and_verdicts_are_pinned(seed7_reports, name):
+    cases = seed7_reports[name].cases
+    assert (len(cases), _sha([[c.suite, c.name, c.passed] for c in cases])) == PINNED_ROWS[name]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RECORDS))
+def test_exact_suite_records_are_pinned(seed7_reports, name):
+    cases = seed7_reports[name].cases
+    assert _sha([[c.name, c.inputs, c.violation, c.passed] for c in cases]) == PINNED_RECORDS[name]
