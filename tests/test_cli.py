@@ -288,6 +288,15 @@ def test_compute_glue_rejects_out_of_range_action(tmp_path, capsys):
             assert capsys.readouterr().err == f"domain error: {message}\n", (value, column)
 
 
+def test_compute_glue_refuses_oversized_extension(tmp_path, capsys):
+    cover = tmp_path / "cover.json"
+    assert main(["generate", "refined-cover", "--seed", "7", "--out", str(cover)]) == 0
+    dump_json({**load_json(cover), "modulus": 10**12}, tmp_path / "huge.json")
+    capsys.readouterr()
+    assert main(["compute", "glue", "--data", str(tmp_path / "huge.json")]) == 4
+    assert capsys.readouterr().err.startswith("domain error: extension of ")
+
+
 def test_generate_is_byte_deterministic(tmp_path):
     for kind in ("random-hermitian", "random-unital", "random-action-groupoid",
                  "refined-cover"):

@@ -95,38 +95,67 @@ def test_axioms_check_reports_mutations():
     assert axioms_check(broken)
 
 
-def _sound_by_definition(g):
-    """The groupoid axioms read straight off the tables, one plain loop each."""
+def _loop_axioms_check(g):
+    """The groupoid axioms read straight off the tables, one plain loop each, in axioms_check's order."""
     n_obj, n_arr = g.n_objects, g.n_arrows
     src, tgt, e, inv = (t.tolist() for t in (g.source, g.target, g.identity, g.inverse))
     comp = g.compose.tolist()
-    if not all(0 <= o < n_obj for o in src + tgt) or not all(0 <= x < n_arr for x in e + inv):
-        return False
+    bad = []
+    for x in range(n_arr):
+        if not (0 <= src[x] < n_obj and 0 <= tgt[x] < n_obj):
+            bad.append(f"arrow {x} has out-of-range endpoints")
+        if not 0 <= inv[x] < n_arr:
+            bad.append(f"arrow {x} has out-of-range inverse")
+    for o in range(n_obj):
+        if not 0 <= e[o] < n_arr:
+            bad.append(f"object {o} has out-of-range identity")
+        elif src[e[o]] != o or tgt[e[o]] != o:
+            bad.append(f"identity of object {o} is not an endomorphism of it")
+    if bad:
+        return bad
+    for x in range(n_arr):
+        for y in range(n_arr):
+            if (comp[x][y] >= 0) != (src[x] == tgt[y]):  # defined exactly on composable pairs
+                verb = "missing" if src[x] == tgt[y] else "spurious"
+                bad.append(f"compose entry {verb} for pair ({x}, {y})")
+    if bad:
+        return bad
     for x in range(n_arr):
         for y in range(n_arr):
             xy = comp[x][y]
-            if (xy >= 0) != (src[x] == tgt[y]):  # defined exactly on composable pairs
-                return False
-            if xy >= 0 and not (xy < n_arr and src[xy] == src[y] and tgt[xy] == tgt[x]):
-                return False
+            if xy >= n_arr:
+                bad.append(f"product of ({x}, {y}) out of range")
+            elif xy >= 0 and (src[xy] != src[y] or tgt[xy] != tgt[x]):
+                bad.append(f"product of ({x}, {y}) has wrong endpoints")
+    if bad:
+        return bad
     for x in range(n_arr):
         for y in range(n_arr):
+            if src[x] != tgt[y]:
+                continue
             for z in range(n_arr):
-                if src[x] == tgt[y] and src[y] == tgt[z]:
-                    if comp[comp[x][y]][z] != comp[x][comp[y][z]]:
-                        return False
-    for o in range(n_obj):
-        if src[e[o]] != o or tgt[e[o]] != o:
-            return False
+                if src[y] == tgt[z] and comp[comp[x][y]][z] != comp[x][comp[y][z]]:
+                    bad.append(f"associativity fails on ({x}, {y}, {z})")
     for x in range(n_arr):
-        if comp[e[tgt[x]]][x] != x or comp[x][e[src[x]]] != x:
-            return False
-        if comp[x][inv[x]] != e[tgt[x]] or comp[inv[x]][x] != e[src[x]]:
-            return False
-    return True
+        if comp[e[tgt[x]]][x] != x:
+            bad.append(f"left identity fails on arrow {x}")
+        if comp[x][e[src[x]]] != x:
+            bad.append(f"right identity fails on arrow {x}")
+        if src[inv[x]] != tgt[x] or tgt[inv[x]] != src[x]:
+            bad.append(f"inverse of arrow {x} has wrong endpoints")
+            continue
+        if comp[x][inv[x]] != e[tgt[x]]:
+            bad.append(f"x * x^-1 is not the identity for arrow {x}")
+        if comp[inv[x]][x] != e[src[x]]:
+            bad.append(f"x^-1 * x is not the identity for arrow {x}")
+    return bad
 
 
-def test_axioms_check_agrees_with_definition():
+def test_axioms_check_agrees_with_definition(monkeypatch):
+    """Same diagnostics, in the same order, as the loop on sound tables and seeded mutants.
+
+    Both block sizes are read; ASSOCIATIVITY_BLOCK = 1 walks one composable pair per block.
+    """
     rng = generator(211)
     catalog = group_catalog()
     sound = [point_groupoid(grp) for grp in catalog.values()]
@@ -135,10 +164,9 @@ def test_axioms_check_agrees_with_definition():
         base = point_groupoid(catalog[name])
         c = random_groupoid_cocycle(rng, base, catalog[name], ["*"], [[0] * catalog[name].order], modulus)
         sound.append(central_extend(base, c).total)
-    for g in sound:
-        assert _sound_by_definition(g) and axioms_check(g) == []
+    cases = [(g, []) for g in sound]
+    assert all(_loop_axioms_check(g) == [] for g in sound)
     small = [_swap_groupoid(), point_groupoid(catalog["S3"]), translation_groupoid(catalog["Z3"]), sound[-3]]
-    mutants = 0
     for g in small:
         for table in ("compose", "inverse", "identity"):
             for _ in range(20):
@@ -146,9 +174,71 @@ def test_axioms_check_agrees_with_definition():
                 flat = getattr(broken, table).reshape(-1)
                 i = int(rng.integers(flat.size))
                 flat[i] = (flat[i] + 1 + int(rng.integers(g.n_arrows + 1))) % (g.n_arrows + 2) - 1
-                assert _sound_by_definition(broken) == (axioms_check(broken) == [])
-                mutants += 1
-    assert mutants >= 200
+                cases.append((broken, _loop_axioms_check(broken)))
+    flagged = [expected for _, expected in cases if expected]
+    assert len(cases) - len(sound) >= 200 and len(flagged) > 100
+    assert any(len(expected) > 1 and "associativity" in expected[0] for expected in flagged)
+    for block in (groupoid.ASSOCIATIVITY_BLOCK, 1):
+        monkeypatch.setattr(groupoid, "ASSOCIATIVITY_BLOCK", block)
+        for g, expected in cases:
+            assert axioms_check(g) == expected
+
+
+def _loop_cocycle_check(g, c):
+    """Reference cocycle check: c(x, y) c(xy, z) against c(x, yz) c(y, z), gathered triple by triple.
+
+    The products run as one numpy expression, so they round as cocycle_check's
+    do; a nan deviation reads as inf and an inf one as the largest float there too.
+    """
+    comp = g.compose.tolist()
+    value = dict(zip(map(tuple, c.pairs.tolist()), c.values.tolist()))
+    terms = []
+    for x, y, z in itertools.product(range(g.n_arrows), repeat=3):
+        xy, yz = comp[x][y], comp[y][z]
+        if xy >= 0 and yz >= 0:
+            terms.append((value[x, y], value[xy, z], value[x, yz], value[y, z]))
+    a, b, d, e = np.array(terms, dtype=c.values.dtype).reshape(-1, 4).T
+    if c.continuous:
+        with np.errstate(invalid="ignore", over="ignore"):
+            dev = np.abs(a * b - d * e)
+        return float(np.nan_to_num(dev, nan=np.inf).max(initial=0.0))
+    shifts = {int(k) for k in (a + b - d - e) % c.modulus if k}
+    return max((abs(np.exp(2j * np.pi * k / c.modulus) - 1.0) for k in shifts), default=0.0)
+
+
+def test_cocycle_check_matches_loop(monkeypatch):
+    """Same float as the triple loop at both block sizes, on corrupted mu_N and continuous cocycles.
+
+    Continuous values include nan, inf and 1e308, whose products overflow.
+    """
+    rng = generator(709)
+    catalog = [grp for _, grp in sorted(group_catalog().items()) if grp.order <= 4]
+    specials = (complex("nan"), complex("inf"), complex(0, float("inf")), complex(1e308, 0), complex(1e308, -1e308))
+    cases = []
+    for trial in range(300):
+        group = catalog[trial % len(catalog)]
+        points, action = random_right_action(rng, group, 3)
+        g = action_groupoid(points, group, action)
+        modulus = int(rng.integers(2, 9))
+        c = random_groupoid_cocycle(rng, g, group, points, action, modulus)
+        values = c.values.copy()
+        if trial % 2:  # continuous: the phases of c twisted by generic phases, then some special values
+            phases = PhaseCocycle(None, np.exp(2j * np.pi * values / modulus), c.pairs)
+            values = coboundary_twist(g, phases, np.exp(2j * np.pi * rng.random(g.n_arrows))).values
+            for _ in range(int(rng.integers(3))):
+                values[int(rng.integers(len(values)))] = specials[int(rng.integers(len(specials)))]
+            modulus = None
+        else:
+            for _ in range(int(rng.integers(3))):
+                values[int(rng.integers(len(values)))] = int(rng.integers(modulus))
+        c = PhaseCocycle(modulus, values, c.pairs)
+        cases.append((g, c, _loop_cocycle_check(g, c)))
+    worst = [expected for _, _, expected in cases]
+    assert 0.0 in worst and np.inf in worst and any(0.0 < w < np.inf for w in worst)
+    for block in (groupoid.ASSOCIATIVITY_BLOCK, 1):
+        monkeypatch.setattr(groupoid, "ASSOCIATIVITY_BLOCK", block)
+        for g, c, expected in cases:
+            assert cocycle_check(g, c) == expected
 
 
 def test_group_axioms_check():
@@ -197,7 +287,7 @@ def _loop_check_right_action(points, group, action):
 def test_group_axioms_check_matches_loop(block, trials, monkeypatch):
     """Same diagnostics, in the same order, as the loop on seeded table mutations.
 
-    block=1 compares one row i at a time, so associativity is read across blocks.
+    block=1 compares one pair (i, j) per block, so associativity is read across blocks.
     """
     if block is not None:
         monkeypatch.setattr(groupoid, "ASSOCIATIVITY_BLOCK", block)
@@ -500,6 +590,9 @@ def test_central_extend_input_errors():
         broken.compose[entry] = value
         with pytest.raises(GroupoidAxiomError, match="sound base groupoid"):
             central_extend(broken, zero_cocycle(broken, 3))
+    # the (arrows x modulus)^2 total table is refused before it is allocated
+    with pytest.raises(CapacityError, match="extension of 2 arrows at modulus 1000000000000"):
+        central_extend(g, zero_cocycle(g, 10**12))
 
 
 def _seeded_cover(seed):
