@@ -10,6 +10,7 @@ time and timestamp fields of summaries.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -42,7 +43,9 @@ def _complex_pair(z) -> list:
     return [z.real, z.imag]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The anomlab argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="anomlab",
         description="Regularized determinants, CAR/Fock quantization, and groupoid extension checks.",

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from anomlab.cli import main
+from anomlab.cli import build_parser, main
 from anomlab.errors import MissingValueError
 from anomlab.groupoid import action_groupoid, axioms_check, validate_local_data
 from anomlab.instances import (
@@ -161,6 +161,33 @@ def test_compute_h2(tmp_path, capsys):
     capsys.readouterr()
     assert main(["compute", "h2", "--groupoid", str(gfile), "--modulus", "3"]) == 0
     assert json.loads(capsys.readouterr().out)["trivial"] is True
+
+
+def test_main_reuses_its_parser(tmp_path, capsys):
+    """Calls in one process, a usage error between two of them, print the same bytes.
+
+    main parses with one parser per process; a fresh one reads the same argv alike,
+    and an appended option does not carry over from one parse to the next.
+    """
+    gfile = tmp_path / "d4.json"
+    dump_json(groupoid_to_obj(point_groupoid(group_catalog()["D4"])), gfile)
+    argv = ["compute", "h2", "--groupoid", str(gfile), "--modulus", "4"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "h2", "--groupoid", str(gfile), "--modulus", "four"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+    assert json.loads(first)["order"] == 8  # Hom(Z2, Z4) + Ext(Z2^2, Z4)
+    assert build_parser() is build_parser()
+    fresh = build_parser.__wrapped__()
+    assert fresh is not build_parser()
+    verify = ["verify", "--suite", "detp", "--tolerance", "series=1e-9"]
+    for args in (argv, verify, verify):
+        assert vars(fresh.parse_args(args)) == vars(build_parser().parse_args(args))
+    assert build_parser().parse_args(verify).tolerance == ["series=1e-9"]
 
 
 def test_compute_h2_past_int64(tmp_path, capsys):

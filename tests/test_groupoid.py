@@ -21,6 +21,7 @@ from anomlab.errors import (
 )
 from anomlab.groupoid import (
     FiniteGroup,
+    FiniteGroupoid,
     LocalExtensionData,
     PhaseCocycle,
     action_groupoid,
@@ -129,12 +130,12 @@ def _loop_axioms_check(g):
                 bad.append(f"product of ({x}, {y}) has wrong endpoints")
     if bad:
         return bad
+    into = [[z for z in range(n_arr) if tgt[z] == o] for o in range(n_obj)]  # ascending
     for x in range(n_arr):
-        for y in range(n_arr):
-            if src[x] != tgt[y]:
-                continue
-            for z in range(n_arr):
-                if src[y] == tgt[z] and comp[comp[x][y]][z] != comp[x][comp[y][z]]:
+        for y in into[src[x]]:
+            row_xy, row_x = comp[comp[x][y]], comp[x]
+            for z in into[src[y]]:
+                if row_xy[z] != row_x[comp[y][z]]:
                     bad.append(f"associativity fails on ({x}, {y}, {z})")
     for x in range(n_arr):
         if comp[e[tgt[x]]][x] != x:
@@ -154,7 +155,9 @@ def _loop_axioms_check(g):
 def test_axioms_check_agrees_with_definition(monkeypatch):
     """Same diagnostics, in the same order, as the loop on sound tables and seeded mutants.
 
-    Both block sizes are read; ASSOCIATIVITY_BLOCK = 1 walks one composable pair per block.
+    Both block sizes are read. At ASSOCIATIVITY_BLOCK = 1 every table of more than one
+    composable pair goes through the generator certificate, and a failing one through
+    the walk, one composable pair per block.
     """
     rng = generator(211)
     catalog = group_catalog()
@@ -166,6 +169,11 @@ def test_axioms_check_agrees_with_definition(monkeypatch):
         sound.append(central_extend(base, c).total)
     cases = [(g, []) for g in sound]
     assert all(_loop_axioms_check(g) == [] for g in sound)
+    # arrow 0, the declared identity, is the one arrow that fails as a middle factor, and {1, 2}
+    # is closed: a certificate that took identities as checked would pass this table
+    magma = FiniteGroupoid(["*"], [0, 1, 2], [0] * 3, [0] * 3, [0], [0, 1, 2], [[0, 0, 0], [1, 1, 1], [2, 1, 1]])
+    cases.append((magma, _loop_axioms_check(magma)))
+    assert "associativity fails on (2, 0, 1)" in cases[-1][1]
     small = [_swap_groupoid(), point_groupoid(catalog["S3"]), translation_groupoid(catalog["Z3"]), sound[-3]]
     for g in small:
         for table in ("compose", "inverse", "identity"):
@@ -184,11 +192,92 @@ def test_axioms_check_agrees_with_definition(monkeypatch):
             assert axioms_check(g) == expected
 
 
+def _order8_totals():
+    """The N = 8 totals of the order-8 point groupoids (64 arrows) and a 3-object cover total."""
+    rng = generator(523)
+    catalog = group_catalog()
+    totals = []
+    for name in ("Z8", "Z2xZ4", "Z2xZ2xZ2", "D4"):
+        base = point_groupoid(catalog[name])
+        c = random_groupoid_cocycle(rng, base, catalog[name], ["*"], [[0] * 8], 8)
+        totals.append(central_extend(base, c).total)
+    gpd, _, _, _, c, _, _ = random_cover_instance(generator(11), max_order=8, max_modulus=8)
+    totals.append(central_extend(gpd, c).total)
+    assert [g.n_objects for g in totals] == [1, 1, 1, 1, 3]
+    return totals
+
+
+def _mutant(rng, g):
+    """g with one seeded entry of compose, identity or inverse changed.
+
+    Half of the mutants move one product to another arrow with its endpoints,
+    so that only associativity and the laws after it can fail; a third of
+    those change a product with an identity arrow, x*e or e*x, and nothing
+    else. The rest set any compose, identity or inverse entry to any value
+    in [-1, A].
+    """
+    broken = copy.deepcopy(g)
+    what = int(rng.integers(6))
+    if what < 3:
+        if what == 0:
+            e_obj = int(rng.integers(g.n_objects))
+            e = g.identity[e_obj]
+            if rng.integers(2):
+                x, y = int(rng.choice(np.flatnonzero(g.source == e_obj))), e
+            else:
+                x, y = e, int(rng.choice(np.flatnonzero(g.target == e_obj)))
+        else:
+            x, y = g.composable_pairs()[int(rng.integers(len(g.composable_pairs())))]
+        xy = g.compose[x, y]
+        same_ends = np.flatnonzero((g.source == g.source[xy]) & (g.target == g.target[xy]) & (np.arange(g.n_arrows) != xy))
+        broken.compose[x, y] = rng.choice(same_ends)
+    elif what == 3:
+        broken.compose[int(rng.integers(g.n_arrows)), int(rng.integers(g.n_arrows))] = int(rng.integers(-1, g.n_arrows + 1))
+    else:
+        flat = (broken.identity if what == 4 else broken.inverse).reshape(-1)
+        flat[int(rng.integers(flat.size))] = int(rng.integers(-1, g.n_arrows + 1))
+    return broken
+
+
+def test_axioms_check_agrees_with_definition_on_large_totals():
+    """Past one walk block, the generator certificate and the walk give the loop's diagnostics.
+
+    Mutants of the 64-arrow N = 8 totals and of a 3-object total, at the default block size.
+    """
+    rng = generator(617)
+    totals = _order8_totals()
+    assert all(len(g.composable_pairs()) > groupoid._pairs_per_block(g.n_arrows) for g in totals)
+    flagged = assoc = 0
+    for g in totals:
+        assert axioms_check(g) == _loop_axioms_check(g) == []
+        for _ in range(40):
+            broken = _mutant(rng, g)
+            expected = _loop_axioms_check(broken)
+            assert axioms_check(broken) == expected
+            flagged += bool(expected)
+            assoc += any("associativity" in d for d in expected)
+    assert flagged > 150 and assoc > 60
+
+
+def test_axioms_check_decides_sound_totals_without_the_walk(monkeypatch):
+    """Sound totals, of one object or three, never enter _pair_blocks; a broken one lists every failing triple."""
+    totals = _order8_totals()
+    walks = []
+    pair_blocks = groupoid._pair_blocks
+    monkeypatch.setattr(groupoid, "_pair_blocks", lambda *a: walks.append(1) or pair_blocks(*a))
+    assert all(axioms_check(g) == [] for g in totals) and walks == []
+    broken = copy.deepcopy(totals[3])
+    broken.compose[[5, 6]] = broken.compose[[6, 5]]
+    expected = _loop_axioms_check(broken)
+    assert sum("associativity" in d for d in expected) > 100
+    assert axioms_check(broken) == expected and walks == [1]
+
+
 def _loop_cocycle_check(g, c):
     """Reference cocycle check: c(x, y) c(xy, z) against c(x, yz) c(y, z), gathered triple by triple.
 
     The products run as one numpy expression, so they round as cocycle_check's
-    do; a nan deviation reads as inf and an inf one as the largest float there too.
+    do; a nan or inf deviation reads as inf.
     """
     comp = g.compose.tolist()
     value = dict(zip(map(tuple, c.pairs.tolist()), c.values.tolist()))
@@ -201,7 +290,7 @@ def _loop_cocycle_check(g, c):
     if c.continuous:
         with np.errstate(invalid="ignore", over="ignore"):
             dev = np.abs(a * b - d * e)
-        return float(np.nan_to_num(dev, nan=np.inf).max(initial=0.0))
+        return float(np.nan_to_num(dev, nan=np.inf, posinf=np.inf).max(initial=0.0))
     shifts = {int(k) for k in (a + b - d - e) % c.modulus if k}
     return max((abs(np.exp(2j * np.pi * k / c.modulus) - 1.0) for k in shifts), default=0.0)
 
