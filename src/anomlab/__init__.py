@@ -39,32 +39,26 @@ from .fock import (
     FockSpace,
     SpectralBackground,
     VacuumLine,
-    annihilation,
     apply_creation,
     bogoliubov_implement,
     build_car,
     creation,
     d_gamma,
     gerbe_triple_check,
-    line_transition,
     schwinger_over_backgrounds,
     schwinger_term,
     vacuum,
     vacuum_at_level,
     vacuum_line,
-    window_dimension,
 )
 from .grassmann import (
     DetLineElement,
     Frame,
-    admissibility_report,
     alpha_ratio,
     canonical_section,
-    chart_index,
     detline_act,
     frame_act,
     frame_projector,
-    same_plane,
     standard_frame,
     w_plus,
 )
@@ -80,24 +74,16 @@ from .groupoid import (
     centrality_check,
     coboundary_twist,
     cocycle_check,
-    eta_from_omega,
     glue_local_data,
     groupoid_from_compose,
     validate_local_data,
     zero_cocycle,
 )
 from .linalg import (
-    BlockOperator,
     Polarization,
-    block_decompose,
     hermitian_eigensystem,
     matrix_exponential,
-    mr_distance,
-    mr_norm_report,
-    operator_norm,
-    schatten_norm,
     sign_commutator,
-    weak_quasi_norm,
 )
 from .nerve import (
     Cochain,
@@ -117,7 +103,6 @@ from .regdet import (
     gamma_p,
     log_det_p_series,
     omega_p,
-    r_p,
 )
 from .suites import Report, run_suite, run_suites
 

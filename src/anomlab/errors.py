@@ -102,10 +102,6 @@ class FloatOverflowError(DomainError):
     """A result overflows the float64 range."""
 
 
-class EvaluationError(DomainError):
-    """A user-supplied callable failed during evaluation."""
-
-
 class InternalConsistencyError(AnomlabError):
     """Two internal computation routes disagree beyond tolerance."""
 

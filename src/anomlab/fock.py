@@ -30,11 +30,11 @@ particle number, so its exponential is taken one number sector at a time.
 
 Vacuum lines sit over Hermitian backgrounds: the line of a spectral window
 (lo, hi) is spanned by the wedge of its eigenvectors, tracked here as the
-orthonormal eigenvector frame plus a phase. Rotating the frame multiplies
-the phase by the rotation determinant; triple overlaps of windows glue up
-to a unit-modulus witness. A level is any real number but nan (errors.real):
-+-inf is a window edge past the whole spectrum. The mode count passes
-errors.integer, in [1, MAX_MODES].
+orthonormal eigenvector frame. Triple overlaps of windows glue up to a
+unit-modulus witness, and moving the Dirac-sea level across a window
+changes the Schwinger scalar by the trace of [x, y] over the window. A level
+is any real number but nan (errors.real): +-inf is a window edge past the
+whole spectrum. The mode count passes errors.integer, in [1, MAX_MODES].
 """
 
 from __future__ import annotations
@@ -200,11 +200,6 @@ def creation(space: FockSpace, v) -> np.ndarray:
     out = np.zeros((space.dim, space.dim), dtype=np.complex128)
     out[space.creator_rows, space.creator_cols] = vec[:, None] * space.creator_signs
     return out
-
-
-def annihilation(space: FockSpace, u) -> np.ndarray:
-    """Dense matrix of psi(u), the adjoint of psi*(u) (antilinear in u)."""
-    return creation(space, u).conj().T
 
 
 def apply_creation(space: FockSpace, v, state: np.ndarray) -> np.ndarray:
@@ -408,7 +403,7 @@ def schwinger_over_backgrounds(x, y, backgrounds) -> list:
     for bg in backgrounds:
         matrix = bg.matrix if isinstance(bg, SpectralBackground) else bg
         w, v = hermitian_eigensystem(as_square(matrix, n, "background"))
-        if np.min(np.abs(w)) < LEVEL_MARGIN:
+        if np.min(np.abs(w)) <= LEVEL_MARGIN:
             raise GapError("background has an eigenvalue within 1e-8 of zero")
         pos = np.nonzero(w > 0)[0]
         neg = np.nonzero(w < 0)[0]
@@ -443,13 +438,12 @@ def bogoliubov_implement(space: FockSpace, x) -> FockOperator:
 
 @dataclass(frozen=True)
 class VacuumLine:
-    """Spectral-window line: orthonormal eigenvector frame plus a phase."""
+    """Spectral-window line: the orthonormal eigenvectors of the window, as columns."""
 
     background: SpectralBackground
     lo: float
     hi: float
     frame: np.ndarray
-    phase: complex
 
 
 def _check_level(w: np.ndarray, level: float) -> None:
@@ -461,7 +455,12 @@ def _check_level(w: np.ndarray, level: float) -> None:
 
 
 def vacuum_line(bg: SpectralBackground, lo: float, hi: float) -> VacuumLine:
-    """Line of the spectral window (lo, hi); phase starts at 1."""
+    """Line of the spectral window (lo, hi): the eigenvectors with eigenvalue in it.
+
+    Each level must lie farther than 1e-8 from the spectrum; the frame has
+    one column per eigenvalue in (lo, hi), so its width is the window's
+    dimension.
+    """
     lo, hi = (real(level, "level", CoverMembershipError) for level in (lo, hi))
     if not lo < hi:
         raise DomainError(f"window requires lo < hi, got ({lo}, {hi})")
@@ -469,30 +468,7 @@ def vacuum_line(bg: SpectralBackground, lo: float, hi: float) -> VacuumLine:
     _check_level(w, lo)
     _check_level(w, hi)
     inside = np.nonzero((w > lo) & (w < hi))[0]
-    return VacuumLine(
-        background=bg, lo=lo, hi=hi, frame=v[:, inside], phase=1.0 + 0.0j
-    )
-
-
-def line_transition(line: VacuumLine, rotation) -> VacuumLine:
-    """Rotate the frame by a unitary; the phase picks up its determinant."""
-    d = line.frame.shape[1]
-    r = as_square(rotation, d, "rotation")
-    dev = float(np.max(np.abs(r.conj().T @ r - np.eye(d)))) if d else 0.0
-    if dev > UNITARY_TOL:
-        raise SymmetryError(f"rotation is not unitary within {UNITARY_TOL}")
-    det = determinant(r) if d else 1.0 + 0.0j
-    return VacuumLine(
-        background=line.background,
-        lo=line.lo,
-        hi=line.hi,
-        frame=line.frame @ r,
-        phase=line.phase * det,
-    )
-
-
-def window_dimension(bg: SpectralBackground, lo: float, hi: float) -> int:
-    return vacuum_line(bg, lo, hi).frame.shape[1]
+    return VacuumLine(background=bg, lo=lo, hi=hi, frame=v[:, inside])
 
 
 def gerbe_triple_check(bg: SpectralBackground, l1: float, l2: float, l3: float) -> complex:

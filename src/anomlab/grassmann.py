@@ -34,8 +34,6 @@ from .linalg import (
     as_matrix,
     as_square,
     determinant,
-    matrix_rank,
-    schatten_norm,
     singular_values,
 )
 from .regdet import det_p, omega_p
@@ -72,17 +70,6 @@ def w_plus(w: Frame) -> np.ndarray:
     return w.matrix[: w.pol.plus_dim, :]
 
 
-def admissibility_report(w: Frame, p) -> float:
-    """Schatten p-distance of w_plus from the identity."""
-    k = w.pol.plus_dim
-    return schatten_norm(w_plus(w) - np.eye(k), p)
-
-
-def chart_index(w: Frame) -> int:
-    """k minus the rank of w_plus; zero exactly on charted frames."""
-    return w.pol.plus_dim - matrix_rank(w_plus(w))
-
-
 def frame_act(w: Frame, t) -> Frame:
     """Right translation of the frame by an invertible k x k matrix."""
     tm = as_square(t, w.pol.plus_dim, "transform")
@@ -95,12 +82,6 @@ def frame_projector(w: Frame) -> np.ndarray:
     """Orthogonal projector onto the plane spanned by the frame (via QR)."""
     q, _ = np.linalg.qr(w.matrix)
     return q @ q.conj().T
-
-
-def same_plane(w1: Frame, w2: Frame, tol: float = 1e-10) -> bool:
-    if w1.pol != w2.pol:
-        return False
-    return bool(np.max(np.abs(frame_projector(w1) - frame_projector(w2))) <= tol)
 
 
 def _require_chart(block: np.ndarray, what: str) -> None:

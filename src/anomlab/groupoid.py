@@ -29,7 +29,6 @@ from .errors import (
     CocycleError,
     DescentError,
     DomainError,
-    EvaluationError,
     ExtensionError,
     GroupoidAxiomError,
     InternalConsistencyError,
@@ -37,14 +36,10 @@ from .errors import (
     ShapeError,
     UnsupportedCoefficientsError,
     integer,
-    real,
 )
-from .linalg import as_square, matrix_exponential
 
 CONTINUOUS_TOL = 1e-10
 ASSOCIATIVITY_BLOCK = 2**16
-ETA_MIN_STEP = 1e-6
-ETA_MAX_STEP = 1e-2
 MAX_LOCAL_CELLS = 1_000_000
 
 
@@ -860,38 +855,3 @@ def glue_local_data(data: LocalExtensionData, modulus: int) -> CentralExtension:
     # central_extend validates the assembled cocycle and the total groupoid
     return central_extend(base, PhaseCocycle(int(modulus), values, pairs))
 
-
-def eta_from_omega(omega, x, y, point, h: float) -> float:
-    """Infinitesimal 2-cocycle via the group-commutator word.
-
-    Accumulates the omega phase exponent along the product
-    exp(t x) exp(s y) exp(-t x) exp(-s y) and returns the central mixed
-    second difference at (t, s) = (0, 0) with step h.
-    """
-    h = real(h, "step", lo=ETA_MIN_STEP, hi=ETA_MAX_STEP)
-    xm = as_square(x)
-    ym = as_square(y, xm.shape[0], "generator y")
-
-    def word_phase(t: float, s: float) -> float:
-        g1 = matrix_exponential(t * xm)
-        g2 = matrix_exponential(s * ym)
-        g3 = matrix_exponential(-t * xm)
-        g4 = matrix_exponential(-s * ym)
-        total = 0.0
-        left = g1
-        for nxt in (g2, g3, g4):
-            try:
-                val = omega(point, left, nxt)
-            except Exception as exc:  # noqa: BLE001
-                raise EvaluationError(f"omega evaluation failed: {exc}") from exc
-            total += float(val)
-            left = left @ nxt
-        return total
-
-    stencil = (
-        word_phase(h, h)
-        - word_phase(h, -h)
-        - word_phase(-h, h)
-        + word_phase(-h, -h)
-    )
-    return stencil / (4.0 * h * h)

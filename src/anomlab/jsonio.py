@@ -1,13 +1,13 @@
 """Readers and writers for the on-disk JSON formats.
 
 Matrices: {"rows": n, "cols": m, "data": [[re, im], ...]} with row-major
-data of exactly rows*cols entries. Frames add "plus_dim". Polarizations
-are {"dim": n, "plus_dim": k}. Groupoids carry object labels, arrow
-records {"id", "src", "tgt"}, and compose triples [x, y, xy] over arrow
-ids. Cocycles are {"modulus": N, "values": [[x, y, k], ...]} (k an
-exponent; with modulus null, k is an [re, im] pair). Covers bundle a
-group table, a right action, charts, transition records, and local
-cocycle records; see the README for the field-by-field layout.
+data of exactly rows*cols entries. Polarizations are {"dim": n,
+"plus_dim": k}. Groupoids carry object labels, arrow records {"id", "src",
+"tgt"}, and compose triples [x, y, xy] over arrow ids. Cocycles are
+{"modulus": N, "values": [[x, y, k], ...]} (k an exponent; with modulus
+null, k is an [re, im] pair). Covers bundle a group table, a right action,
+charts, transition records, and local cocycle records; see the README for
+the field-by-field layout.
 
 Schema violations raise FormatError; mathematically invalid content
 raises the owning module's domain errors.
@@ -21,7 +21,6 @@ import sys
 import numpy as np
 
 from .errors import FormatError
-from .grassmann import Frame
 from .groupoid import (
     FiniteGroup,
     FiniteGroupoid,
@@ -42,12 +41,6 @@ def load_json(path):
         raise FormatError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path} is not valid JSON: {exc}") from exc
-
-
-def dump_json(obj, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True)
-        fh.write("\n")
 
 
 def _expect(obj, key, kinds, where):
@@ -108,26 +101,6 @@ def polarization_from_obj(obj) -> Polarization:
     dim = _integer(_expect(obj, "dim", None, "polarization"), "polarization: dim")
     plus = _integer(_expect(obj, "plus_dim", None, "polarization"), "polarization: plus_dim")
     return Polarization(dim=dim, plus_dim=plus)
-
-
-def polarization_to_obj(pol: Polarization) -> dict:
-    return {"dim": pol.dim, "plus_dim": pol.plus_dim}
-
-
-def frame_to_obj(frame: Frame) -> dict:
-    obj = matrix_to_obj(frame.matrix)
-    obj["plus_dim"] = frame.pol.plus_dim
-    return obj
-
-
-def frame_from_obj(obj) -> Frame:
-    m = matrix_from_obj(obj)
-    plus = _integer(_expect(obj, "plus_dim", None, "frame"), "frame: plus_dim")
-    if m.shape[1] != plus:
-        raise FormatError(
-            f"frame: matrix has {m.shape[1]} columns but plus_dim is {plus}"
-        )
-    return Frame(Polarization(dim=m.shape[0], plus_dim=plus), m)
 
 
 def group_to_obj(group: FiniteGroup) -> dict:
@@ -224,12 +197,6 @@ def groupoid_from_obj(obj) -> FiniteGroupoid:
             raise FormatError(f"groupoid compose entry {i}: duplicate pair")
         compose[x, y] = xy
     return groupoid_from_compose(objects, ids, source, target, compose)
-
-
-def cocycle_to_obj(g: FiniteGroupoid, c: PhaseCocycle) -> dict:
-    values = np.stack([c.values.real, c.values.imag], axis=-1) if c.continuous else c.values
-    x, y = c.pairs.T.tolist()
-    return {"modulus": c.modulus, "values": list(map(list, zip(x, y, values.tolist())))}
 
 
 def cocycle_from_obj(obj, g: FiniteGroupoid) -> PhaseCocycle:

@@ -2,21 +2,19 @@
 
 Operators are plain numpy arrays of complex128. The polarization splits
 C^n into a plus subspace (first k coordinates) and a minus subspace (the
-rest); the sign operator is +1 on the former and -1 on the latter. Block
-decomposition, Schatten norms, and the graded metric below are the raw
-material for the regularized determinants and line bundles in the other
-modules.
+rest); the sign operator is +1 on the former and -1 on the latter. The
+shape gates, the sign commutator, Hermitian eigensystems, determinants and
+the matrix exponential below are the raw material for the regularized
+determinants and line bundles in the other modules.
 
 Everything here targets small dense matrices (tens of rows); there is no
-sparse or iterative path on purpose. Orders pass the gates of the errors
-module: the integer order of det_p and of the graded metric through
-integer(), Schatten and weak orders through real(). scipy.linalg is
-imported on first use, by matrix_exponential.
+sparse or iterative path on purpose. The integer order of det_p passes the
+integer() gate of the errors module. scipy.linalg is imported on first
+use, by matrix_exponential.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,13 +25,11 @@ from .errors import (
     ShapeError,
     SymmetryError,
     integer,
-    real,
 )
 
 HERMITIAN_TOL = 1e-10
 SINGULAR_TOL = 1e-12
 RANK_TOL = 1e-10
-FLOAT_MAX = float(np.finfo(np.float64).max)
 
 
 def as_matrix(a) -> np.ndarray:
@@ -83,30 +79,6 @@ class Polarization:
         return np.diag(signs).astype(np.complex128)
 
 
-@dataclass
-class BlockOperator:
-    """The four blocks of an operator with respect to a polarization.
-
-    a maps plus to plus, b minus to plus, c plus to minus, d minus to minus.
-    """
-
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    d: np.ndarray
-
-    def reassemble(self) -> np.ndarray:
-        top = np.hstack([self.a, self.b])
-        bottom = np.hstack([self.c, self.d])
-        return np.vstack([top, bottom])
-
-
-def block_decompose(a, pol: Polarization) -> BlockOperator:
-    m = as_square(a, pol.dim, "operator")
-    k = pol.plus_dim
-    return BlockOperator(a=m[:k, :k], b=m[:k, k:], c=m[k:, :k], d=m[k:, k:])
-
-
 def sign_commutator(a, pol: Polarization) -> np.ndarray:
     """Commutator with the sign operator; kills diagonal blocks, doubles off-diagonal ones."""
     m = as_square(a, pol.dim, "operator")
@@ -116,72 +88,6 @@ def sign_commutator(a, pol: Polarization) -> np.ndarray:
 
 def singular_values(a) -> np.ndarray:
     return np.linalg.svd(as_matrix(a), compute_uv=False)
-
-
-def schatten_norm(a, p) -> float:
-    """Schatten p-norm: the l^p norm of the singular value sequence.
-
-    p may be any finite real >= 1; p = inf is not accepted here (use
-    operator_norm). The largest singular value is factored out, so the norm
-    neither overflows nor underflows where it fits float64.
-    """
-    p = real(p, "Schatten order", InvalidOrderError, 1, FLOAT_MAX)
-    s = singular_values(a)
-    if s.size == 0 or s[0] == 0.0:
-        return 0.0
-    return float(s[0] * np.sum((s / s[0]) ** p) ** (1.0 / p))
-
-
-def weak_quasi_norm(a, p) -> float:
-    """Weak-l^p quasi-norm of the singular values: sup_k k^(1/p) s_k.
-
-    Singular values are taken in decreasing order with k starting at 1.
-    """
-    p = real(p, "weak order", InvalidOrderError, 1, math.inf)
-    s = singular_values(a)
-    if s.size == 0:
-        return 0.0
-    k = np.arange(1, s.size + 1, dtype=float)
-    return float(np.max(k ** (1.0 / p) * s))
-
-
-def operator_norm(a) -> float:
-    """Largest singular value."""
-    s = singular_values(a)
-    return float(s[0]) if s.size else 0.0
-
-
-def mr_distance(g, h, pol: Polarization, p) -> float:
-    """Graded metric: operator norms on the diagonal blocks of g - h, Schatten 2p on the off-diagonal ones."""
-    difference = as_square(g, pol.dim, "operator") - as_square(h, pol.dim, "operator")
-    return mr_norm_report(difference, pol, p).mr_norm
-
-
-@dataclass
-class NormReport:
-    """Per-block norms of one operator in the graded topology of order p."""
-
-    order: int
-    diag_plus: float
-    diag_minus: float
-    off_upper: float
-    off_lower: float
-
-    @property
-    def mr_norm(self) -> float:
-        return self.diag_plus + self.diag_minus + self.off_upper + self.off_lower
-
-
-def mr_norm_report(a, pol: Polarization, p) -> NormReport:
-    p = _check_order(p)
-    b = block_decompose(a, pol)
-    return NormReport(
-        order=p,
-        diag_plus=operator_norm(b.a),
-        diag_minus=operator_norm(b.d),
-        off_upper=schatten_norm(b.b, 2 * p),
-        off_lower=schatten_norm(b.c, 2 * p),
-    )
 
 
 def hermitian_eigensystem(d):
@@ -224,7 +130,3 @@ def matrix_exponential(a) -> np.ndarray:
         )
     return out
 
-
-def matrix_rank(a, tol: float = RANK_TOL) -> int:
-    s = singular_values(a)
-    return int(np.sum(s > tol))

@@ -55,7 +55,6 @@ from .linalg import (
     SINGULAR_TOL,
     _check_order,
     as_square,
-    matrix_exponential,
 )
 
 DUAL_ROUTE_TOL = 1e-9
@@ -64,28 +63,6 @@ SPECTRAL_RADIUS_TOL = 1e-8
 TWO_PI = 2.0 * math.pi
 LOG_SINGULAR_TOL = math.log(SINGULAR_TOL)
 EPS = float(np.finfo(np.float64).eps)
-
-
-def _alternating_log_factor(a: np.ndarray, p: int) -> np.ndarray:
-    """sum_{j=1}^{p-1} (-1)^j A^j / j (zero matrix when p = 1)."""
-    n = a.shape[0]
-    total = np.zeros((n, n), dtype=np.complex128)
-    power = np.eye(n, dtype=np.complex128)
-    for j in range(1, p):
-        power = power @ a
-        total += ((-1) ** j / j) * power
-    return total
-
-
-def r_p(a, p) -> np.ndarray:
-    """Order-p remainder R_p(A); R_1(A) = A."""
-    p = _check_order(p)
-    m = as_square(a)
-    if p == 1:
-        return m.copy()
-    factor = matrix_exponential(_alternating_log_factor(m, p))
-    one = np.eye(m.shape[0], dtype=np.complex128)
-    return (one + m) @ factor - one
 
 
 @dataclass(frozen=True)

@@ -38,8 +38,10 @@ from .fock import (
     creation,
     gerbe_triple_check,
     schwinger_detail,
+    schwinger_over_backgrounds,
     schwinger_term,
     vacuum_at_level,
+    vacuum_line,
 )
 from .grassmann import (
     DetLineElement,
@@ -113,6 +115,7 @@ BOGOLIUBOV_GENERATORS = 50
 BOGOLIUBOV_VECTORS = 50
 GERBE_BACKGROUNDS = 100
 FILLING_CASES = 30
+WINDOW_CASES = 25
 COVER_ROUNDTRIPS = 50
 CLASS_CROSSCHECKS = 10
 SQUARE_ZERO_CASES = 5
@@ -469,6 +472,12 @@ def _suite_fock(rng):
         inputs = {"m": m, "k": k, "bg": bg.matrix, "levels": levels}
         yield f"filling/{i:02d}", inputs, "filling", lambda: _filling_gap(build_car(m, Polarization(m, k)), bg, *levels)
 
+    for i, (m,), bg, levels in _leveled_backgrounds(rng, WINDOW_CASES, 2, lambda r: (int(r.integers(2, 7)),)):
+        x = inst.random_anti_hermitian(rng, m)
+        y = inst.random_anti_hermitian(rng, m)
+        inputs = {"m": m, "bg": bg.matrix, "levels": levels, "x": x, "y": y}
+        yield f"schwinger-window/{i:03d}", inputs, "schwinger_trace_formula", lambda: _window_gap(bg, levels, x, y)
+
 
 def _car_gap(m) -> float:
     space = build_car(m, Polarization(m, m // 2))
@@ -505,6 +514,18 @@ def _filling_gap(space, bg, lam, mu) -> float:
     for idx in reversed([i for i in range(space.modes) if lam < w[i] < mu]):
         state = apply_creation(space, v[:, idx], state)
     return abs(abs(complex(np.vdot(vacuum_at_level(space, bg, mu), state))) - 1.0)
+
+
+def _window_gap(bg, levels, x, y) -> float:
+    """|c(h - l2) - c(h - l1) - Tr(Q [x, y])|, Q the projector onto the (l1, l2) window of h.
+
+    c(h - l) is the Schwinger scalar in the polarization whose minus side is
+    the spectrum of h below l; by c(x, y) = Tr(P_-[x, y]) the two scalars
+    differ by the trace over the modes between the levels.
+    """
+    low, high = schwinger_over_backgrounds(x, y, [bg.matrix - level * np.eye(bg.dim) for level in levels])
+    frame = vacuum_line(bg, *levels).frame
+    return abs(high - low - complex(np.trace(frame.conj().T @ _comm(x, y) @ frame)))
 
 
 def _leveled_backgrounds(rng, cases: int, count: int, draw_modes):

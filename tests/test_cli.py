@@ -19,7 +19,6 @@ from anomlab.instances import (
 )
 from anomlab.jsonio import (
     cover_from_obj,
-    dump_json,
     groupoid_from_obj,
     groupoid_to_obj,
     load_json,
@@ -28,8 +27,12 @@ from anomlab.jsonio import (
 )
 
 
+def _dump_json(obj, path) -> None:
+    path.write_text(json.dumps(obj), encoding="utf-8")
+
+
 def _write_matrix(path, m):
-    dump_json(matrix_to_obj(np.asarray(m, dtype=np.complex128)), path)
+    _dump_json(matrix_to_obj(np.asarray(m, dtype=np.complex128)), path)
     return str(path)
 
 
@@ -111,7 +114,7 @@ def test_compute_usage_format_and_domain_errors(tmp_path, capsys):
     bad.write_text("{broken")
     assert main(["compute", "detp", "--matrix", str(bad)]) == 3
     wrong = tmp_path / "wrong.json"
-    dump_json({"rows": 1, "cols": 2, "data": [[1.0, 0.0]]}, wrong)
+    _dump_json({"rows": 1, "cols": 2, "data": [[1.0, 0.0]]}, wrong)
     assert main(["compute", "detp", "--matrix", str(wrong)]) == 3
     capsys.readouterr()
     matrix = _write_matrix(tmp_path / "a.json", np.diag([0.5, 0.0]))
@@ -120,7 +123,7 @@ def test_compute_usage_format_and_domain_errors(tmp_path, capsys):
 
 def test_compute_detp_rejects_integers_beyond_float_range(tmp_path, capsys):
     huge = tmp_path / "huge.json"
-    dump_json({"rows": 1, "cols": 1, "data": [[10**400, 0]]}, huge)
+    _dump_json({"rows": 1, "cols": 1, "data": [[10**400, 0]]}, huge)
     assert main(["compute", "detp", "--matrix", str(huge)]) == 3
     assert "matrix: entries must be finite" in capsys.readouterr().err
 
@@ -140,7 +143,7 @@ def test_compute_schwinger(tmp_path, capsys):
     x = _write_matrix(tmp_path / "x.json", r - r.T)
     y = _write_matrix(tmp_path / "y.json", 1j * (r + r.T))
     pol = tmp_path / "pol.json"
-    dump_json({"dim": 2, "plus_dim": 1}, pol)
+    _dump_json({"dim": 2, "plus_dim": 1}, pol)
     args = ["compute", "schwinger", "--matrix-x", x, "--matrix-y", y, "--pol", str(pol)]
     assert main(args) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -152,7 +155,7 @@ def test_compute_schwinger(tmp_path, capsys):
 
 def test_compute_h2(tmp_path, capsys):
     gfile = tmp_path / "bz2.json"
-    dump_json(groupoid_to_obj(point_groupoid(cyclic_group(2))), gfile)
+    _dump_json(groupoid_to_obj(point_groupoid(cyclic_group(2))), gfile)
     assert main(["compute", "h2", "--groupoid", str(gfile), "--modulus", "2"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["orders"] == [2]
@@ -170,7 +173,7 @@ def test_main_reuses_its_parser(tmp_path, capsys):
     and an appended option does not carry over from one parse to the next.
     """
     gfile = tmp_path / "d4.json"
-    dump_json(groupoid_to_obj(point_groupoid(group_catalog()["D4"])), gfile)
+    _dump_json(groupoid_to_obj(point_groupoid(group_catalog()["D4"])), gfile)
     argv = ["compute", "h2", "--groupoid", str(gfile), "--modulus", "4"]
     assert main(argv) == 0
     first = capsys.readouterr().out
@@ -193,7 +196,7 @@ def test_main_reuses_its_parser(tmp_path, capsys):
 def test_compute_h2_past_int64(tmp_path, capsys):
     # Z2xZ4: Hom(M(G), Z_N) + Ext(G^ab, Z_N) = Z2 + Z2 + Z4 for any N divisible by 4
     gfile = tmp_path / "z2xz4.json"
-    dump_json(groupoid_to_obj(point_groupoid(group_catalog()["Z2xZ4"])), gfile)
+    _dump_json(groupoid_to_obj(point_groupoid(group_catalog()["Z2xZ4"])), gfile)
     for modulus in (3 * 2**61, 2**63, 2**64 * 5):
         assert main(["compute", "h2", "--groupoid", str(gfile), "--modulus", str(modulus)]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -230,7 +233,7 @@ def test_compute_h2_orders_are_pinned(tmp_path, capsys):
             points, action = coset_right_action(group, sub)
             gpd = action_groupoid(points, group, action)
         gfile = tmp_path / f"{name}-{kind}.json"
-        dump_json(groupoid_to_obj(gpd), gfile)
+        _dump_json(groupoid_to_obj(gpd), gfile)
         assert main(["compute", "h2", "--groupoid", str(gfile), "--modulus", str(modulus)]) == 0
         assert json.loads(capsys.readouterr().out)["orders"] == orders, (name, kind, modulus)
 
@@ -295,7 +298,7 @@ def test_compute_glue_reports_missing_entries(tmp_path, capsys):
             validate_local_data(data, modulus)
         assert str(info.value) == message
         capsys.readouterr()
-        dump_json(broken, tmp_path / "broken.json")
+        _dump_json(broken, tmp_path / "broken.json")
         assert main(["compute", "glue", "--data", str(tmp_path / "broken.json")]) == 4
         assert capsys.readouterr().err == f"domain error: {message}\n"
 
@@ -309,7 +312,7 @@ def test_compute_glue_rejects_out_of_range_action(tmp_path, capsys):
         for column, message in ((0, "identity moves point 0"), (1, "action entry (0, 1) out of range")):
             action = [list(row) for row in obj["action"]]
             action[0][column] = value
-            dump_json({**obj, "action": action}, tmp_path / "broken.json")
+            _dump_json({**obj, "action": action}, tmp_path / "broken.json")
             capsys.readouterr()
             assert main(["compute", "glue", "--data", str(tmp_path / "broken.json")]) == 4
             assert capsys.readouterr().err == f"domain error: {message}\n", (value, column)
@@ -318,7 +321,7 @@ def test_compute_glue_rejects_out_of_range_action(tmp_path, capsys):
 def test_compute_glue_refuses_oversized_extension(tmp_path, capsys):
     cover = tmp_path / "cover.json"
     assert main(["generate", "refined-cover", "--seed", "7", "--out", str(cover)]) == 0
-    dump_json({**load_json(cover), "modulus": 10**12}, tmp_path / "huge.json")
+    _dump_json({**load_json(cover), "modulus": 10**12}, tmp_path / "huge.json")
     capsys.readouterr()
     assert main(["compute", "glue", "--data", str(tmp_path / "huge.json")]) == 4
     assert capsys.readouterr().err.startswith("domain error: extension of ")

@@ -13,7 +13,7 @@ import scipy.linalg
 import scipy.sparse
 
 import anomlab
-from anomlab import fock
+from anomlab import fock, suites
 
 from anomlab.errors import (
     CoverMembershipError,
@@ -27,21 +27,18 @@ from anomlab.errors import (
 )
 from anomlab.fock import (
     SpectralBackground,
-    annihilation,
     apply_creation,
     bogoliubov_implement,
     build_car,
     creation,
     d_gamma,
     gerbe_triple_check,
-    line_transition,
     schwinger_detail,
     schwinger_over_backgrounds,
     schwinger_term,
     vacuum,
     vacuum_at_level,
     vacuum_line,
-    window_dimension,
 )
 from anomlab.linalg import Polarization, matrix_exponential
 
@@ -58,6 +55,11 @@ def _random_complex(rng, n, m=None):
 def _random_anti_hermitian(rng, n, scale=0.5):
     m = _random_complex(rng, n)
     return scale * (m - m.conj().T) / 2
+
+
+def _annihilation(space, u):
+    """psi(u), the adjoint of psi*(u) (antilinear in u)."""
+    return creation(space, u).conj().T
 
 
 def _anticomm(a, b):
@@ -108,7 +110,7 @@ def test_mixed_anticommutator_is_inner_product():
     for _ in range(10):
         u = _random_complex(rng, 3, 1).ravel()
         v = _random_complex(rng, 3, 1).ravel()
-        lhs = _anticomm(annihilation(space, u), creation(space, v))
+        lhs = _anticomm(_annihilation(space, u), creation(space, v))
         np.testing.assert_allclose(lhs, np.vdot(u, v) * np.eye(space.dim), atol=1e-12)
 
 
@@ -119,7 +121,7 @@ def test_vacuum_is_dirac_sea():
     assert np.sum(np.abs(vac)) == 1.0
     basis = np.eye(4)
     for j in range(2):  # empty plus modes are killed by annihilation
-        np.testing.assert_allclose(annihilation(space, basis[j]) @ vac, 0, atol=1e-14)
+        np.testing.assert_allclose(_annihilation(space, basis[j]) @ vac, 0, atol=1e-14)
     for j in range(2, 4):  # filled minus modes are killed by creation
         np.testing.assert_allclose(creation(space, basis[j]) @ vac, 0, atol=1e-14)
 
@@ -443,6 +445,26 @@ def test_schwinger_over_backgrounds():
         schwinger_over_backgrounds(x, y, [np.diag([1.0, 0.0, -1.0])])
     with pytest.raises(ShapeError):
         schwinger_over_backgrounds(x, y, [np.diag([1.0, -1.0])])
+    # an eigenvalue 1e-8 from zero is within the margin, as it is from a level of vacuum_line
+    with pytest.raises(GapError):
+        schwinger_over_backgrounds(x, y, [np.diag([1e-8, 1.0, -1.0])])
+    with pytest.raises(CoverMembershipError):
+        vacuum_line(SpectralBackground(np.diag([1e-8, 1.0, -1.0])), 0.0, 2.0)
+    assert len(schwinger_over_backgrounds(x, y, [np.diag([2e-8, 1.0, -1.0])])) == 1
+
+
+def test_schwinger_window_identity_and_its_negative_control(monkeypatch):
+    # c(h - l2) - c(h - l1) = Tr(Q [x, y]) over the window (l1, l2); a Q one
+    # eigenvalue too wide must break it
+    rng = np.random.default_rng(413)
+    q, _ = np.linalg.qr(_random_complex(rng, 5))
+    bg = SpectralBackground(q @ np.diag([-2.0, -1.0, 0.5, 1.0, 2.0]) @ q.conj().T)
+    x = _random_anti_hermitian(rng, 5, 1.0)
+    y = _random_anti_hermitian(rng, 5, 1.0)
+    levels = [-1.5, 0.75]
+    assert suites._window_gap(bg, levels, x, y) < 1e-13
+    monkeypatch.setattr(suites, "vacuum_line", lambda b, lo, hi: vacuum_line(b, lo, 1.5))
+    assert suites._window_gap(bg, levels, x, y) > 1e-3
 
 
 def test_bogoliubov_conjugation():
@@ -467,33 +489,12 @@ def test_bogoliubov_rejects_non_anti_hermitian():
 
 def test_window_dimension_and_lines():
     bg = SpectralBackground(np.diag([-2.0, -1.0, 1.0, 2.0]))
-    assert window_dimension(bg, -3.0, 0.0) == 2
-    assert window_dimension(bg, 0.0, 3.0) == 2
-    assert window_dimension(bg, -3.0, 3.0) == 4
-    assert window_dimension(bg, 1.5, 1.7) == 0
-    line = vacuum_line(bg, -3.0, 0.0)
-    assert line.phase == 1.0
-    assert line.frame.shape == (4, 2)
+    for lo, hi, dim in ((-3.0, 0.0, 2), (0.0, 3.0, 2), (-3.0, 3.0, 4), (1.5, 1.7, 0)):
+        assert vacuum_line(bg, lo, hi).frame.shape == (4, dim)
     with pytest.raises(DomainError):
         vacuum_line(bg, 1.0 + 2e-9, 0.0)
     with pytest.raises(CoverMembershipError):
         vacuum_line(bg, -1.0, 3.0)
-
-
-def test_line_transition_tracks_determinant():
-    rng = np.random.default_rng(411)
-    bg = SpectralBackground(np.diag([-2.0, -1.0, 1.0, 2.0]))
-    line = vacuum_line(bg, -3.0, 0.0)
-    q, _ = np.linalg.qr(_random_complex(rng, 2))
-    moved = line_transition(line, q)
-    np.testing.assert_allclose(moved.phase, np.linalg.det(q), rtol=1e-12)
-    np.testing.assert_allclose(moved.frame, line.frame @ q)
-    twice = line_transition(moved, q.conj().T)
-    np.testing.assert_allclose(twice.phase, 1.0, atol=1e-12)
-    with pytest.raises(SymmetryError):
-        line_transition(line, 2 * np.eye(2))
-    with pytest.raises(ShapeError):
-        line_transition(line, np.eye(3))
 
 
 def test_gerbe_triple_check_diagonal_and_random():

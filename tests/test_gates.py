@@ -23,9 +23,9 @@ from anomlab.errors import (
     real,
 )
 from anomlab.fock import SpectralBackground, build_car, gerbe_triple_check, vacuum_at_level, vacuum_line
-from anomlab.groupoid import PhaseCocycle, eta_from_omega, validate_local_data
+from anomlab.groupoid import PhaseCocycle, validate_local_data
 from anomlab.instances import cyclic_group, generator, point_groupoid, random_cover_instance
-from anomlab.linalg import Polarization, schatten_norm, weak_quasi_norm
+from anomlab.linalg import Polarization
 from anomlab.nerve import Cochain, class_reducer, coboundary_matrix, cohomology_group, nerve
 from anomlab.regdet import det_p, log_det_p_series
 from anomlab.snf import solve_mod
@@ -35,13 +35,6 @@ Z2 = point_groupoid(cyclic_group(2))
 COVER = random_cover_instance(generator(3), max_points=2, max_order=4, max_modulus=4, n_charts=2)
 SPACE = build_car(2, Polarization(2, 1))
 BACKGROUND = SpectralBackground(np.diag([-1.0, 1.0]))
-DIAG = np.diag([3.0, 1.0])
-EYE = np.eye(2)
-
-
-def _zero_omega(point, g1, g2):
-    return 0.0
-
 
 # site, call with the parameter, error class, valid values
 INTEGER_SITES = [
@@ -66,9 +59,6 @@ INTEGER_SITES = [
 
 # site, call with the parameter, error class, valid values, values out of range
 REAL_SITES = [
-    ("schatten_norm order", lambda v: schatten_norm(DIAG, v), InvalidOrderError, [2, 2.5], [math.inf]),
-    ("weak_quasi_norm order", lambda v: weak_quasi_norm(DIAG, v), InvalidOrderError, [2, 2.5, math.inf], []),
-    ("eta_from_omega step", lambda v: eta_from_omega(_zero_omega, EYE, EYE, None, v), DomainError, [1e-3], []),
     (
         "vacuum_at_level level",
         lambda v: vacuum_at_level(SPACE, BACKGROUND, v),
@@ -138,8 +128,6 @@ def test_defects_the_gates_close():
         solve_mod([[1]], [1], 2.5)
     with pytest.raises(CapacityError, match="must be an integer, got 1.0"):
         coboundary_matrix(nerve(Z2, 2), 1.0)
-    with pytest.raises(InvalidOrderError, match="got inf"):
-        schatten_norm(DIAG, math.inf)
     with pytest.raises(CoverMembershipError, match="nan"):
         vacuum_at_level(SPACE, BACKGROUND, math.nan)
     with pytest.raises(CoverMembershipError, match="nan"):

@@ -13,7 +13,6 @@ from anomlab.errors import (
     CocycleError,
     DescentError,
     DomainError,
-    EvaluationError,
     ExtensionError,
     GroupoidAxiomError,
     MissingValueError,
@@ -31,7 +30,6 @@ from anomlab.groupoid import (
     check_right_action,
     coboundary_twist,
     cocycle_check,
-    eta_from_omega,
     glue_local_data,
     group_axioms_check,
     groupoid_from_compose,
@@ -850,37 +848,3 @@ def test_local_data_cover_must_exhaust_group():
     with pytest.raises(DomainError):
         validate_local_data(data, 0)
 
-
-def test_eta_from_omega_recovers_commutator_pairing():
-    rng = np.random.default_rng(501)
-    m = rng.standard_normal((3, 3))
-    x = rng.standard_normal((3, 3))
-    y = rng.standard_normal((3, 3))
-
-    def omega(point, g1, g2):
-        eye = np.eye(3)
-        return float(np.real(np.trace(m @ (g1 - eye) @ (g2 - eye))))
-
-    eta = eta_from_omega(omega, x, y, point=None, h=1e-3)
-    expected = float(np.real(np.trace(m @ (x @ y - y @ x))))
-    np.testing.assert_allclose(eta, expected, rtol=1e-4, atol=1e-6)
-    # antisymmetry of the extracted pairing
-    eta_swapped = eta_from_omega(omega, y, x, point=None, h=1e-3)
-    np.testing.assert_allclose(eta_swapped, -expected, rtol=1e-4, atol=1e-6)
-
-
-def test_eta_from_omega_guards():
-    def omega(point, g1, g2):
-        return 0.0
-
-    x = np.eye(2)
-    with pytest.raises(DomainError):
-        eta_from_omega(omega, x, x, None, h=1e-7)
-    with pytest.raises(DomainError):
-        eta_from_omega(omega, x, np.eye(3), None, h=1e-3)
-
-    def broken(point, g1, g2):
-        raise ValueError("no phase here")
-
-    with pytest.raises(EvaluationError):
-        eta_from_omega(broken, x, x, None, h=1e-3)

@@ -30,7 +30,6 @@ from anomlab.regdet import (
     gamma_p,
     log_det_p_series,
     omega_p,
-    r_p,
 )
 
 
@@ -38,6 +37,29 @@ def _random_small(rng, n, radius=0.3):
     m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     top = np.max(np.abs(np.linalg.eigvals(m)))
     return m * (radius / top)
+
+
+def _alternating_log_factor(a, p):
+    """F = sum_{j=1}^{p-1} (-1)^j A^j / j (zero matrix when p = 1)."""
+    n = a.shape[0]
+    f = np.zeros((n, n), dtype=np.complex128)
+    power = np.eye(n, dtype=np.complex128)
+    for j in range(1, p):
+        power = power @ a
+        f += ((-1) ** j / j) * power
+    return f
+
+
+def _one_plus_remainder(a, p):
+    """1 + R_p(A) = (1 + A) e^F."""
+    from scipy.linalg import expm
+
+    return (np.eye(a.shape[0]) + a) @ expm(_alternating_log_factor(a, p))
+
+
+def _r_p(a, p):
+    """Order-p remainder R_p(A) = (1 + A) e^F - 1; R_1(A) = A."""
+    return _one_plus_remainder(a, p) - np.eye(a.shape[0])
 
 
 def _prod(a, b):
@@ -51,7 +73,7 @@ def test_order_one_is_plain_determinant():
         m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         d = det_p(m, 1)
         np.testing.assert_allclose(d.value, np.linalg.det(np.eye(4) + m), rtol=1e-11)
-    np.testing.assert_allclose(r_p(m, 1), m)
+    np.testing.assert_allclose(_r_p(m, 1), m)
 
 
 def test_scalar_closed_form_order_two():
@@ -77,8 +99,8 @@ def test_remainder_vanishes_to_order_p():
     rng = np.random.default_rng(103)
     m = _random_small(rng, 3)
     for p in (2, 3, 4):
-        big = np.linalg.norm(r_p(1e-2 * m, p))
-        small = np.linalg.norm(r_p(0.5e-2 * m, p))
+        big = np.linalg.norm(_r_p(1e-2 * m, p))
+        small = np.linalg.norm(_r_p(0.5e-2 * m, p))
         # halving the input shrinks R_p by about 2^p
         assert big / small == pytest.approx(2.0**p, rel=0.05)
 
@@ -237,16 +259,8 @@ def _spectral_log(lam, p):
 
 
 def _remainder_route_log(a, p):
-    """log det((1 + A) e^F), F = sum_{j<p} (-1)^j A^j / j: the route det_p took before the log domain."""
-    from scipy.linalg import expm
-
-    n = a.shape[0]
-    f = np.zeros((n, n), dtype=np.complex128)
-    power = np.eye(n, dtype=np.complex128)
-    for j in range(1, p):
-        power = power @ a
-        f += ((-1) ** j / j) * power
-    return cmath.log(np.linalg.det((np.eye(n) + a) @ expm(f)))
+    """log det((1 + A) e^F) = log det(1 + R_p(A)): the route det_p took before the log domain."""
+    return cmath.log(np.linalg.det(_one_plus_remainder(a, p)))
 
 
 def test_log_matches_mpmath_at_fifty_digits():

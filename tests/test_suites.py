@@ -177,6 +177,11 @@ PINNED_ROWS = {
     "groupoid": (110, "940ece10763c28dbbf70e746a69b61ddb11c8e3e37815db1fd7947c284d35430"),
     "cohomology": (78, "294258e149f9b3988eedc088bc98d7a102cb8ea107aab57f11a3e1ef8fc744a4"),
 }
+# rows appended to a suite after its pin was taken, pinned apart so that the
+# pin above still proves the earlier rows unchanged
+APPENDED_ROWS = {
+    "fock": (25, "a01e03defe4512640d63d6eea456d95846169d17772253bf0fee7055eb91cb2a"),
+}
 PINNED_RECORDS = {
     "groupoid": "71f604ca4c9b67e7d2313fd3d286e46b5657463378924fe5810348e8280bb243",
     "cohomology": "26254dacdabb2089ae2d7e59f25e2c4838b2480cbc9627e2b0a446ce4988fa73",
@@ -194,8 +199,11 @@ def seed7_reports():
 
 @pytest.mark.parametrize("name", SUITE_NAMES)
 def test_case_names_and_verdicts_are_pinned(seed7_reports, name):
-    cases = seed7_reports[name].cases
-    assert (len(cases), _sha([[c.suite, c.name, c.passed] for c in cases])) == PINNED_ROWS[name]
+    rows = [[c.suite, c.name, c.passed] for c in seed7_reports[name].cases]
+    count = PINNED_ROWS[name][0]
+    head, tail = rows[:count], rows[count:]
+    assert (len(head), _sha(head)) == PINNED_ROWS[name]
+    assert (len(tail), _sha(tail)) == APPENDED_ROWS.get(name, (0, _sha([])))
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_RECORDS))
