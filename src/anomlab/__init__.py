@@ -58,7 +58,6 @@ from .grassmann import (
     canonical_section,
     detline_act,
     frame_act,
-    frame_projector,
     standard_frame,
     w_plus,
 )

@@ -58,7 +58,6 @@ from .errors import (
 from .linalg import (
     Polarization,
     as_square,
-    determinant,
     hermitian_eigensystem,
     matrix_exponential,
 )
@@ -492,7 +491,7 @@ def gerbe_triple_check(bg: SpectralBackground, l1: float, l2: float, l3: float) 
         )
     if full.frame.shape[1] == 0:
         return 1.0 + 0.0j
-    witness = determinant(full.frame.conj().T @ glued)
+    witness = complex(np.linalg.det(full.frame.conj().T @ glued))
     if abs(abs(witness) - 1.0) > WITNESS_TOL:
         raise InternalConsistencyError(
             f"witness modulus {abs(witness):.12f} deviates from 1 beyond {WITNESS_TOL}"

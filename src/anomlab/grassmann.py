@@ -13,30 +13,32 @@ Line elements are pairs (frame, coefficient) with the right translation
 so the canonical section is equivariant: psi(w t) = psi(w) omega_p(w_plus, t).
 The chart-change ratio alpha_ratio compares the omega factors seen in two
 charts related by (g, q); it is multiplicative in t and carries no sign.
+w_plus and t already are 1 + A and 1 + B, so each is factored once (see
+regdet): its LU log gates |det| <= 1e-12 and feeds det_p and omega_p.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     ChartSingularityError,
+    FloatOverflowError,
     FrameError,
     ShapeError,
     SingularTransformError,
 )
 from .linalg import (
     RANK_TOL,
-    SINGULAR_TOL,
     Polarization,
+    _check_order,
     as_matrix,
     as_square,
-    determinant,
-    singular_values,
 )
-from .regdet import det_p, omega_p
+from .regdet import LOG_SINGULAR_TOL, _det_p, _factor, _Factored, _omega_p, _quiet, _shift
 
 
 @dataclass(frozen=True)
@@ -52,7 +54,7 @@ class Frame:
             raise ShapeError(
                 f"frame must be {self.pol.dim}x{self.pol.plus_dim}, got {m.shape}"
             )
-        s = singular_values(m)
+        s = np.linalg.svd(m, compute_uv=False)
         if s.size == 0 or s[-1] <= RANK_TOL:
             raise FrameError("frame columns are not independent within 1e-10")
         object.__setattr__(self, "matrix", m)
@@ -70,23 +72,28 @@ def w_plus(w: Frame) -> np.ndarray:
     return w.matrix[: w.pol.plus_dim, :]
 
 
+def _invertible(block: np.ndarray, error, what: str) -> _Factored:
+    """block = 1 + A with A and its LU log; error when that log puts |det| within 1e-12 of 0."""
+    x = _factor(_shift(block, -1.0), block)
+    if x.lu_log.real <= LOG_SINGULAR_TOL:
+        raise error(f"{what} is singular within 1e-12")
+    return x
+
+
+def _product(what: str, *factors: np.ndarray) -> np.ndarray:
+    """The matrix product of the factors, under the caller's _quiet; FloatOverflowError where it overflows."""
+    m = functools.reduce(np.matmul, factors)
+    if not np.isfinite(m).all():
+        raise FloatOverflowError(f"{what} overflows float64")
+    return m
+
+
+@_quiet
 def frame_act(w: Frame, t) -> Frame:
     """Right translation of the frame by an invertible k x k matrix."""
     tm = as_square(t, w.pol.plus_dim, "transform")
-    if abs(determinant(tm)) <= SINGULAR_TOL:
-        raise SingularTransformError("frame transform is singular within 1e-12")
-    return Frame(w.pol, w.matrix @ tm)
-
-
-def frame_projector(w: Frame) -> np.ndarray:
-    """Orthogonal projector onto the plane spanned by the frame (via QR)."""
-    q, _ = np.linalg.qr(w.matrix)
-    return q @ q.conj().T
-
-
-def _require_chart(block: np.ndarray, what: str) -> None:
-    if abs(determinant(block)) <= SINGULAR_TOL:
-        raise ChartSingularityError(f"{what} is singular within 1e-12; frame leaves the chart")
+    _invertible(tm, SingularTransformError, "frame transform")
+    return Frame(w.pol, _product("the translated frame", w.matrix, tm))
 
 
 @dataclass(frozen=True)
@@ -97,26 +104,23 @@ class DetLineElement:
     coeff: complex
 
 
+@_quiet
 def detline_act(element: DetLineElement, t, p) -> DetLineElement:
     """Right action on the line: translate the frame, divide by omega_p(w_plus, t)."""
-    wp = w_plus(element.frame)
-    _require_chart(wp, "w_plus")
-    k = element.frame.pol.plus_dim
-    tm = as_square(t, k, "transform")
-    one = np.eye(k, dtype=np.complex128)
-    moved = frame_act(element.frame, tm)
-    factor = omega_p(wp - one, tm - one, p)
-    return DetLineElement(frame=moved, coeff=element.coeff / factor)
+    x = _invertible(w_plus(element.frame), ChartSingularityError, "w_plus")
+    tm = as_square(t, element.frame.pol.plus_dim, "transform")
+    y = _invertible(tm, SingularTransformError, "frame transform")
+    moved = Frame(element.frame.pol, _product("the translated frame", element.frame.matrix, tm))
+    return DetLineElement(frame=moved, coeff=element.coeff / _omega_p(x.a, x.lu_log, y, _check_order(p)))
 
 
+@_quiet
 def canonical_section(w: Frame, p) -> complex:
     """det_p(w_plus); equivariant under right translation by the omega factor."""
-    wp = w_plus(w)
-    _require_chart(wp, "w_plus")
-    k = w.pol.plus_dim
-    return det_p(wp - np.eye(k), p).value
+    return _det_p(_invertible(w_plus(w), ChartSingularityError, "w_plus"), _check_order(p)).value
 
 
+@_quiet
 def alpha_ratio(g, q, w: Frame, t, p) -> complex:
     """Chart-change ratio omega_p(w_plus, t) / omega_p((g w q^-1)_plus, q t q^-1).
 
@@ -128,17 +132,14 @@ def alpha_ratio(g, q, w: Frame, t, p) -> complex:
     gm = as_square(g, n, "ambient transform")
     qm = as_square(q, k, "column transform q")
     tm = as_square(t, k, "column transform t")
-    if abs(determinant(qm)) <= SINGULAR_TOL:
-        raise SingularTransformError("q is singular within 1e-12")
-    if abs(determinant(tm)) <= SINGULAR_TOL:
-        raise SingularTransformError("t is singular within 1e-12")
+    _invertible(qm, SingularTransformError, "q")
+    y = _invertible(tm, SingularTransformError, "t")
     q_inv = np.linalg.inv(qm)
-    moved = gm @ w.matrix @ q_inv
-    wp = w_plus(w)
-    wp_moved = moved[:k, :]
-    _require_chart(wp, "w_plus")
-    _require_chart(wp_moved, "(g w q^-1)_plus")
-    one = np.eye(k, dtype=np.complex128)
-    upper = omega_p(wp - one, tm - one, p)
-    lower = omega_p(wp_moved - one, qm @ tm @ q_inv - one, p)
+    x = _invertible(w_plus(w), ChartSingularityError, "w_plus")
+    moved = _product("(g w q^-1)_plus", gm[:k], w.matrix, q_inv)
+    x_moved = _invertible(moved, ChartSingularityError, "(g w q^-1)_plus")
+    p = _check_order(p)
+    upper = _omega_p(x.a, x.lu_log, y, p)
+    t_moved = _product("q t q^-1", qm, tm, q_inv)
+    lower = _omega_p(x_moved.a, x_moved.lu_log, _factor(_shift(t_moved, -1.0), t_moved), p)
     return upper / lower

@@ -3,8 +3,8 @@
 Operators are plain numpy arrays of complex128. The polarization splits
 C^n into a plus subspace (first k coordinates) and a minus subspace (the
 rest); the sign operator is +1 on the former and -1 on the latter. The
-shape gates, the sign commutator, Hermitian eigensystems, determinants and
-the matrix exponential below are the raw material for the regularized
+shape gates, the sign commutator, Hermitian eigensystems, singular values
+and the matrix exponential below are the raw material for the regularized
 determinants and line bundles in the other modules.
 
 Everything here targets small dense matrices (tens of rows); there is no
@@ -33,11 +33,15 @@ RANK_TOL = 1e-10
 
 
 def as_matrix(a) -> np.ndarray:
-    """Coerce to a 2-d complex128 array and require finite entries."""
-    m = np.asarray(a, dtype=np.complex128)
+    """Coerce to a 2-d complex128 array and require finite entries; ShapeError
+    also where the rows are ragged or an entry is no complex128 number."""
+    try:
+        m = np.asarray(a, dtype=np.complex128)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ShapeError(f"expected a 2-d array of numbers: {exc}") from None
     if m.ndim != 2:
         raise ShapeError(f"expected a 2-d array, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ShapeError("matrix entries must be finite")
     return m
 
@@ -105,11 +109,6 @@ def hermitian_eigensystem(d):
     if not (np.all(np.isfinite(w)) and np.all(np.isfinite(v))):
         raise FloatOverflowError("Hermitian eigenvalues overflow float64")
     return w, v
-
-
-def determinant(a) -> complex:
-    """Determinant via LU elimination with partial pivoting."""
-    return complex(np.linalg.det(as_square(a)))
 
 
 def matrix_exponential(a) -> np.ndarray:

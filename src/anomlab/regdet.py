@@ -32,8 +32,11 @@ With 1 + C = (1 + A)(1 + B), log det(1 + A) cancels exactly mod 2 pi i, so
 
 one dual-route-checked log, that of det(1 + B), plus two trace series. So
 the ratio of two determinants that overflow one by one is still finite.
-Singularity of det_p(1 + A) is gated on the LU log of 1 + A plus Re Tr F(A);
-that log enters no value and takes no QR.
+
+Each matrix is factored once: the kernels take A with 1 + A and its LU log,
+which feeds the value, the dual-route check and every singular gate, here
+and in the grassmann module. They run under the float error state _quiet,
+set once per public call, and test their results for finiteness instead.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,6 +67,7 @@ SPECTRAL_RADIUS_TOL = 1e-8
 TWO_PI = 2.0 * math.pi
 LOG_SINGULAR_TOL = math.log(SINGULAR_TOL)
 EPS = float(np.finfo(np.float64).eps)
+_quiet = np.errstate(over="ignore", divide="ignore", invalid="ignore")
 
 
 @dataclass(frozen=True)
@@ -84,13 +89,14 @@ def _principal(z: complex) -> complex:
 
 def _trace_series(m: np.ndarray, p: int, name: str = "A") -> complex:
     """Tr F = sum_{j=1}^{p-1} (-1)^j Tr(A^j) / j, with Tr(A^j) = sum(A^(j-1) * A^T)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = -complex(m.trace()) if p > 1 else 0j
-        power = m
-        for j in range(2, p):
-            if j > 2:
-                power = power @ m
-            total += (-1) ** j / j * complex(np.einsum("ij,ji->", power, m))
+    if p == 1:
+        return 0j
+    total = -complex(m.trace())
+    power = m
+    for j in range(2, p):
+        if j > 2:
+            power = power @ m
+        total += (-1) ** j / j * complex(np.einsum("ij,ji->", power, m))
     if not cmath.isfinite(total):
         raise FloatOverflowError(f"Tr({name}^j), j < {p}, overflows float64")
     return total
@@ -108,50 +114,62 @@ def _route_gap(via_lu: complex, via_qr: complex, allowance: float) -> float:
     return math.hypot(d.real, math.remainder(d.imag, TWO_PI)) / (1.0 + allowance / DUAL_ROUTE_TOL)
 
 
-def _one_plus(m: np.ndarray) -> np.ndarray:
-    """1 + A as a new array."""
-    one_plus = m.copy()
-    one_plus.reshape(-1)[:: m.shape[0] + 1] += 1.0
-    return one_plus
+def _shift(m: np.ndarray, by: float) -> np.ndarray:
+    """m + by * 1 as a new array: 1 + A from A, or A from 1 + A."""
+    out = m.copy()
+    out.reshape(-1)[:: m.shape[0] + 1] += by
+    return out
+
+
+class _Factored(NamedTuple):
+    """A, 1 + A and the LU log of 1 + A: each matrix is factored once, for its gates and its value."""
+
+    a: np.ndarray
+    one_plus: np.ndarray
+    lu_log: complex
 
 
 def _lu_log(one_plus: np.ndarray) -> complex:
     """log det from the LU factors (slogdet), unfolded; nan or +inf when they overflow."""
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        sign, log_abs = np.linalg.slogdet(one_plus)
+    sign, log_abs = np.linalg.slogdet(one_plus)
     return complex(log_abs, cmath.phase(sign))
 
 
-def _log_det_p(m: np.ndarray, p: int, name: str = "A") -> tuple[complex, float]:
+def _factor(m: np.ndarray, one_plus: np.ndarray | None = None) -> _Factored:
+    """A with 1 + A, formed here unless the caller holds it, and its LU log."""
+    if one_plus is None:
+        one_plus = _shift(m, 1.0)
+    return _Factored(m, one_plus, _lu_log(one_plus))
+
+
+def _log_det_p(x: _Factored, p: int, name: str = "A") -> tuple[complex, float]:
     """log det_p(1 + A) by the LU route, unfolded, and the LU-QR gap of log det(1 + A)."""
-    n = m.shape[0]
-    one_plus = _one_plus(m)
-    via_lu = _lu_log(one_plus)
+    n = x.a.shape[0]
     upper = np.arange(n)[:, None] < np.arange(n)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        # QR of the transpose, which is already column-major as LAPACK wants
-        # it. numpy hands the factor back transposed: row i holds column i of
-        # R on and left of the diagonal, and v_i without its unit entry right
-        # of it.
-        h, tau = np.linalg.qr(one_plus.T, mode="raw")
-        # the entries of v_i have modulus <= 1; only those of R, not read
-        # here, can overflow
-        reflectors = 1.0 + (h * h.conj()).real.sum(axis=1, where=upper)
-        # |1 - tau_i |v_i|^2| = 1, so each product has modulus |r_ii|
-        via_qr = complex(np.log(np.diagonal(h) * (1.0 - tau * reflectors)).sum())
-        # |R e_i|, the row norms of 1 + A, over the largest entry so that no
-        # square overflows
-        r = h / (float(np.abs(h.view(np.float64)).max(initial=0.0)) or 1.0)
-        rows = np.sqrt((r * r.conj()).real.sum(axis=1, where=~upper))
-        # first-order rounding of either log, with room: 32 n eps sum_i |R e_i| / |r_ii|
-        allowance = 32.0 * n * EPS * float((rows / np.abs(np.diagonal(r))).sum())
-    if not (via_lu.real < math.inf and via_qr.real < math.inf):  # inf or nan
+    # QR of the transpose, which is already column-major as LAPACK wants
+    # it. numpy hands the factor back transposed: row i holds column i of
+    # R on and left of the diagonal, and v_i without its unit entry right
+    # of it.
+    h, tau = np.linalg.qr(x.one_plus.T, mode="raw")
+    moduli = np.abs(h)
+    # the entries of v_i have modulus <= 1, so their squares cannot
+    # overflow; those of R, not read here, can
+    reflectors = 1.0 + (moduli * moduli).sum(axis=1, where=upper)
+    # |1 - tau_i |v_i|^2| = 1, so each product has modulus |r_ii|
+    via_qr = complex(np.log(np.diagonal(h) * (1.0 - tau * reflectors)).sum())
+    # |R e_i|, the row norms of 1 + A, over the largest modulus so that no
+    # square overflows
+    scaled = moduli / (moduli.max(initial=0.0) or 1.0)
+    rows = np.sqrt((scaled * scaled).sum(axis=1, where=~upper))
+    # first-order rounding of either log, with room: 32 n eps sum_i |R e_i| / |r_ii|
+    allowance = 32.0 * n * EPS * float((rows / np.diagonal(scaled)).sum())
+    if not (x.lu_log.real < math.inf and via_qr.real < math.inf):  # inf or nan
         raise FloatOverflowError(f"the LU or QR factors of 1 + {name} overflow float64")
-    return via_lu + _trace_series(m, p, name), _route_gap(via_lu, via_qr, allowance)
+    return x.lu_log + _trace_series(x.a, p, name), _route_gap(x.lu_log, via_qr, allowance)
 
 
-def _checked_log_det_p(m: np.ndarray, p: int, name: str = "A") -> complex:
-    log_value, gap = _log_det_p(m, p, name)
+def _checked_log_det_p(x: _Factored, p: int, name: str = "A") -> complex:
+    log_value, gap = _log_det_p(x, p, name)
     if gap > DUAL_ROUTE_TOL:
         raise InternalConsistencyError(
             f"LU and QR routes to log det(1 + {name}) disagree by {gap:.3e} (mod 2 pi i)"
@@ -166,6 +184,7 @@ def _exp(log_value: complex, what: str) -> complex:
         raise FloatOverflowError(f"{what} overflows float64; its log is {log_value:.10g}") from None
 
 
+@_quiet
 def dual_route_gap(a, p) -> float:
     """Absolute gap, mod 2 pi i, between the LU and QR logs of det(1 + A).
 
@@ -174,16 +193,21 @@ def dual_route_gap(a, p) -> float:
     routes, so the gap does not depend on p.
     """
     p = _check_order(p)
-    return _log_det_p(as_square(a), p)[1]
+    return _log_det_p(_factor(as_square(a)), p)[1]
 
 
-def det_p(a, p) -> RegDet:
-    """Regularized determinant det_p(1 + A) with an internal dual-route check."""
-    p = _check_order(p)
-    log_value = _principal(_checked_log_det_p(as_square(a), p))
+def _det_p(x: _Factored, p: int) -> RegDet:
+    log_value = _principal(_checked_log_det_p(x, p))
     if log_value.real == -math.inf:
         log_value = complex(-math.inf, 0.0)
     return RegDet(value=_exp(log_value, f"det_{p}(1 + A)"), order=p, log_value=log_value)
+
+
+@_quiet
+def det_p(a, p) -> RegDet:
+    """Regularized determinant det_p(1 + A) with an internal dual-route check."""
+    p = _check_order(p)
+    return _det_p(_factor(as_square(a)), p)
 
 
 def log_det_p_series(a, p, terms) -> complex:
@@ -208,16 +232,10 @@ def log_det_p_series(a, p, terms) -> complex:
     return complex(total)
 
 
-def _operands(a, b) -> tuple[np.ndarray, np.ndarray]:
-    ma = as_square(a)
-    return ma, as_square(b, ma.shape[0], "B")
-
-
 def _product_perturbation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """C with 1 + C = (1 + A)(1 + B)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        c = a + b + a @ b
-    if not np.all(np.isfinite(c)):
+    c = a + b + a @ b
+    if not np.isfinite(c).all():
         raise FloatOverflowError("(1 + A)(1 + B) overflows float64")
     return c
 
@@ -231,21 +249,34 @@ def _nonsingular(log_value: complex, p: int, what: str) -> complex:
     return log_value
 
 
+@_quiet
 def gamma_p(a, b, p) -> complex:
     """Multiplicativity defect of principal logs, imaginary part folded into (-pi, pi].
 
     gamma = Log det_p(1+C) - Log det_p(1+A) - Log det_p(1+B) mod 2 pi i, 1+C = (1+A)(1+B).
     """
     p = _check_order(p)
-    ma, mb = _operands(a, b)
-    c = _product_perturbation(ma, mb)
+    ma = as_square(a)
+    x, y = _factor(ma), _factor(as_square(b, ma.shape[0], "B"))
+    z = _factor(_product_perturbation(x.a, y.a))
     logs = [
         _nonsingular(_checked_log_det_p(m, p, name), p, what)
-        for m, name, what in ((ma, "A", "1+A"), (mb, "B", "1+B"), (c, "C", "(1+A)(1+B)"))
+        for m, name, what in ((x, "A", "1+A"), (y, "B", "1+B"), (z, "C", "(1+A)(1+B)"))
     ]
     return _principal(logs[2] - logs[0] - logs[1])
 
 
+def _omega_p(a: np.ndarray, lu_log_a: complex, y: _Factored, p: int) -> complex:
+    """omega_p from A and the LU log of 1 + A, which is all it reads of 1 + A, and B factored."""
+    if not lu_log_a.real < math.inf:  # inf or nan
+        raise FloatOverflowError("the LU factors of 1 + A overflow float64")
+    trace_a = _trace_series(a, p)
+    _nonsingular(lu_log_a + trace_a.real, p, "1+A")
+    trace_c = _trace_series(_product_perturbation(a, y.a), p, "C")
+    return _exp(_checked_log_det_p(y, 1, "B") + trace_c - trace_a, f"omega_{p}")
+
+
+@_quiet
 def omega_p(a, b, p) -> complex:
     """Branch-free multiplicativity ratio det_p((1+A)(1+B)) / det_p(1+A).
 
@@ -261,11 +292,8 @@ def omega_p(a, b, p) -> complex:
     where juxtaposition is the product of unital perturbations.
     """
     p = _check_order(p)
-    ma, mb = _operands(a, b)
-    lu_log_a = _lu_log(_one_plus(ma))
-    if not lu_log_a.real < math.inf:  # inf or nan
-        raise FloatOverflowError("the LU factors of 1 + A overflow float64")
-    trace_a = _trace_series(ma, p)
-    _nonsingular(lu_log_a + trace_a.real, p, "1+A")
-    trace_c = _trace_series(_product_perturbation(ma, mb), p, "C")
-    return _exp(_checked_log_det_p(mb, 1, "B") + trace_c - trace_a, f"omega_{p}")
+    ma = as_square(a)
+    y = _factor(as_square(b, ma.shape[0], "B"))
+    # 1 + A is dropped once its LU log is taken: held on, it slows the
+    # products that follow at n = 128 by a few per cent
+    return _omega_p(ma, _lu_log(_shift(ma, 1.0)), y, p)

@@ -19,11 +19,10 @@ UNREACHED_EXPORTS = {
     "standard_frame",
     # Not yet retired: each still waits for a battery, a move into the tests
     # or its removal from the public API (ROADMAP item 10). The tests read
-    # the Dirac sea through vacuum, compare extension_class with
-    # class_reducer, and test frame planes through frame_projector.
+    # the Dirac sea through vacuum and compare extension_class with
+    # class_reducer.
     "vacuum",
     "extension_class",
-    "frame_projector",
 }
 
 

@@ -85,6 +85,10 @@ REAL_SITES = [
     ),
 ]
 
+# matrices that numpy cannot read as complex128: a string that is no number,
+# ragged rows and an object; each is a ShapeError, not numpy's ValueError or TypeError
+NOT_MATRICES = [[["a"]], [[1, 2], [3]], [[{}]]]
+
 NOT_INTEGERS = [True, np.bool_(True), 2.5, np.float64(2.0), "3"]
 NOT_REALS = [True, np.bool_(True), math.nan, np.float64(math.nan), "3", None, 1j]
 
@@ -112,6 +116,11 @@ def test_real_sites_accept_reals_and_reject_the_rest(site, call, error, valid, o
         call(np.float64(value))
     for value in NOT_REALS + out_of_range:
         _raises_exactly(error, call, value)
+
+
+@pytest.mark.parametrize("value", NOT_MATRICES, ids=["malformed string", "ragged rows", "object entry"])
+def test_matrix_gate_rejects_what_is_not_a_matrix(value):
+    _raises_exactly(ShapeError, lambda v: det_p(v, 2), value)
 
 
 def test_defects_the_gates_close():

@@ -5,8 +5,11 @@ import pytest
 
 from anomlab.errors import (
     ChartSingularityError,
+    FloatOverflowError,
     FrameError,
+    InvalidOrderError,
     ShapeError,
+    SingularDeterminantError,
     SingularTransformError,
 )
 from anomlab.grassmann import (
@@ -16,12 +19,11 @@ from anomlab.grassmann import (
     canonical_section,
     detline_act,
     frame_act,
-    frame_projector,
     standard_frame,
     w_plus,
 )
 from anomlab.linalg import Polarization
-from anomlab.regdet import omega_p
+from anomlab.regdet import det_p, omega_p
 
 
 def _near_standard(rng, pol, spread=0.3):
@@ -32,9 +34,15 @@ def _near_standard(rng, pol, spread=0.3):
     return Frame(pol, m)
 
 
+def _projector(w):
+    """Orthogonal projector onto the plane spanned by the frame (via QR)."""
+    q, _ = np.linalg.qr(w.matrix)
+    return q @ q.conj().T
+
+
 def _same_plane(w1, w2):
     """Whether two frames span the same plane: equal polarizations and projectors within 1e-10."""
-    return w1.pol == w2.pol and bool(np.max(np.abs(frame_projector(w1) - frame_projector(w2))) <= 1e-10)
+    return w1.pol == w2.pol and bool(np.max(np.abs(_projector(w1) - _projector(w2))) <= 1e-10)
 
 
 def _invertible(rng, k, spread=0.3):
@@ -89,7 +97,7 @@ def test_same_plane_under_translation():
     assert _same_plane(w, frame_act(w, t))
     other = _near_standard(rng, pol, spread=0.9)
     assert not _same_plane(w, other)
-    proj = frame_projector(w)
+    proj = _projector(w)
     np.testing.assert_allclose(proj @ proj, proj, atol=1e-12)
     np.testing.assert_allclose(proj, proj.conj().T, atol=1e-12)
 
@@ -205,3 +213,125 @@ def test_alpha_ratio_rejects_singular_t(t):
             alpha_ratio(np.eye(3), np.eye(2), w, t, p)
     with pytest.raises(SingularTransformError):
         frame_act(w, t)
+
+
+def _frames_and_transforms(seed):
+    """Seeded (w, t, g, q, p) over n = 2..6, every plus dimension, and p = 1..4."""
+    rng = np.random.default_rng(seed)
+    for n in range(2, 7):
+        for k in range(1, n):
+            pol = Polarization(n, k)
+            for p in range(1, 5):
+                g = np.eye(n) + 0.2 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+                yield _near_standard(rng, pol), _invertible(rng, k), g, _invertible(rng, k, 0.2), p
+
+
+def test_line_layer_matches_the_public_kernels():
+    # the layer factors w_plus and t once and calls the regdet kernels on
+    # them; the public det_p and omega_p form 1 + A again from A
+    for w, t, g, q, p in _frames_and_transforms(330):
+        k = w.pol.plus_dim
+        one = np.eye(k)
+        wp = w_plus(w)
+        el = DetLineElement(w, complex(0.6, -0.8))
+        np.testing.assert_allclose(detline_act(el, t, p).coeff, el.coeff / omega_p(wp - one, t - one, p), rtol=1e-12)
+        np.testing.assert_allclose(canonical_section(w, p), det_p(wp - one, p).value, rtol=1e-12)
+        q_inv = np.linalg.inv(q)
+        moved = (g @ w.matrix @ q_inv)[:k]
+        ratio = omega_p(wp - one, t - one, p) / omega_p(moved - one, q @ t @ q_inv - one, p)
+        np.testing.assert_allclose(alpha_ratio(g, q, w, t, p), ratio, rtol=1e-12)
+
+
+# a frame whose plus block is singular, and transforms that fail one gate each
+SINGULAR_CHART = Frame(Polarization(3, 2), np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]))
+STANDARD = standard_frame(Polarization(3, 2))
+WRONG_SHAPE = np.zeros((3, 3))
+# passes the transform gate (|det| = 1e-11) but not the rank gate of the translated frame
+FLAT = np.diag([1.0, 1e-11])
+# w_plus = 100: |det| = 1e4 passes the chart, but det_2(w_plus) = 1e4 exp(-198) is below 1e-12
+STEEP = Frame(Polarization(3, 2), np.array([[100.0, 0.0], [0.0, 100.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize(
+    "frame, t, p, error",
+    [
+        (SINGULAR_CHART, WRONG_SHAPE, 2, ChartSingularityError),
+        (STANDARD, WRONG_SHAPE, 0, ShapeError),
+        (STANDARD, np.zeros((2, 2)), 0, SingularTransformError),
+        (STANDARD, FLAT, 0, FrameError),
+        (STEEP, np.eye(2), 0, InvalidOrderError),
+        (STEEP, np.eye(2), 2, SingularDeterminantError),
+    ],
+)
+def test_detline_act_gate_order(frame, t, p, error):
+    # chart, shape of t, singular t, frame gates, order p, omega_p gates
+    with pytest.raises(error):
+        detline_act(DetLineElement(frame, 1.0), t, p)
+
+
+@pytest.mark.parametrize(
+    "g, q, w, t, p, error, message",
+    [
+        (np.eye(2), np.zeros((2, 2)), STANDARD, np.eye(2), 2, ShapeError, "ambient"),
+        (np.eye(3), np.zeros((2, 2)), STANDARD, WRONG_SHAPE, 2, ShapeError, "column transform t"),
+        (np.eye(3), np.zeros((2, 2)), STANDARD, np.zeros((2, 2)), 2, SingularTransformError, "q is"),
+        (np.eye(3), np.eye(2), SINGULAR_CHART, np.zeros((2, 2)), 2, SingularTransformError, "t is"),
+        (np.eye(3), np.eye(2), SINGULAR_CHART, np.eye(2), 0, ChartSingularityError, "w_plus"),
+        (np.diag([1.0, 0.0, 1.0]), np.eye(2), STANDARD, np.eye(2), 0, ChartSingularityError, "g w q"),
+        (np.eye(3), np.eye(2), STANDARD, np.eye(2), 0, InvalidOrderError, "order"),
+    ],
+)
+def test_alpha_ratio_gate_order(g, q, w, t, p, error, message):
+    # shapes of g, q and t; singular q, then t; the two charts; the order p
+    with pytest.raises(error, match=message):
+        alpha_ratio(g, q, w, t, p)
+
+
+@pytest.mark.parametrize("small, passes", [(1e-12, False), (1.01e-12, True)])
+def test_singular_gates_sit_at_1e_12(small, passes):
+    # |det| = small on each gated block; p = 1, so that no trace term moves det_p
+    block = np.diag([1.0, small])
+    tilted = Frame(Polarization(3, 2), np.array([[1.0, 0.0], [0.0, small], [0.0, 1.0]]))
+    squeeze = np.diag([1.0, small, 1.0])  # (g w)_plus = block on the standard frame
+    gates = [
+        (lambda: canonical_section(tilted, 1), ChartSingularityError),
+        (lambda: detline_act(DetLineElement(tilted, 1.0), np.eye(2), 1).coeff, ChartSingularityError),
+        (lambda: alpha_ratio(squeeze, np.eye(2), STANDARD, np.eye(2), 1), ChartSingularityError),
+        (lambda: alpha_ratio(np.eye(3), block, STANDARD, np.eye(2), 1), SingularTransformError),
+        (lambda: alpha_ratio(np.eye(3), np.eye(2), STANDARD, block, 1), SingularTransformError),
+    ]
+    for call, error in gates:
+        if passes:
+            assert np.isfinite(call())
+        else:
+            with pytest.raises(error):
+                call()
+    # past the transform gate, the translated frame fails its rank gate instead
+    with pytest.raises(FrameError if passes else SingularTransformError):
+        frame_act(STANDARD, block)
+    with pytest.raises(FrameError if passes else SingularTransformError):
+        detline_act(DetLineElement(STANDARD, 1.0), block, 1)
+
+
+def test_overflowing_translation_is_a_typed_error():
+    # w t has the entry 1e308 + 1e308 in its last row; the chart and the
+    # transform gate read finite LU logs, so no det or matmul warning escapes
+    w = Frame(Polarization(3, 2), np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
+    t = np.array([[1e308, 1e308], [1e308, -1e308]])
+    with pytest.raises(FloatOverflowError):
+        frame_act(w, t)
+    with pytest.raises(FloatOverflowError):
+        detline_act(DetLineElement(w, 1.0), t, 2)
+
+
+def test_alpha_ratio_on_a_huge_chart_change_raises_no_warning():
+    # |det (g w)_plus| = 1e600 overflows a plain determinant, not its LU log
+    g = 1e300 * np.eye(3)
+    t = np.array([[1.1, 0.2], [0.0, 0.9]])
+    np.testing.assert_allclose(alpha_ratio(g, np.eye(2), STANDARD, t, 1), 1.0, rtol=1e-12)
+    # A = (g w)_plus - 1 has Tr A = 2e300 - 2, so det_2(1 + A) = 1e600 exp(-Tr A)
+    # vanishes, and Tr(A^2) = 2e600 overflows
+    with pytest.raises(SingularDeterminantError):
+        alpha_ratio(g, np.eye(2), STANDARD, t, 2)
+    with pytest.raises(FloatOverflowError):
+        alpha_ratio(g, np.eye(2), STANDARD, t, 3)

@@ -22,8 +22,8 @@ from anomlab.errors import (
 from anomlab.regdet import (
     _checked_log_det_p,
     _exp,
+    _factor,
     _nonsingular,
-    _operands,
     _product_perturbation,
     det_p,
     dual_route_gap,
@@ -419,9 +419,9 @@ def test_overflow_messages_name_the_operand_at_fault():
 def _two_log_omega_p(a, b, p):
     """exp(log det_p(1 + C) - log det_p(1 + A)) with both logs dual-route checked,
     1 + C = (1 + A)(1 + B): the route omega_p took before log det(1 + A) cancelled."""
-    ma, mb = _operands(a, b)
-    log_den = _nonsingular(_checked_log_det_p(ma, p), p, "1+A")
-    log_num = _checked_log_det_p(_product_perturbation(ma, mb), p)
+    x, y = _factor(a), _factor(b)
+    log_den = _nonsingular(_checked_log_det_p(x, p), p, "1+A")
+    log_num = _checked_log_det_p(_factor(_product_perturbation(x.a, y.a)), p)
     return _exp(log_num - log_den, f"omega_{p}")
 
 
