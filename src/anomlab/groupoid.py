@@ -406,15 +406,28 @@ def action_groupoid(points, group: FiniteGroup, action) -> FiniteGroupoid:
     )
 
 
+def _integer_entries(raw: np.ndarray, what: str) -> np.ndarray:
+    """raw once each entry passes the integer gate; an integer dtype passes whole."""
+    if raw.dtype.kind not in "iu":
+        for v in raw.ravel().tolist():
+            integer(v, what)
+    return raw
+
+
 @dataclass(eq=False)
 class PhaseCocycle:
     """2-cochain on composable pairs with root-of-unity or circle values.
 
-    pairs is a (P, 2) int64 array of distinct arrow pairs, rows ascending; over
-    all composable pairs that is level 2 of the nerve. values[i], the value on
-    pairs[i], is an int64 exponent mod N for modulus N >= 1 and a complex128
-    phase for modulus None. Arrays come in as PhaseCocycle(modulus, values,
-    pairs), rows in any order; a dict {(x, y): value} as values is converted.
+    pairs is a (P, 2) int64 array of distinct arrow pairs, rows ascending.
+    values[i], the value on pairs[i], is an int64 exponent mod N for modulus
+    N >= 1 and a complex128 phase for modulus None. Arrays come in as
+    PhaseCocycle(modulus, values, pairs), rows in any order; a dict
+    {(x, y): value} as values is converted. Pairs that are not (P, 2), or
+    values that are not (P,), raise ShapeError; a negative or non-integer
+    index, a non-integer exponent or a pair given twice raise DomainError.
+
+    On a groupoid g the cocycle is read through table(g), an A x A table over
+    g.compose; exponent and phase read one stored pair.
     """
 
     modulus: object
@@ -428,51 +441,71 @@ class PhaseCocycle:
         if isinstance(self.values, dict):
             self.pairs, values = list(self.values), list(self.values.values())
             # exponents beyond int64 are reduced while still Python ints
-            self.values = values if self.continuous else [int(v) % self.modulus for v in values]
-        pairs = np.asarray(self.pairs, dtype=np.int64).reshape(-1, 2)
-        # indices below 2^31 keep the row keys of values_at within int64
-        if pairs.size and not 0 <= pairs.min() <= pairs.max() < 2**31:
-            raise DomainError("cocycle pairs must hold arrow indices in [0, 2^31)")
-        values = np.asarray(self.values, dtype=np.complex128 if self.continuous else np.int64).reshape(-1)
+            self.values = values if self.continuous else [integer(v, "cocycle exponent") % self.modulus for v in values]
+        try:
+            pairs = np.asarray(self.pairs)
+            values = np.asarray(self.values, dtype=np.complex128 if self.continuous else None)
+        except ValueError as exc:  # ragged rows, or a string that is no number
+            raise ShapeError(f"cocycle pairs and values must be arrays: {exc}") from None
+        pairs = pairs if pairs.size else pairs.reshape(0, 2)
+        if pairs.ndim != 2 or pairs.shape[1] != 2 or values.shape != (len(pairs),):
+            raise ShapeError(f"cocycle needs (P, 2) pairs and P values, got shapes {pairs.shape} and {values.shape}")
+        _integer_entries(pairs, "cocycle pair index")
+        if pairs.size and not 0 <= pairs.min() <= pairs.max() <= np.iinfo(np.int64).max:
+            raise DomainError("cocycle pair indices must lie in [0, 2^63)")
+        pairs = pairs.astype(np.int64)
         if not self.continuous:
-            values = values % self.modulus
+            values = (_integer_entries(values, "cocycle exponent") % self.modulus).astype(np.int64)
         order = np.lexsort(pairs.T[::-1])
         self.pairs, self.values = pairs[order], values[order]
-        # row keys x * (radix + 1) + y ascend with the rows, and the sentinel key
-        # (radix + 1)^2 tops them all
-        self._radix = int(self.pairs.max(initial=-1)) + 1
-        self._weights = np.array([self._radix + 1, 1])
-        self._keys = np.append(self.pairs @ self._weights, (self._radix + 1) ** 2)
+        repeated = np.all(self.pairs[1:] == self.pairs[:-1], axis=1)
+        if repeated.any():
+            x, y = self.pairs[np.argmax(repeated)].tolist()
+            raise DomainError(f"cocycle pair ({x}, {y}) is given more than once")
 
     @property
     def continuous(self) -> bool:
         return self.modulus is None
 
+    def _stored(self, x, y):
+        """The value stored on pair (x, y), found by equality."""
+        at = np.flatnonzero((self.pairs[:, 0] == x) & (self.pairs[:, 1] == y))
+        if not at.size:
+            raise MissingValueError(f"cocycle has no value on pair ({x}, {y})")
+        return self.values[at[0]]
+
     def exponent(self, x: int, y: int) -> int:
         if self.continuous:
             raise UnsupportedCoefficientsError("continuous cocycle has no exponents")
-        return int(self.values_at([(x, y)])[0])
+        return int(self._stored(x, y))
 
     def phase(self, x: int, y: int) -> complex:
-        value = self.values_at([(x, y)])[0]
         if self.continuous:
-            return complex(value)
-        return complex(np.exp(2j * math.pi * int(value) / self.modulus))
+            return complex(self._stored(x, y))
+        return complex(np.exp(2j * math.pi * self.exponent(x, y) / self.modulus))
 
-    def values_at(self, pairs) -> np.ndarray:
-        """Values on a (P, 2) array of pairs: int exponents, or complex phases if continuous."""
-        given = np.asarray(pairs).reshape(-1, 2)
-        # an index outside [0, radix), fractional or past int64, becomes the
-        # digit radix, which no stored pair has
-        radix, keys = self._radix, self._keys
-        wanted = np.where((given >= 0) & (given < radix), given, radix).astype(np.int64)
-        wanted_keys = np.where(wanted == given, wanted, radix) @ self._weights
-        at = np.searchsorted(keys, wanted_keys)
-        found = keys[at] == wanted_keys
-        if not found.all():
-            x, y = given[np.argmin(found)].tolist()
+    def table(self, g: FiniteGroupoid) -> np.ndarray:
+        """The values as an A x A table over g.compose, zero off its composable set.
+
+        Stored pairs that do not compose in g, those with an index >= A among
+        them, are not read. MissingValueError names the first composable pair,
+        in lexicographic order, without a value.
+        """
+        n = g.n_arrows
+        composable = g.compose.reshape(-1) >= 0
+        x, y = self.pairs.T
+        inside = np.flatnonzero((x < n) & (y < n))
+        at = x[inside] * n + y[inside]  # row-major positions in the table
+        read = composable[at]
+        at, inside = at[read], inside[read]
+        missing = composable.copy()
+        missing[at] = False
+        if missing.any():
+            x, y = divmod(int(np.argmax(missing)), n)
             raise MissingValueError(f"cocycle has no value on pair ({x}, {y})")
-        return self.values[at]
+        table = np.zeros(n * n, dtype=self.values.dtype)
+        table[at] = self.values[inside]
+        return table.reshape(n, n)
 
 
 def zero_cocycle(g: FiniteGroupoid, modulus) -> PhaseCocycle:
@@ -480,17 +513,9 @@ def zero_cocycle(g: FiniteGroupoid, modulus) -> PhaseCocycle:
     return PhaseCocycle(modulus, np.full(len(pairs), 1.0 + 0.0j if modulus is None else 0), pairs)
 
 
-def _value_table(g: FiniteGroupoid, c: PhaseCocycle) -> np.ndarray:
-    """c as an A x A table over g.compose, zero off the composable set."""
-    pairs = g.composable_pairs()
-    table = np.zeros(g.compose.shape, dtype=np.complex128 if c.continuous else np.int64)
-    table[pairs[:, 0], pairs[:, 1]] = c.values_at(pairs)
-    return table
-
-
 def cocycle_check(g: FiniteGroupoid, c: PhaseCocycle) -> float:
     """Maximal violation of c(x,y) c(xy,z) = c(x,yz) c(y,z) over all triples."""
-    table, compose, modulus = _value_table(g, c), g.compose, c.modulus
+    table, compose, modulus = c.table(g), g.compose, c.modulus
     worst = 0.0
     shifts = set()
     for x, y, xy, yz, ok in _pair_blocks(compose, compose >= 0):
@@ -510,14 +535,10 @@ def cocycle_check(g: FiniteGroupoid, c: PhaseCocycle) -> float:
 def coboundary_twist(g: FiniteGroupoid, c: PhaseCocycle, b) -> PhaseCocycle:
     """Twist c by the coboundary of a 1-cochain b on arrows: c(x,y) b(x) b(y) / b(xy)."""
     pairs = g.composable_pairs()
-    x, y = pairs[:, 0], pairs[:, 1]
-    xy = g.compose[x, y]
-    if c.continuous:
-        b = np.asarray(b, dtype=np.complex128)
-        values = c.values_at(pairs) * b[x] * b[y] / b[xy]
-    else:
-        b = np.asarray(b, dtype=np.int64)
-        values = (c.values_at(pairs) + b[x] + b[y] - b[xy]) % c.modulus
+    x, y = pairs.T
+    xy, values, b = g.compose[x, y], c.table(g)[x, y], np.asarray(b, dtype=c.values.dtype)
+    # the constructor reduces exponents mod N
+    values = values * b[x] * b[y] / b[xy] if c.continuous else values + b[x] + b[y] - b[xy]
     return PhaseCocycle(c.modulus, values, pairs)
 
 
@@ -585,7 +606,7 @@ def central_extend(g: FiniteGroupoid, c: PhaseCocycle) -> CentralExtension:
         raise CapacityError(
             f"extension of {n_arr} arrows at modulus {n} needs over {MAX_LOCAL_CELLS} composition entries"
         )
-    table = _value_table(g, c)
+    table = c.table(g)
     k = np.arange(n)
     x, y = g.composable_pairs().T
     compose = np.full((n_arr, n, n_arr, n), -1, dtype=np.int64)
@@ -641,7 +662,8 @@ def centrality_check(ext) -> float:
     # grid point at once, with s t times that of (x, 1) * (y, 1), 1 1 c(x, y)
     grid = np.exp(2j * np.pi * np.arange(8) / 8)
     st = (grid[:, None] * grid)[None]
-    phase = ext.cocycle.values_at(ext.base.composable_pairs())[:, None, None]
+    x, y = ext.base.composable_pairs().T
+    phase = ext.cocycle.table(ext.base)[x, y][:, None, None]
     with np.errstate(invalid="ignore", over="ignore"):
         dev = np.abs(st * phase - st * ((1.0 + 0j) * phase))
     # a non-finite phase gives an inf or nan deviation, silently; as in a max()
@@ -853,5 +875,5 @@ def glue_local_data(data: LocalExtensionData, modulus: int) -> CentralExtension:
     # the targets of the action groupoid are the action table, point by point
     pairs = action_pairs(base.target.reshape(base.n_objects, -1))
     # central_extend validates the assembled cocycle and the total groupoid
-    return central_extend(base, PhaseCocycle(int(modulus), values, pairs))
+    return central_extend(base, PhaseCocycle(int(modulus), values.reshape(-1), pairs.reshape(-1, 2)))
 

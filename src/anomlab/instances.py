@@ -263,7 +263,7 @@ def inflate_group_cocycle(gpd: FiniteGroupoid, group: FiniteGroup, points, actio
     """
     pairs = action_pairs(check_right_action(points, group, action))
     values = np.broadcast_to(np.asarray(table, dtype=np.int64), pairs.shape[:-1])
-    return PhaseCocycle(modulus, values, pairs)
+    return PhaseCocycle(modulus, values.reshape(-1), pairs.reshape(-1, 2))
 
 
 def random_groupoid_cocycle(rng, gpd: FiniteGroupoid, group: FiniteGroup, points, action, modulus) -> PhaseCocycle:
@@ -291,7 +291,9 @@ def random_groupoid_cocycle(rng, gpd: FiniteGroupoid, group: FiniteGroup, points
 # covers
 
 
-def refined_cover(rng, group: FiniteGroup, points, action, cocycle: PhaseCocycle, n_charts) -> LocalExtensionData:
+def refined_cover(
+    rng, gpd: FiniteGroupoid, group: FiniteGroup, points, action, cocycle: PhaseCocycle, n_charts
+) -> LocalExtensionData:
     """Split a valid global cocycle across random charts with random chart phases.
 
     The resulting LocalExtensionData satisfies descent by construction and
@@ -314,7 +316,8 @@ def refined_cover(rng, group: FiniteGroup, points, action, cocycle: PhaseCocycle
     # chart phases chi[alpha, g, a], drawn chart by chart, element by element, point by point
     chi = np.zeros((len(cover), m, npts), dtype=np.int64)
     chi[mem] = rng.integers(n, size=(int(mem.sum()), npts))
-    glob = cocycle.values_at(action_pairs(act).reshape(-1, 2)).reshape(npts, m, m)
+    pairs = action_pairs(act)
+    glob = cocycle.table(gpd)[pairs[..., 0], pairs[..., 1]]
 
     need_phi, need_omega = required_entries(data)
     phi = chi[:, None] - chi[None, :]
@@ -341,7 +344,7 @@ def random_cover_instance(rng, max_points=3, max_order=6, max_modulus=6, n_chart
     gpd = action_groupoid(points, group, action)
     modulus = int(rng.integers(2, max_modulus + 1))
     cocycle = random_groupoid_cocycle(rng, gpd, group, points, action, modulus)
-    data = refined_cover(rng, group, points, action, cocycle, n_charts)
+    data = refined_cover(rng, gpd, group, points, action, cocycle, n_charts)
     return gpd, group, points, action, cocycle, data, modulus
 
 

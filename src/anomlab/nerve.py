@@ -3,12 +3,12 @@
 Level p of the nerve holds chains (g_1, ..., g_p) of arrows with
 s(g_i) = t(g_(i+1)), stored as an (n_p, p) int array whose rows run
 lexicographically by arrow index; level 0 holds the object indices. So
-level 2 equals the groupoid's composable_pairs(), and a cochain on it is
-indexed like a cocycle's values_at that array. Face i composes the pair at
-slot i by a gather through the compose table (dropping an end arrow for
-i = 0 or p, where on level 1 the faces are source and target); degeneracy
-i inserts an identity arrow. Face and degeneracy maps are int arrays of
-row positions, found by searchsorted on the sorted rows.
+level 2 equals the groupoid's composable_pairs(), and a cocycle's values
+on it are gathered from the cocycle's table at those rows. Face i composes
+the pair at slot i by a gather through the compose table (dropping an end
+arrow for i = 0 or p, where on level 1 the faces are source and target);
+degeneracy i inserts an identity arrow. Face and degeneracy maps are int
+arrays of row positions, found by searchsorted on the sorted rows.
 
 Cochains take values in Z_N written additively, and the coboundary is the
 alternating face sum. cohomology_group reads the group off the invariant
@@ -393,7 +393,8 @@ def cocycle_vector(nv: Nerve, cocycle) -> np.ndarray:
     """Exponent vector of a mu_N phase cocycle over the level-2 cells."""
     if cocycle.continuous:
         raise UnsupportedCoefficientsError("only mu_N cocycles vectorize over the nerve")
-    return cocycle.values_at(nv.levels[2])
+    x, y = nv.levels[2].T
+    return cocycle.table(nv.groupoid)[x, y]
 
 
 def extension_class(ext: CentralExtension) -> CohomologyClass:

@@ -722,7 +722,8 @@ def _twist_stable(gpd, group, reducer, table, modulus) -> bool:
 
 def _restriction_agrees(gpd, reducer, c, modulus) -> bool:
     sk, kept = skeleton(gpd)
-    restricted = class_reducer(sk, 2, modulus).reduce(c.values_at(kept[sk.composable_pairs()]))
+    x, y = kept[sk.composable_pairs()].T
+    restricted = class_reducer(sk, 2, modulus).reduce(c.table(gpd)[x, y])
     return reducer.reduce(cocycle_vector(reducer.nerve, c)).trivial == restricted.trivial
 
 

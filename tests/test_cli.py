@@ -303,6 +303,36 @@ def test_compute_glue_reports_missing_entries(tmp_path, capsys):
         assert capsys.readouterr().err == f"domain error: {message}\n"
 
 
+def test_compute_glue_reads_the_source_cocycle_on_composable_pairs(tmp_path, capsys):
+    cover = tmp_path / "cover.json"
+    assert main(["generate", "refined-cover", "--seed", "0", "--out", str(cover)]) == 0
+    obj = load_json(cover)
+    source = obj["source_cocycle"]
+    capsys.readouterr()
+    assert main(["compute", "glue", "--data", str(cover)]) == 0
+    plain = capsys.readouterr().out
+
+    def glue(records):
+        _dump_json({**obj, "source_cocycle": records}, tmp_path / "edited.json")
+        code = main(["compute", "glue", "--data", str(tmp_path / "edited.json")])
+        return (code, *capsys.readouterr())
+
+    # one record dropped: its pair is named; two dropped, from records in reverse
+    # file order, name the lexicographically first of the two
+    assert glue(source[:3] + source[4:]) == (4, "", "domain error: cocycle has no value on pair (0, 3)\n")
+    for other in (1, 9, len(source) - 1):
+        kept = [rec for i, rec in enumerate(source) if i not in (3, other)][::-1]
+        x, y = min(source[3][:2], source[other][:2])
+        assert glue(kept) == (4, "", f"domain error: cocycle has no value on pair ({x}, {y})\n")
+    # a record on an in-range pair that does not compose is never read
+    arrows = len(obj["points"]) * len(obj["action"][0])
+    stored = {tuple(rec[:2]) for rec in source}
+    apart = [[x, y, 1] for x in range(arrows) for y in range(arrows) if (x, y) not in stored]
+    assert apart
+    for rec in apart[:3] + apart[-1:]:
+        assert glue(source + [rec]) == (0, plain, "")
+
+
 def test_compute_glue_rejects_out_of_range_action(tmp_path, capsys):
     cover = tmp_path / "cover.json"
     assert main(["generate", "refined-cover", "--seed", "0", "--out", str(cover)]) == 0

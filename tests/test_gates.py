@@ -89,6 +89,24 @@ REAL_SITES = [
 # ragged rows and an object; each is a ShapeError, not numpy's ValueError or TypeError
 NOT_MATRICES = [[["a"]], [[1, 2], [3]], [[{}]]]
 
+# PhaseCocycle inputs that were dropped, truncated, or met with a bare
+# numpy error, before the constructor gates; each names what is wrong
+COCYCLE_INPUTS = [
+    ("3 values on 2 pairs", ([0, 1, 1], [[0, 0], [0, 1]]), ShapeError, r"got shapes \(2, 2\) and \(3,\)$"),
+    ("1 value on 2 pairs", ([0], [[0, 0], [0, 1]]), ShapeError, r"got shapes \(2, 2\) and \(1,\)$"),
+    ("a pair of 3 indices", ([0], [[0, 0, 1]]), ShapeError, r"got shapes \(1, 3\) and \(1,\)$"),
+    ("ragged pairs", ([0, 1], [[0, 0], [0]]), ShapeError, "must be arrays"),
+    ("a fractional index", ([0], [[0.5, 0]]), DomainError, "cocycle pair index must be an integer, got 0.5$"),
+    ("a whole float index", ([0], [[2.0, 0]]), DomainError, "cocycle pair index must be an integer, got 2.0$"),
+    ("a bool index", ([0], np.array([[True, False]])), DomainError, "cocycle pair index must be an integer, got True$"),
+    ("a negative index", ([0], [[0, -1]]), DomainError, r"must lie in \[0, 2\^63\)$"),
+    ("an index past int64", ([0], [[0, 2**64]]), DomainError, r"must lie in \[0, 2\^63\)$"),
+    ("a fractional exponent", ([1.5], [[0, 0]]), DomainError, "cocycle exponent must be an integer, got 1.5$"),
+    ("a fractional dict exponent", ({(0, 0): 1.5}, None), DomainError, "cocycle exponent must be an integer, got 1.5$"),
+    ("a duplicate pair", ([0, 1], [[0, 0], [0, 0]]), DomainError, r"^cocycle pair \(0, 0\) is given more than once$"),
+    ("a duplicate pair among others", ([0, 1, 0], [[1, 2], [0, 3], [1, 2]]), DomainError, r"pair \(1, 2\) is given"),
+]
+
 NOT_INTEGERS = [True, np.bool_(True), 2.5, np.float64(2.0), "3"]
 NOT_REALS = [True, np.bool_(True), math.nan, np.float64(math.nan), "3", None, 1j]
 
@@ -143,6 +161,26 @@ def test_defects_the_gates_close():
         vacuum_line(BACKGROUND, math.nan, 2.0)
     with pytest.raises(DomainError, match="degree must be >= 0, got -1"):
         Cochain(-1, 2, [1])
+
+
+@pytest.mark.parametrize("case, args, error, message", COCYCLE_INPUTS, ids=[c[0] for c in COCYCLE_INPUTS])
+def test_phase_cocycle_rejects_malformed_pairs_and_values(case, args, error, message):
+    with pytest.raises(DomainError, match=message) as info:
+        PhaseCocycle(2, *args)
+    assert info.type is error, f"{case} raised {info.type.__name__}: {info.value}"
+
+
+def test_phase_cocycle_takes_what_the_gates_let_through():
+    # empty input, numpy integers of any width, exponents and indices past 2^31
+    assert PhaseCocycle(2, {}).pairs.shape == (0, 2)
+    assert PhaseCocycle(2, [], []).values.dtype == np.int64
+    pairs = np.array([[2**40, 1], [0, 2**31]], dtype=np.uint64)
+    c = PhaseCocycle(2**40, np.array([2**41 + 3, -1], dtype=np.int64), pairs)
+    assert c.pairs.dtype == np.int64 and c.pairs.tolist() == [[0, 2**31], [2**40, 1]]
+    assert c.exponent(2**40, 1) == 3 and c.exponent(0, 2**31) == 2**40 - 1
+    # continuous values take any complex number; an exponent past int64 is reduced first
+    assert PhaseCocycle(None, [1.5], [[0, 0]]).phase(0, 0) == 1.5
+    assert PhaseCocycle(7, [10**30], [[0, 1]]).exponent(0, 1) == 10**30 % 7
 
 
 def test_gates_return_plain_python_numbers():

@@ -468,13 +468,14 @@ def test_phase_cocycle_values():
         PhaseCocycle(0, {})
 
 
-def _dict_values_at(table, pairs, continuous):
-    """Oracle for values_at: the per-pair dict lookup it replaced."""
-    try:
-        vals = [table[pair] for pair in map(tuple, np.asarray(pairs).tolist())]
-    except KeyError as exc:
-        raise MissingValueError(f"cocycle has no value on pair {exc.args[0]}") from None
-    return np.array(vals, dtype=np.complex128 if continuous else np.int64)
+def _dict_table(g, table, continuous):
+    """Oracle for PhaseCocycle.table: a dict lookup per composable pair, lexicographic."""
+    out = np.zeros(g.compose.shape, dtype=np.complex128 if continuous else np.int64)
+    for pair in map(tuple, g.composable_pairs().tolist()):
+        if pair not in table:
+            raise MissingValueError(f"cocycle has no value on pair {pair}")
+        out[pair] = table[pair]
+    return out
 
 
 def _outcome(lookup, *args):
@@ -484,39 +485,38 @@ def _outcome(lookup, *args):
         return type(exc), str(exc)
 
 
-def test_values_at_matches_the_dict_lookup():
+def test_table_matches_the_dict_lookup():
     rng = generator(211)
     catalog = group_catalog()
+    outcomes = set()
     for trial in range(60):
         grp = catalog[sorted(catalog)[trial % len(catalog)]]
         g = translation_groupoid(grp) if trial % 2 else point_groupoid(grp)
         modulus = None if trial % 3 == 0 else int(rng.integers(1, 9))
         composable = g.composable_pairs()
-        stored = composable[rng.random(len(composable)) < 0.8]
+        # every composable pair in half the trials, about 80 % of them in the rest
+        stored = composable[rng.random(len(composable)) < (1.0 if rng.random() < 0.5 else 0.8)]
+        # stray pairs that are never read: in range but not composable, and past the arrows
+        apart = np.argwhere(g.compose < 0)
+        past = rng.integers(0, 2 * g.n_arrows, size=(4, 2))
+        past[:, int(rng.integers(2))] += g.n_arrows
+        stray = np.concatenate([apart[rng.permutation(len(apart))[:3]], past])
+        pairs = np.unique(np.concatenate([stored, stray]), axis=0)
+        pairs = pairs[rng.permutation(len(pairs))]
         if modulus is None:
-            values = np.exp(2j * np.pi * rng.random(len(stored)))
+            values = np.exp(2j * np.pi * rng.random(len(pairs)))
         else:
-            values = rng.integers(-50, 50, size=len(stored)) % modulus
-        table = dict(zip(map(tuple, stored.tolist()), values.tolist()))
-        c = PhaseCocycle(modulus, table)
-        for _ in range(10):
-            # stored and absent composable pairs, then negative and out-of-range ones
-            queries = composable[rng.integers(len(composable), size=int(rng.integers(0, 30)))]
-            if rng.random() < 0.5:
-                stray = rng.integers(-3, g.n_arrows + 3, size=(int(rng.integers(1, 4)), 2))
-                at = rng.integers(len(queries) + 1, size=len(stray))
-                queries = np.insert(queries, at, stray, axis=0)
-            if rng.random() < 0.2:  # float indices: whole ones match, halves do not
-                queries = np.asarray(queries, dtype=float) + 0.5 * (rng.random((len(queries), 2)) < 0.2)
-            if rng.random() < 0.2:  # an index beyond int64
-                queries = [tuple(pair) for pair in queries.tolist()] + [(0, -(10**30)), (10**30, 0)]
-            got = _outcome(c.values_at, queries)
-            want = _outcome(_dict_values_at, table, queries, c.continuous)
-            if isinstance(want, tuple):
-                assert got == want
-            else:
-                assert got.dtype == want.dtype
-                np.testing.assert_array_equal(got, want)
+            values = rng.integers(-50, 50, size=len(pairs))
+        table = dict(zip(map(tuple, pairs.tolist()), (values if modulus is None else values % modulus).tolist()))
+        c = PhaseCocycle(modulus, table) if trial % 4 < 2 else PhaseCocycle(modulus, values, pairs)
+        got, want = _outcome(c.table, g), _outcome(_dict_table, g, table, c.continuous)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        outcomes.add(isinstance(want, tuple))
+    assert outcomes == {True, False}
 
 
 def test_dict_and_array_constructors_agree():
