@@ -85,11 +85,9 @@ from .linalg import (
     sign_commutator,
 )
 from .nerve import (
-    Cochain,
     CohomologyClass,
     CohomologyGroup,
     Nerve,
-    coboundary,
     coboundary_matrix,
     cohomology_group,
     extension_class,

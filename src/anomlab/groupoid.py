@@ -533,10 +533,24 @@ def cocycle_check(g: FiniteGroupoid, c: PhaseCocycle) -> float:
 
 
 def coboundary_twist(g: FiniteGroupoid, c: PhaseCocycle, b) -> PhaseCocycle:
-    """Twist c by the coboundary of a 1-cochain b on arrows: c(x,y) b(x) b(y) / b(xy)."""
+    """Twist c by the coboundary of a 1-cochain b on arrows: c(x,y) b(x) b(y) / b(xy).
+
+    b holds one value per arrow, else ShapeError. Under a modulus N its
+    entries are integer exponents, read mod N; continuous entries are finite
+    and nonzero. Any other entry raises DomainError.
+    """
+    b = np.asarray(b, dtype=np.complex128 if c.continuous else None)
+    if b.shape != (g.n_arrows,):
+        raise ShapeError(f"1-cochain needs one value on each of {g.n_arrows} arrows, got shape {b.shape}")
+    if c.continuous:
+        bad = np.flatnonzero(~np.isfinite(b) | (b == 0))
+        if bad.size:
+            raise DomainError(f"1-cochain value on arrow {bad[0]} must be finite and nonzero, got {b[bad[0]]}")
+    else:
+        b = (_integer_entries(b, "1-cochain exponent") % c.modulus).astype(np.int64)
     pairs = g.composable_pairs()
     x, y = pairs.T
-    xy, values, b = g.compose[x, y], c.table(g)[x, y], np.asarray(b, dtype=c.values.dtype)
+    xy, values = g.compose[x, y], c.table(g)[x, y]
     # the constructor reduces exponents mod N
     values = values * b[x] * b[y] / b[xy] if c.continuous else values + b[x] + b[y] - b[xy]
     return PhaseCocycle(c.modulus, values, pairs)

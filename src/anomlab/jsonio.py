@@ -211,6 +211,8 @@ def cocycle_from_obj(obj, g: FiniteGroupoid) -> PhaseCocycle:
         _integer(y, "cocycle entry {}: arrow index", i)
         if not 0 <= x < g.n_arrows or not 0 <= y < g.n_arrows:
             raise FormatError(f"cocycle entry {i}: arrow index out of range")
+        if (x, y) in values:
+            raise FormatError(f"cocycle entry {i}: pair ({x}, {y}) given twice")
         if modulus is None:
             if not isinstance(val, list) or len(val) != 2 or not all(type(v) in (int, float) for v in val):
                 raise FormatError(f"cocycle entry {i}: continuous value must be [re, im]")
@@ -287,6 +289,8 @@ def cover_from_obj(obj):
             x, y, k = (_integer(v, "cover: source cocycle entry {}", i) for v in rec)
             if not 0 <= min(x, y) <= max(x, y) < len(points) * group.order:
                 raise FormatError(f"cover: source cocycle entry {i}: arrow index out of range")
+            if (x, y) in source:
+                raise FormatError(f"cover: source cocycle entry {i}: pair ({x}, {y}) given twice")
             source[(x, y)] = k
     return data, modulus, source
 

@@ -6,17 +6,18 @@ lexicographically by arrow index; level 0 holds the object indices. So
 level 2 equals the groupoid's composable_pairs(), and a cocycle's values
 on it are gathered from the cocycle's table at those rows. Face i composes
 the pair at slot i by a gather through the compose table (dropping an end
-arrow for i = 0 or p, where on level 1 the faces are source and target);
-degeneracy i inserts an identity arrow. Face and degeneracy maps are int
-arrays of row positions, found by searchsorted on the sorted rows.
+arrow for i = 0 or p, where on level 1 the faces are source and target).
+Face maps are int arrays of row positions, found by searchsorted on the
+sorted rows.
 
-Cochains take values in Z_N written additively, and the coboundary is the
-alternating face sum. cohomology_group reads the group off the invariant
-factors of the two integer coboundaries at its degree, through the
-universal coefficient theorem, with no transforms and no second normal
-form. It computes on the normalized cochains (those vanishing on chains
-that hold an identity arrow) of the skeleton of the groupoid, one vertex
-group per connected component. Both keep the cohomology, which depends only
+A cochain is an integer array over one level, its values in Z_N written
+additively, and coboundary_matrix, the alternating face sum, is the one
+coboundary. cohomology_group reads the group off the invariant factors of
+the two integer coboundaries at its degree, through the universal
+coefficient theorem, with no transforms and no second normal form. It
+computes on the normalized cochains (those vanishing on chains that hold
+an identity arrow) of the skeleton of the groupoid, one vertex group per
+connected component. Both keep the cohomology, which depends only
 on the quotient stack the groupoid presents, and both shrink the matrices:
 a translation groupoid collapses to the trivial group.
 
@@ -49,7 +50,6 @@ from .snf import smith_normal_form
 
 MAX_DEGREE = 3
 MAX_CELLS = 1_000_000
-INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass
@@ -58,7 +58,6 @@ class Nerve:
     p_max: int
     levels: list  # levels[0]: object indices; levels[p]: (n_p, p) int array of chains
     faces: list  # faces[p][i][pos] -> position in level p-1, for 1 <= p <= p_max
-    degeneracies: list  # degeneracies[p][i][pos] -> position in level p+1, p < p_max
 
     def size(self, p: int) -> int:
         return len(self.levels[p])
@@ -71,7 +70,7 @@ def _check_sound(g: FiniteGroupoid):
 
 
 def nerve(g: FiniteGroupoid, p_max: int) -> Nerve:
-    """Tabulate nerve levels 0..p_max with face and degeneracy maps."""
+    """Tabulate nerve levels 0..p_max with their face maps."""
     p_max = integer(p_max, "p_max", lo=0)
     if p_max > MAX_DEGREE:
         raise CapacityError(f"nerve degree capped at {MAX_DEGREE}, got {p_max}")
@@ -99,14 +98,13 @@ def nerve(g: FiniteGroupoid, p_max: int) -> Nerve:
         weights = radix ** np.arange(p - 1, -1, -1)
         return np.searchsorted(levels[p] @ weights, chains @ weights)
 
-    ident, source, target = g.identity, g.source, g.target
     faces = [None]
     for p in range(1, p_max + 1):
         cells = levels[p]
         maps = []
         for i in range(p + 1):
             if p == 1:
-                face = (source if i == 0 else target)[cells]
+                face = (g.source if i == 0 else g.target)[cells]
             elif i == 0:
                 face = cells[:, 1:]
             elif i == p:
@@ -117,72 +115,7 @@ def nerve(g: FiniteGroupoid, p_max: int) -> Nerve:
             maps.append(position(p - 1, face))
         faces.append(maps)
 
-    degeneracies = []
-    for p in range(0, p_max):
-        cells = levels[p]
-        maps = []
-        for i in range(p + 1):
-            if p == 0:
-                chain = ident[cells][:, None]
-            else:
-                e = ident[target[cells[:, 0]]] if i == 0 else ident[source[cells[:, i - 1]]]
-                chain = np.column_stack([cells[:, :i], e, cells[:, i:]])
-            maps.append(position(p + 1, chain))
-        degeneracies.append(maps)
-
-    return Nerve(
-        groupoid=g,
-        p_max=p_max,
-        levels=levels,
-        faces=faces,
-        degeneracies=degeneracies,
-    )
-
-
-@dataclass
-class Cochain:
-    """Z_N-valued function on one nerve level, stored as exponents in [0, N).
-
-    They are int64 while N fits int64 and Python ints (an object array) past
-    it; either way the reduction mod N is exact.
-    """
-
-    degree: int
-    modulus: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.degree = integer(self.degree, "degree", lo=0)
-        self.modulus = integer(self.modulus, "modulus", lo=1)
-        try:
-            values = np.asarray(self.values, dtype=np.int64)
-        except OverflowError:  # Python ints past int64
-            values = np.asarray(self.values, dtype=object)
-        big = self.modulus > INT64_MAX
-        values = np.mod(values.astype(object) if big else values, self.modulus)
-        self.values = values if big else values.astype(np.int64, copy=False)
-
-
-def coboundary(f: Cochain, nv: Nerve) -> Cochain:
-    """Alternating face sum; raises if the next level is not tabulated.
-
-    The sum lies in [-floor(k/2) (N-1), ceil(k/2) (N-1)] for k = degree + 2
-    faces; it runs on int64 when that fits and on Python ints otherwise.
-    """
-    d = f.degree
-    if d + 1 > nv.p_max:
-        raise CapacityError(f"nerve holds levels up to {nv.p_max}, cannot bound degree {d}")
-    if f.values.shape[0] != nv.size(d):
-        raise ShapeError(f"cochain has {f.values.shape[0]} values, level {d} has {nv.size(d)}")
-    dtype = np.int64 if (d + 3) // 2 * (f.modulus - 1) <= INT64_MAX else object
-    values = f.values.astype(dtype, copy=False)
-    out = np.zeros(nv.size(d + 1), dtype=dtype)
-    sign = 1
-    for i in range(d + 2):
-        table = np.asarray(nv.faces[d + 1][i])
-        out += sign * values[table]
-        sign = -sign
-    return Cochain(degree=d + 1, modulus=f.modulus, values=out)
+    return Nerve(groupoid=g, p_max=p_max, levels=levels, faces=faces)
 
 
 def coboundary_matrix(nv: Nerve, d: int) -> np.ndarray:

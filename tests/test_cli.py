@@ -3,10 +3,14 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import anomlab
 from anomlab.cli import build_parser, main
 from anomlab.errors import MissingValueError
 from anomlab.groupoid import action_groupoid, axioms_check, validate_local_data
@@ -331,6 +335,41 @@ def test_compute_glue_reads_the_source_cocycle_on_composable_pairs(tmp_path, cap
     assert apart
     for rec in apart[:3] + apart[-1:]:
         assert glue(source + [rec]) == (0, plain, "")
+
+
+def test_compute_glue_rejects_a_source_pair_given_twice(tmp_path, capsys):
+    cover = tmp_path / "cover.json"
+    assert main(["generate", "refined-cover", "--seed", "0", "--out", str(cover)]) == 0
+    obj = load_json(cover)
+    source = obj["source_cocycle"]
+    for i in (0, 5, len(source) - 1):
+        # even a record equal to the first is refused: a pair is given once
+        _dump_json({**obj, "source_cocycle": source + [source[i]]}, tmp_path / "twice.json")
+        capsys.readouterr()
+        assert main(["compute", "glue", "--data", str(tmp_path / "twice.json")]) == 3
+        x, y = source[i][:2]
+        message = f"format error: cover: source cocycle entry {len(source)}: pair ({x}, {y}) given twice\n"
+        assert capsys.readouterr() == ("", message)
+
+
+def test_exact_commands_load_no_scipy(tmp_path):
+    # compute h2 and compute glue never reach scipy.sparse or scipy.linalg
+    code = (
+        "import sys\n"
+        "from anomlab.cli import main\n"
+        "for argv in (\n"
+        "    ['generate', 'random-action-groupoid', '--seed', '3', '--out', 'g.json'],\n"
+        "    ['compute', 'h2', '--groupoid', 'g.json', '--modulus', '4', '--out', 'h2.json'],\n"
+        "    ['generate', 'refined-cover', '--seed', '3', '--out', 'cover.json'],\n"
+        "    ['compute', 'glue', '--data', 'cover.json', '--out', 'glue.json'],\n"
+        "):\n"
+        "    assert main(argv) == 0, argv\n"
+        "loaded = sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded\n"
+    )
+    src = os.path.dirname(os.path.dirname(anomlab.__file__))
+    subprocess.run([sys.executable, "-c", code], check=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": src})
+    assert {p.name for p in tmp_path.iterdir()} == {"g.json", "h2.json", "cover.json", "glue.json"}
 
 
 def test_compute_glue_rejects_out_of_range_action(tmp_path, capsys):

@@ -23,10 +23,10 @@ from anomlab.errors import (
     real,
 )
 from anomlab.fock import SpectralBackground, build_car, gerbe_triple_check, vacuum_at_level, vacuum_line
-from anomlab.groupoid import PhaseCocycle, validate_local_data
+from anomlab.groupoid import PhaseCocycle, coboundary_twist, validate_local_data, zero_cocycle
 from anomlab.instances import cyclic_group, generator, point_groupoid, random_cover_instance
 from anomlab.linalg import Polarization
-from anomlab.nerve import Cochain, class_reducer, coboundary_matrix, cohomology_group, nerve
+from anomlab.nerve import class_reducer, coboundary_matrix, cohomology_group, nerve
 from anomlab.regdet import det_p, log_det_p_series
 from anomlab.snf import solve_mod
 
@@ -47,8 +47,6 @@ INTEGER_SITES = [
     ("cohomology_group modulus", lambda v: cohomology_group(Z2, 2, v), DomainError, [2, BIG]),
     ("class_reducer degree", lambda v: class_reducer(Z2, v, 2), CapacityError, [2]),
     ("class_reducer modulus", lambda v: class_reducer(Z2, 2, v), DomainError, [2]),
-    ("Cochain modulus", lambda v: Cochain(0, v, [1]), DomainError, [2, BIG]),
-    ("Cochain degree", lambda v: Cochain(v, 2, [1]), DomainError, [0, 1]),
     ("coboundary_matrix degree", lambda v: coboundary_matrix(nerve(Z2, 2), v), CapacityError, [1]),
     ("log_det_p_series terms", lambda v: log_det_p_series(0.1 * np.eye(2), 2, v), DivergenceError, [3]),
     ("PhaseCocycle modulus", lambda v: PhaseCocycle(v, {(0, 0): 3}), DomainError, [2]),
@@ -107,6 +105,20 @@ COCYCLE_INPUTS = [
     ("a duplicate pair among others", ([0, 1, 0], [[1, 2], [0, 3], [1, 2]]), DomainError, r"pair \(1, 2\) is given"),
 ]
 
+# 1-cochains b on the two arrows of point Z2 that coboundary_twist met with a
+# bare IndexError, took silently, truncated, or divided by zero on
+TWIST_COCHAINS = [
+    ("one value on two arrows", 2, [0], ShapeError, r"each of 2 arrows, got shape \(1,\)$"),
+    ("three values on two arrows", 2, [0, 1, 1], ShapeError, r"each of 2 arrows, got shape \(3,\)$"),
+    ("a value per arrow in rows", 2, [[0], [1]], ShapeError, r"got shape \(2, 1\)$"),
+    ("a fractional exponent", 2, [0.5, 1], DomainError, "1-cochain exponent must be an integer, got 0.5$"),
+    ("a whole float exponent", 2, [1.0, 1.0], DomainError, "1-cochain exponent must be an integer, got 1.0$"),
+    ("a bool exponent", 2, [True, False], DomainError, "1-cochain exponent must be an integer, got True$"),
+    ("a zero phase", None, [1, 0], DomainError, "value on arrow 1 must be finite and nonzero"),
+    ("a nan phase", None, [math.nan, 1], DomainError, "value on arrow 0 must be finite and nonzero"),
+    ("an infinite phase", None, [1, math.inf], DomainError, "value on arrow 1 must be finite and nonzero"),
+]
+
 NOT_INTEGERS = [True, np.bool_(True), 2.5, np.float64(2.0), "3"]
 NOT_REALS = [True, np.bool_(True), math.nan, np.float64(math.nan), "3", None, 1j]
 
@@ -159,8 +171,6 @@ def test_defects_the_gates_close():
         vacuum_at_level(SPACE, BACKGROUND, math.nan)
     with pytest.raises(CoverMembershipError, match="nan"):
         vacuum_line(BACKGROUND, math.nan, 2.0)
-    with pytest.raises(DomainError, match="degree must be >= 0, got -1"):
-        Cochain(-1, 2, [1])
 
 
 @pytest.mark.parametrize("case, args, error, message", COCYCLE_INPUTS, ids=[c[0] for c in COCYCLE_INPUTS])
@@ -181,6 +191,22 @@ def test_phase_cocycle_takes_what_the_gates_let_through():
     # continuous values take any complex number; an exponent past int64 is reduced first
     assert PhaseCocycle(None, [1.5], [[0, 0]]).phase(0, 0) == 1.5
     assert PhaseCocycle(7, [10**30], [[0, 1]]).exponent(0, 1) == 10**30 % 7
+
+
+@pytest.mark.parametrize("case, modulus, b, error, message", TWIST_COCHAINS, ids=[c[0] for c in TWIST_COCHAINS])
+def test_coboundary_twist_rejects_malformed_cochains(case, modulus, b, error, message):
+    with pytest.raises(DomainError, match=message) as info:
+        coboundary_twist(Z2, zero_cocycle(Z2, modulus), b)
+    assert info.type is error, f"{case} raised {info.type.__name__}: {info.value}"
+
+
+def test_coboundary_twist_takes_what_the_gates_let_through():
+    # on point Z2 the pairs run (0, 0), (0, 1), (1, 0), (1, 1) and compose to 0, 1, 1, 0
+    # an integer dtype passes whole; exponents past int64 are read mod N
+    for b in ([1, 2], np.array([2**63 + 2, 2], dtype=np.uint64), [2**70, -1]):
+        assert coboundary_twist(Z2, zero_cocycle(Z2, 3), b).values.tolist() == [1, 1, 1, 0]
+    phases = coboundary_twist(Z2, zero_cocycle(Z2, None), [1j, -1]).values
+    np.testing.assert_allclose(phases, [1j, 1j, 1j, -1j])
 
 
 def test_gates_return_plain_python_numbers():

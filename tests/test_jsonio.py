@@ -271,6 +271,26 @@ def test_cover_source_cocycle_indices_must_be_arrows(pair):
         _cover_with("source_cocycle", [[*pair, 1]])
 
 
+def test_cocycle_records_on_one_pair_are_a_format_error():
+    # a cocycle holds one value per pair, as PhaseCocycle requires; transitions and local cocycles keep last-wins
+    records = [[0, 0, 1], [0, 0, 0], [0, 1, 0], [1, 0, 0], [1, 1, 1]]
+    with pytest.raises(FormatError, match=r"^cocycle entry 1: pair \(0, 0\) given twice$"):
+        cocycle_from_obj({"modulus": 2, "values": records}, _Z2)
+    phases = [[0, 0, [1.0, 0.0]], [0, 1, [1.0, 0.0]], [1, 1, [0.0, 1.0]], [0, 1, [1.0, 0.0]]]
+    with pytest.raises(FormatError, match=r"^cocycle entry 3: pair \(0, 1\) given twice$"):
+        cocycle_from_obj({"modulus": None, "values": phases}, _Z2)
+    source = []
+
+    def repeat(obj):
+        source.extend(obj["source_cocycle"])
+        return source[:3] + [source[1]]
+
+    with pytest.raises(FormatError) as info:
+        _cover_with("source_cocycle", repeat)
+    x, y = source[1][:2]
+    assert str(info.value) == f"cover: source cocycle entry 3: pair ({x}, {y}) given twice"
+
+
 def _arrow_field(field, value):
     obj = groupoid_to_obj(point_groupoid(cyclic_group(2)))
     obj["arrows"][0][field] = value
