@@ -30,6 +30,7 @@ from .errors import (
     DescentError,
     DomainError,
     ExtensionError,
+    FloatOverflowError,
     GroupoidAxiomError,
     InternalConsistencyError,
     MissingValueError,
@@ -414,6 +415,18 @@ def _integer_entries(raw: np.ndarray, what: str) -> np.ndarray:
     return raw
 
 
+def _exponents(raw, modulus: int, what: str) -> np.ndarray:
+    """raw as int64 exponents mod modulus, once every entry passes the integer gate.
+
+    numpy reads a list of ints past int64 beside negative ones as float64; a
+    list read as floats is read again as Python objects, so its ints stay exact.
+    """
+    values = np.asarray(raw)
+    if values.dtype.kind == "f" and not isinstance(raw, np.ndarray):
+        values = np.asarray(raw, dtype=object)
+    return (_integer_entries(values, what) % modulus).astype(np.int64)
+
+
 @dataclass(eq=False)
 class PhaseCocycle:
     """2-cochain on composable pairs with root-of-unity or circle values.
@@ -427,7 +440,7 @@ class PhaseCocycle:
     index, a non-integer exponent or a pair given twice raise DomainError.
 
     On a groupoid g the cocycle is read through table(g), an A x A table over
-    g.compose; exponent and phase read one stored pair.
+    g.compose: the one reader of its values.
     """
 
     modulus: object
@@ -455,7 +468,7 @@ class PhaseCocycle:
             raise DomainError("cocycle pair indices must lie in [0, 2^63)")
         pairs = pairs.astype(np.int64)
         if not self.continuous:
-            values = (_integer_entries(values, "cocycle exponent") % self.modulus).astype(np.int64)
+            values = _exponents(self.values, self.modulus, "cocycle exponent")
         order = np.lexsort(pairs.T[::-1])
         self.pairs, self.values = pairs[order], values[order]
         repeated = np.all(self.pairs[1:] == self.pairs[:-1], axis=1)
@@ -466,23 +479,6 @@ class PhaseCocycle:
     @property
     def continuous(self) -> bool:
         return self.modulus is None
-
-    def _stored(self, x, y):
-        """The value stored on pair (x, y), found by equality."""
-        at = np.flatnonzero((self.pairs[:, 0] == x) & (self.pairs[:, 1] == y))
-        if not at.size:
-            raise MissingValueError(f"cocycle has no value on pair ({x}, {y})")
-        return self.values[at[0]]
-
-    def exponent(self, x: int, y: int) -> int:
-        if self.continuous:
-            raise UnsupportedCoefficientsError("continuous cocycle has no exponents")
-        return int(self._stored(x, y))
-
-    def phase(self, x: int, y: int) -> complex:
-        if self.continuous:
-            return complex(self._stored(x, y))
-        return complex(np.exp(2j * math.pi * self.exponent(x, y) / self.modulus))
 
     def table(self, g: FiniteGroupoid) -> np.ndarray:
         """The values as an A x A table over g.compose, zero off its composable set.
@@ -537,9 +533,14 @@ def coboundary_twist(g: FiniteGroupoid, c: PhaseCocycle, b) -> PhaseCocycle:
 
     b holds one value per arrow, else ShapeError. Under a modulus N its
     entries are integer exponents, read mod N; continuous entries are finite
-    and nonzero. Any other entry raises DomainError.
+    and nonzero. Any other entry raises DomainError, and a continuous twist
+    that is not finite on some pair raises FloatOverflowError.
     """
-    b = np.asarray(b, dtype=np.complex128 if c.continuous else None)
+    raw = b
+    try:
+        b = np.asarray(b, dtype=np.complex128 if c.continuous else None)
+    except ValueError as exc:  # ragged rows, or a string that is no number
+        raise ShapeError(f"1-cochain must be an array: {exc}") from None
     if b.shape != (g.n_arrows,):
         raise ShapeError(f"1-cochain needs one value on each of {g.n_arrows} arrows, got shape {b.shape}")
     if c.continuous:
@@ -547,12 +548,16 @@ def coboundary_twist(g: FiniteGroupoid, c: PhaseCocycle, b) -> PhaseCocycle:
         if bad.size:
             raise DomainError(f"1-cochain value on arrow {bad[0]} must be finite and nonzero, got {b[bad[0]]}")
     else:
-        b = (_integer_entries(b, "1-cochain exponent") % c.modulus).astype(np.int64)
+        b = _exponents(raw, c.modulus, "1-cochain exponent")
     pairs = g.composable_pairs()
     x, y = pairs.T
     xy, values = g.compose[x, y], c.table(g)[x, y]
     # the constructor reduces exponents mod N
-    values = values * b[x] * b[y] / b[xy] if c.continuous else values + b[x] + b[y] - b[xy]
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = values * b[x] * b[y] / b[xy] if c.continuous else values + b[x] + b[y] - b[xy]
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise FloatOverflowError(f"twisted cocycle value on pair ({x[bad[0]]}, {y[bad[0]]}) is not finite")
     return PhaseCocycle(c.modulus, values, pairs)
 
 
@@ -561,7 +566,9 @@ class CentralExtension:
     """Central extension of a groupoid by phases, tabulated when finite.
 
     For mu_N coefficients the total groupoid has arrows (x, k) at index
-    x * N + k; for continuous coefficients only the multiply closure exists.
+    x * N + k, and total.compose is the one model of the product
+    (x, s) * (y, t) = (xy, s + t + c(x, y)). For continuous coefficients
+    there is no table: the extension is its checked cocycle, total is None.
     """
 
     base: FiniteGroupoid
@@ -571,33 +578,6 @@ class CentralExtension:
     @property
     def modulus(self):
         return self.cocycle.modulus
-
-    def arrow_index(self, x: int, k: int) -> int:
-        if self.total is None:
-            raise UnsupportedCoefficientsError("continuous extension has no arrow table")
-        return x * self.modulus + (k % self.modulus)
-
-    def project(self, idx: int):
-        if self.total is None:
-            raise UnsupportedCoefficientsError("continuous extension has no arrow table")
-        return divmod(idx, self.modulus)
-
-    def phase_shift(self, k, idx: int) -> int:
-        """Act by a phase on a total arrow: shifts its exponent."""
-        x, a = self.project(idx)
-        return self.arrow_index(x, a + int(k))
-
-    def multiply(self, first, second):
-        """Product of (arrow, phase) pairs; phases are exponents or complex."""
-        x, lam = first
-        y, mu = second
-        n_arr = self.base.n_arrows
-        xy = int(self.base.compose[x, y]) if 0 <= x < n_arr and 0 <= y < n_arr else -1
-        if xy < 0:
-            raise DomainError(f"pair ({x}, {y}) is not composable")
-        if self.cocycle.continuous:
-            return xy, complex(lam) * complex(mu) * self.cocycle.phase(x, y)
-        return xy, (int(lam) + int(mu) + self.cocycle.exponent(x, y)) % self.modulus
 
 
 def central_extend(g: FiniteGroupoid, c: PhaseCocycle) -> CentralExtension:
@@ -650,11 +630,11 @@ def central_extend(g: FiniteGroupoid, c: PhaseCocycle) -> CentralExtension:
 
 
 def centrality_check(ext) -> float:
-    """Maximal violation of (s.X)(t.Y) = (s t).(X Y) over phases and pairs.
+    """Maximal violation of (s.X)(t.Y) = (s t).(X Y) over all phase pairs and
+    all composable total pairs of a mu_N extension.
 
-    Exhaustive for mu_N extensions (all phase pairs and all composable total
-    pairs); a deterministic 8-point phase grid per composable pair in the
-    continuous case.
+    An S^1 extension is central by its construction (x, s)(y, t) = (xy, s t c(x, y))
+    and has no total table to check: it raises UnsupportedCoefficientsError.
     """
     worst = 0.0
     if getattr(ext, "total", None) is not None:
@@ -671,18 +651,7 @@ def centrality_check(ext) -> float:
             if d:
                 worst = max(worst, abs(np.exp(2j * math.pi * d / n) - 1.0))
         return float(worst)
-    # multiply gives (x, s) * (y, t) = (xy, s t c(x, y)), whose arrow part never
-    # depends on the phases; its phase part is compared, for every pair and
-    # grid point at once, with s t times that of (x, 1) * (y, 1), 1 1 c(x, y)
-    grid = np.exp(2j * np.pi * np.arange(8) / 8)
-    st = (grid[:, None] * grid)[None]
-    x, y = ext.base.composable_pairs().T
-    phase = ext.cocycle.table(ext.base)[x, y][:, None, None]
-    with np.errstate(invalid="ignore", over="ignore"):
-        dev = np.abs(st * phase - st * ((1.0 + 0j) * phase))
-    # a non-finite phase gives an inf or nan deviation, silently; as in a max()
-    # over pairs, a nan one counts for nothing
-    return float(np.max(dev, initial=0.0, where=~np.isnan(dev)))
+    raise UnsupportedCoefficientsError("centrality is checked on mu_N total tables only")
 
 
 @dataclass

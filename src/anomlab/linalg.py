@@ -72,10 +72,6 @@ class Polarization:
         object.__setattr__(self, "plus_dim", integer(self.plus_dim, "plus_dim", ShapeError, 0, dim))
 
     @property
-    def minus_dim(self) -> int:
-        return self.dim - self.plus_dim
-
-    @property
     def epsilon(self) -> np.ndarray:
         """Sign operator: +1 on the plus block, -1 on the minus block."""
         signs = np.ones(self.dim)

@@ -2,8 +2,9 @@
 
 Every name that anomlab/__init__ exports must be used somewhere in the
 package outside __init__ and outside its own definition: by a command, a
-battery or another library function. No module may import a name it does
-not use.
+battery or another library function. So must every public method and
+property of an exported class, read as an attribute. No module may import a
+name it does not use.
 """
 
 import ast
@@ -39,14 +40,17 @@ def _exports(tree) -> list:
     ]
 
 
-def _used_names(tree, skip=None) -> set:
-    """Names read as a variable or as an attribute anywhere in tree, outside the subtree skip."""
+def _used_names(tree, skip=None, attributes_only=False) -> set:
+    """Names read as a variable or as an attribute anywhere in tree, outside the subtree skip.
+
+    With attributes_only, names read as an attribute alone.
+    """
     used, stack = set(), [tree]
     while stack:
         node = stack.pop()
         if node is skip:
             continue
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not attributes_only:
             used.add(node.id)
         elif isinstance(node, ast.Attribute):
             used.add(node.attr)
@@ -79,6 +83,30 @@ def test_every_export_is_reached_from_the_package():
         if not reached:
             unreached.append(name)
     assert sorted(unreached) == sorted(UNREACHED_EXPORTS)
+
+
+def test_every_public_method_of_an_exported_class_is_read_in_the_package():
+    # an attribute read matches by name alone: the rule cannot tell the owner
+    # of x.name, so a method is reached once any object's attribute of its name is
+    modules = _modules()
+    methods = [
+        (module, cls.name, node)
+        for module, name in _exports(modules["__init__"])
+        if isinstance(cls := _definition(modules[module], name), ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    ]
+    assert len(methods) > 20
+    unread = [
+        f"{cls}.{node.name}"
+        for module, cls, node in methods
+        if not any(
+            node.name in _used_names(tree, node if stem == module else None, attributes_only=True)
+            for stem, tree in modules.items()
+            if stem != "__init__"
+        )
+    ]
+    assert unread == []
 
 
 def test_no_module_imports_a_name_it_does_not_use():

@@ -16,6 +16,7 @@ from anomlab.errors import (
     CoverMembershipError,
     DivergenceError,
     DomainError,
+    FloatOverflowError,
     InvalidOrderError,
     ShapeError,
     SizeError,
@@ -101,12 +102,15 @@ COCYCLE_INPUTS = [
     ("an index past int64", ([0], [[0, 2**64]]), DomainError, r"must lie in \[0, 2\^63\)$"),
     ("a fractional exponent", ([1.5], [[0, 0]]), DomainError, "cocycle exponent must be an integer, got 1.5$"),
     ("a fractional dict exponent", ({(0, 0): 1.5}, None), DomainError, "cocycle exponent must be an integer, got 1.5$"),
+    ("a whole float exponent", ([1.0], [[0, 0]]), DomainError, "cocycle exponent must be an integer, got 1.0$"),
+    ("a bool exponent", ([True], [[0, 0]]), DomainError, "cocycle exponent must be an integer, got True$"),
     ("a duplicate pair", ([0, 1], [[0, 0], [0, 0]]), DomainError, r"^cocycle pair \(0, 0\) is given more than once$"),
     ("a duplicate pair among others", ([0, 1, 0], [[1, 2], [0, 3], [1, 2]]), DomainError, r"pair \(1, 2\) is given"),
 ]
 
 # 1-cochains b on the two arrows of point Z2 that coboundary_twist met with a
-# bare IndexError, took silently, truncated, or divided by zero on
+# bare IndexError or ValueError, took silently, truncated, divided by zero on,
+# or overflowed on
 TWIST_COCHAINS = [
     ("one value on two arrows", 2, [0], ShapeError, r"each of 2 arrows, got shape \(1,\)$"),
     ("three values on two arrows", 2, [0, 1, 1], ShapeError, r"each of 2 arrows, got shape \(3,\)$"),
@@ -117,6 +121,9 @@ TWIST_COCHAINS = [
     ("a zero phase", None, [1, 0], DomainError, "value on arrow 1 must be finite and nonzero"),
     ("a nan phase", None, [math.nan, 1], DomainError, "value on arrow 0 must be finite and nonzero"),
     ("an infinite phase", None, [1, math.inf], DomainError, "value on arrow 1 must be finite and nonzero"),
+    ("ragged rows", 2, [[0], [1, 2]], ShapeError, "^1-cochain must be an array: "),
+    # pair (0, 0) composes to arrow 0: 1e200 * 1e200 overflows before the division by 1e200
+    ("a twist past float64", None, [1e200, 1], FloatOverflowError, r"pair \(0, 0\) is not finite$"),
 ]
 
 NOT_INTEGERS = [True, np.bool_(True), 2.5, np.float64(2.0), "3"]
@@ -187,10 +194,12 @@ def test_phase_cocycle_takes_what_the_gates_let_through():
     pairs = np.array([[2**40, 1], [0, 2**31]], dtype=np.uint64)
     c = PhaseCocycle(2**40, np.array([2**41 + 3, -1], dtype=np.int64), pairs)
     assert c.pairs.dtype == np.int64 and c.pairs.tolist() == [[0, 2**31], [2**40, 1]]
-    assert c.exponent(2**40, 1) == 3 and c.exponent(0, 2**31) == 2**40 - 1
+    assert c.values.tolist() == [2**40 - 1, 3]  # no groupoid has 2^40 arrows: read the rows
     # continuous values take any complex number; an exponent past int64 is reduced first
-    assert PhaseCocycle(None, [1.5], [[0, 0]]).phase(0, 0) == 1.5
-    assert PhaseCocycle(7, [10**30], [[0, 1]]).exponent(0, 1) == 10**30 % 7
+    assert PhaseCocycle(None, [1.5], [[0, 0]]).table(point_groupoid(cyclic_group(1))).tolist() == [[1.5]]
+    assert PhaseCocycle(7, [10**30], [[0, 1]]).values.tolist() == [10**30 % 7]
+    # numpy reads this list as float64; its ints are read exactly all the same
+    assert PhaseCocycle(7, [3**40 + 1, -1], [[0, 0], [0, 1]]).values.tolist() == [(3**40 + 1) % 7, 6]
 
 
 @pytest.mark.parametrize("case, modulus, b, error, message", TWIST_COCHAINS, ids=[c[0] for c in TWIST_COCHAINS])
@@ -205,6 +214,9 @@ def test_coboundary_twist_takes_what_the_gates_let_through():
     # an integer dtype passes whole; exponents past int64 are read mod N
     for b in ([1, 2], np.array([2**63 + 2, 2], dtype=np.uint64), [2**70, -1]):
         assert coboundary_twist(Z2, zero_cocycle(Z2, 3), b).values.tolist() == [1, 1, 1, 0]
+    # a list numpy reads as float64, read exactly: b = (a, -1) with a = 3^40 + 1 = 5 mod 7
+    assert (3**40 + 1) % 7 == 5
+    assert coboundary_twist(Z2, zero_cocycle(Z2, 7), [3**40 + 1, -1]).values.tolist() == [5, 5, 5, 0]
     phases = coboundary_twist(Z2, zero_cocycle(Z2, None), [1j, -1]).values
     np.testing.assert_allclose(phases, [1j, 1j, 1j, -1j])
 

@@ -35,7 +35,6 @@ def test_as_square_rejects_bad_shapes():
 
 def test_polarization_validation():
     pol = Polarization(dim=5, plus_dim=2)
-    assert pol.minus_dim == 3
     eps = pol.epsilon
     np.testing.assert_allclose(eps @ eps, np.eye(5))
     np.testing.assert_allclose(np.diag(eps), [1, 1, -1, -1, -1])
