@@ -40,6 +40,8 @@ from .errors import (
 )
 
 CONTINUOUS_TOL = 1e-10
+# 2^16 triples keep each int64 block temporary of the associativity walk at
+# 512 KiB, where 2^20 (8 MiB each) raised exact-ladder's peak RSS by 6 MB
 ASSOCIATIVITY_BLOCK = 2**16
 MAX_LOCAL_CELLS = 1_000_000
 
@@ -296,7 +298,8 @@ class FiniteGroup:
     mult is an (n, n) int64 array with mult[i, j] the index of
     elements[i] * elements[j], inverse an (n,) int64 array of element
     indices, and identity a Python int. Lists or tuples are converted here,
-    once, and not checked: group_axioms_check checks them.
+    once, and not checked: group_from_table recovers the identity and
+    inverses from a table and checks it as the one-object groupoid.
     """
 
     elements: tuple
@@ -314,31 +317,15 @@ class FiniteGroup:
         return len(self.elements)
 
 
-def group_axioms_check(g: FiniteGroup) -> list:
-    """Diagnostics, empty when sound.
+def group_from_table(elements, mult) -> FiniteGroup:
+    """The group of an n x n multiplication table, read as its one-object groupoid.
 
-    Identity and inverse failures per element, then the first triple (i, j, k)
-    in lexicographic order that is not associative.
+    groupoid_from_compose recovers the identity and inverses and checks the
+    axioms; it raises GroupoidAxiomError when the table is not a group.
     """
-    n, e, mult, inv = g.order, g.identity, g.mult, g.inverse
-    ar = np.arange(n)
-    id_bad = (mult[e] != ar) | (mult[:, e] != ar)
-    inv_bad = (mult[ar, inv] != e) | (mult[inv, ar] != e)
-    bad = []
-    for i in np.flatnonzero(id_bad | inv_bad).tolist():
-        if id_bad[i]:
-            bad.append(f"identity fails at {i}")
-        if inv_bad[i]:
-            bad.append(f"inverse fails at {i}")
-    # every pair composes; ASSOCIATIVITY_BLOCK = 2^16 triples keeps each int64 block
-    # temporary at 512 KiB, where 2^20 (8 MiB each) raised exact-ladder's peak RSS by 6 MB
-    for i, j, ij, jk, _ in _pair_blocks(mult, np.ones((n, n), dtype=bool)):
-        assoc = mult[ij] != mult[i[:, None], jk]
-        if assoc.any():
-            p, k = np.unravel_index(np.argmax(assoc), assoc.shape)
-            bad.append(f"associativity fails at ({i[p]}, {j[p]}, {k})")
-            break
-    return bad
+    ends = np.zeros(len(elements), dtype=np.int64)
+    g = groupoid_from_compose(["*"], elements, ends, ends, mult)
+    return FiniteGroup(tuple(elements), g.compose, int(g.identity[0]), g.inverse)
 
 
 def check_right_action(points, group: FiniteGroup, action) -> np.ndarray:
@@ -552,9 +539,12 @@ def coboundary_twist(g: FiniteGroupoid, c: PhaseCocycle, b) -> PhaseCocycle:
     pairs = g.composable_pairs()
     x, y = pairs.T
     xy, values = g.compose[x, y], c.table(g)[x, y]
-    # the constructor reduces exponents mod N
+    if not c.continuous:
+        # a + b is a - (N - b) mod N: from residues in [0, N) each step stays in (-N, N), inside int64
+        n = c.modulus
+        return PhaseCocycle(n, (((values - b[xy]) % n - (n - b[x])) % n - (n - b[y])) % n, pairs)
     with np.errstate(over="ignore", invalid="ignore"):
-        values = values * b[x] * b[y] / b[xy] if c.continuous else values + b[x] + b[y] - b[xy]
+        values = values * b[x] * b[y] / b[xy]
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         raise FloatOverflowError(f"twisted cocycle value on pair ({x[bad[0]]}, {y[bad[0]]}) is not finite")
@@ -787,8 +777,12 @@ def validate_local_data(data: LocalExtensionData, modulus: int) -> np.ndarray:
     omega in any choice differs from omega in least-index charts by phi
     terms that cancel in the identity, so (4) fails for some choice exactly
     when it fails in least-index charts, the charts the loop tries first.
+
+    The modulus N lies in [1, (2^63 - 1) // 3], else DomainError: the
+    five-term descent sums and four-term identity sums of residues in [0, N)
+    stay within 3N of zero, so they cannot leave int64.
     """
-    n = integer(modulus, "modulus", lo=1)
+    n = integer(modulus, "modulus", lo=1, hi=(2**63 - 1) // 3)
     group = data.group
     m = group.order
     if set().union(*data.cover) != set(range(m)):

@@ -32,7 +32,7 @@ from .groupoid import (
     check_right_action,
     coboundary_twist,
     cocycle_check,
-    group_axioms_check,
+    group_from_table,
     required_entries,
 )
 from .linalg import Polarization, singular_values
@@ -122,17 +122,7 @@ def group_from_permutations(generators) -> FiniteGroup:
             break
         perms = grown[first]  # sorted, as np.unique sorts the ranks
     mult = np.searchsorted(perms @ rank, perms[:, perms] @ rank).T
-    identity = int(np.searchsorted(perms @ rank, np.arange(degree) @ rank))
-    group = FiniteGroup(
-        elements=tuple(map(tuple, perms.tolist())),
-        mult=mult,
-        identity=identity,
-        inverse=np.argmax(mult == identity, axis=1),
-    )
-    bad = group_axioms_check(group)
-    if bad:
-        raise InternalConsistencyError("permutation closure is not a group: " + bad[0])
-    return group
+    return group_from_table(tuple(map(tuple, perms.tolist())), mult)
 
 
 def cyclic_group(m) -> FiniteGroup:
@@ -254,7 +244,7 @@ def carry_table(group: FiniteGroup, phi, m) -> np.ndarray:
     return (phi[:, None] + phi) // m
 
 
-def inflate_group_cocycle(gpd: FiniteGroupoid, group: FiniteGroup, points, action, table, modulus) -> PhaseCocycle:
+def inflate_group_cocycle(group: FiniteGroup, points, action, table, modulus) -> PhaseCocycle:
     """Point-independent groupoid cocycle from a group 2-cocycle table.
 
     table[g1][g2] is the exponent attached to the traversal 'g1 then g2';
@@ -279,7 +269,7 @@ def random_groupoid_cocycle(rng, gpd: FiniteGroupoid, group: FiniteGroup, points
             continue
         phi = nontrivial[int(rng.integers(len(nontrivial)))]
         table = table + int(rng.integers(n)) * carry_table(group, phi, m)
-    base = inflate_group_cocycle(gpd, group, points, action, table, n)
+    base = inflate_group_cocycle(group, points, action, table, n)
     b = [int(v) for v in rng.integers(n, size=gpd.n_arrows)]
     c = coboundary_twist(gpd, base, b)
     if cocycle_check(gpd, c) != 0.0:

@@ -20,14 +20,14 @@ import sys
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, GroupoidAxiomError
 from .groupoid import (
     FiniteGroup,
     FiniteGroupoid,
     LocalExtensionData,
     PhaseCocycle,
     given_entries,
-    group_axioms_check,
+    group_from_table,
     groupoid_from_compose,
 )
 from .linalg import Polarization
@@ -120,25 +120,10 @@ def group_from_obj(obj) -> FiniteGroup:
         for v in row:
             if not 0 <= _integer(v, "group: mult entry") < n:
                 raise FormatError(f"group: mult entry {v!r} out of range")
-    table = np.array(mult, dtype=np.int64).reshape(n, n)
-    e = np.arange(n)
-    # the first e with e * i = i * e = i for every i
-    units = np.flatnonzero((table == e).all(axis=1) & (table == e[:, None]).all(axis=0))
-    if not units.size:
-        raise FormatError("group: no identity element in mult table")
-    identity = int(units[0])
-    is_inverse = (table == identity) & (table.T == identity)
-    counts = is_inverse.sum(axis=1)
-    if np.any(counts != 1):
-        i = int(np.argmax(counts != 1))
-        raise FormatError(f"group: element {i} has {counts[i]} inverses")
-    group = FiniteGroup(
-        elements=tuple(elements), mult=table, identity=identity, inverse=np.argmax(is_inverse, axis=1)
-    )
-    bad = group_axioms_check(group)
-    if bad:
-        raise FormatError("group: " + bad[0])
-    return group
+    try:
+        return group_from_table(elements, np.array(mult, dtype=np.int64).reshape(n, n))
+    except GroupoidAxiomError as exc:
+        raise FormatError(f"group: {exc}") from None
 
 
 def _label(x):

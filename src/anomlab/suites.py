@@ -709,7 +709,7 @@ def _suite_cohomology(rng):
 
 def _twist_stable(gpd, group, reducer, table, modulus) -> bool:
     """Whether every coboundary twist of the inflated base keeps its class."""
-    base = inst.inflate_group_cocycle(gpd, group, ["*"], [[0] * group.order], table, modulus)
+    base = inst.inflate_group_cocycle(group, ["*"], [[0] * group.order], table, modulus)
     if cocycle_check(gpd, base) != 0.0:
         return False
     ref = reducer.reduce(cocycle_vector(reducer.nerve, base)).vector

@@ -352,6 +352,38 @@ def test_compute_glue_rejects_a_source_pair_given_twice(tmp_path, capsys):
         assert capsys.readouterr() == ("", message)
 
 
+# order-3 tables that are no group; jsonio's tests pin the wording of each failure
+NOT_GROUPS = {
+    "no identity": [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+    "no inverse of 1": [[0, 1, 2], [1, 1, 1], [2, 1, 0]],
+    "not associative": [[0, 1, 2], [1, 0, 1], [2, 2, 0]],
+}
+
+
+@pytest.mark.parametrize("case", NOT_GROUPS)
+def test_compute_glue_rejects_a_table_that_is_no_group(tmp_path, capsys, case):
+    cover = tmp_path / "cover.json"
+    assert main(["generate", "refined-cover", "--seed", "4", "--out", str(cover)]) == 0
+    obj = load_json(cover)
+    assert len(obj["group"]["elements"]) == 3
+    _dump_json({**obj, "group": {**obj["group"], "mult": NOT_GROUPS[case]}}, tmp_path / "broken.json")
+    capsys.readouterr()
+    assert main(["compute", "glue", "--data", str(tmp_path / "broken.json")]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("format error: group: ")
+
+
+@pytest.mark.parametrize("modulus", [2**62, 2**63, 2**64])
+def test_compute_glue_bounds_the_modulus(tmp_path, capsys, modulus):
+    cover = tmp_path / "cover.json"
+    assert main(["generate", "refined-cover", "--seed", "7", "--out", str(cover)]) == 0
+    _dump_json({**load_json(cover), "modulus": modulus}, tmp_path / "huge.json")
+    capsys.readouterr()
+    assert main(["compute", "glue", "--data", str(tmp_path / "huge.json")]) == 4
+    top = (2**63 - 1) // 3
+    assert capsys.readouterr() == ("", f"domain error: modulus must lie in [1, {top}], got {modulus}\n")
+
+
 def test_exact_commands_load_no_scipy(tmp_path):
     # compute h2 and compute glue never reach scipy.sparse or scipy.linalg
     code = (

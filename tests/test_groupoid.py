@@ -1,5 +1,6 @@
 """Finite groupoids, phase cocycles, central extensions, and chart gluing."""
 
+import collections
 import copy
 import itertools
 
@@ -31,7 +32,7 @@ from anomlab.groupoid import (
     coboundary_twist,
     cocycle_check,
     glue_local_data,
-    group_axioms_check,
+    group_from_table,
     groupoid_from_compose,
     validate_local_data,
     zero_cocycle,
@@ -328,12 +329,12 @@ def test_cocycle_check_matches_loop(monkeypatch):
             assert cocycle_check(g, c) == expected
 
 
-def test_group_axioms_check():
-    assert group_axioms_check(_z2()) == []
-    bad = FiniteGroup(
-        elements=["e", "s"], mult=[[0, 1], [1, 1]], identity=0, inverse=[0, 1]
-    )
-    assert group_axioms_check(bad)
+def test_group_from_table():
+    z2 = group_from_table(["e", "s"], [[0, 1], [1, 0]])
+    assert z2.elements == ("e", "s") and z2.identity == 0 and z2.inverse.tolist() == [0, 1]
+    assert z2.mult.dtype == z2.inverse.dtype == np.int64 and type(z2.identity) is int
+    with pytest.raises(GroupoidAxiomError, match="^arrow 1 has 0 inverse candidates$"):
+        group_from_table(["e", "s"], [[0, 1], [1, 1]])
 
 
 def _loop_group_axioms_check(g):
@@ -354,6 +355,35 @@ def _loop_group_axioms_check(g):
     return bad
 
 
+def _loop_group_from_table(mult):
+    """Reference reading of a table as the one-object groupoid: (identity, inverses) or the error.
+
+    The one two-sided unit, each element's one two-sided inverse, then the first
+    five failures of the first failing stage: missing (negative) products, products
+    out of range, and the non-associative triples in lexicographic order.
+    """
+    n = len(mult)
+    units = [e for e in range(n) if all(mult[x][e] == x and mult[e][x] == x for x in range(n))]
+    if len(units) != 1:
+        return f"object 0 has {len(units)} identity candidates"
+    e = units[0]
+    inverse = []
+    for x in range(n):
+        invs = [y for y in range(n) if mult[x][y] == e and mult[y][x] == e]
+        if len(invs) != 1:
+            return f"arrow {x} has {len(invs)} inverse candidates"
+        inverse.append(invs[0])
+    pairs = list(itertools.product(range(n), repeat=2))
+    bad = [f"compose entry missing for pair ({x}, {y})" for x, y in pairs if mult[x][y] < 0]
+    bad = bad or [f"product of ({x}, {y}) out of range" for x, y in pairs if mult[x][y] >= n]
+    bad = bad or [
+        f"associativity fails on ({x}, {y}, {z})"
+        for x, y, z in itertools.product(range(n), repeat=3)
+        if mult[mult[x][y]][z] != mult[x][mult[y][z]]
+    ]
+    return "; ".join(bad[:5]) if bad else (e, inverse)
+
+
 def _loop_check_right_action(points, group, action):
     """Reference action check: per point the identity, then per element its range and compatibility."""
     n, m = len(points), group.order
@@ -371,33 +401,48 @@ def _loop_check_right_action(points, group, action):
 
 
 @pytest.mark.parametrize("block, trials", [(None, 3200), (1, 800)])
-def test_group_axioms_check_matches_loop(block, trials, monkeypatch):
-    """Same diagnostics, in the same order, as the loop on seeded table mutations.
+def test_group_from_table_matches_loop(block, trials, monkeypatch):
+    """Same identity, inverses and diagnostics as the loop on seeded table mutations.
 
-    block=1 compares one pair (i, j) per block, so associativity is read across blocks.
+    block=1 composes one pair (i, j) per block, so every table of order above one is
+    decided by Light's test, and associativity is read across blocks when it fails.
     """
     if block is not None:
         monkeypatch.setattr(groupoid, "ASSOCIATIVITY_BLOCK", block)
     rng = np.random.default_rng(707)
     groups = list(group_catalog().values()) + [cyclic_group(1), _z2()]
-    flagged = 0
+    assert {group.identity for group in groups} == {0}
+    outcomes = collections.Counter()
     for trial in range(trials):
         group = groups[trial % len(groups)]
         n = group.order
-        mult, inverse, identity = group.mult.tolist(), group.inverse.tolist(), group.identity
+        mult = group.mult.tolist()
         for _ in range(1 + int(rng.integers(3))):
             what = int(rng.integers(5))
-            if what < 3:  # one product, possibly negative (both index with Python wrap-around)
-                mult[int(rng.integers(n))][int(rng.integers(n))] = int(rng.integers(-n, n))
-            elif what == 3:
-                inverse[int(rng.integers(n))] = int(rng.integers(n))
-            else:
-                identity = int(rng.integers(n))
-        mutated = FiniteGroup(elements=group.elements, mult=mult, identity=identity, inverse=inverse)
-        expected = _loop_group_axioms_check(mutated)
-        assert group_axioms_check(mutated) == expected
-        flagged += bool(expected)
-    assert flagged > 0.8 * trials
+            if what < 3:  # one product off the identity's row and column, possibly -1 or n
+                i, j = (int(v) for v in rng.integers(min(1, n - 1), n, size=2))
+                mult[i][j] = int(rng.integers(-1, n + 1))
+                continue
+            i, j = (int(v) for v in rng.integers(n, size=2))
+            if what == 3:  # element i multiplies on the left as j does
+                mult[i] = list(mult[j])
+            else:  # and on the right
+                for row in mult:
+                    row[i] = row[j]
+        expected = _loop_group_from_table(mult)
+        if isinstance(expected, str):
+            with pytest.raises(GroupoidAxiomError) as info:
+                group_from_table(group.elements, mult)
+            assert str(info.value) == expected
+            outcomes[expected.split()[0]] += 1
+            continue
+        found = group_from_table(group.elements, mult)
+        assert (found.identity, found.inverse.tolist()) == expected
+        assert found.mult.tolist() == mult and found.elements == tuple(group.elements)
+        assert _loop_group_axioms_check(found) == []
+        outcomes["group"] += 1
+    assert set(outcomes) == {"object", "arrow", "compose", "product", "associativity", "group"}
+    assert outcomes["group"] < 0.2 * trials
 
 
 def _action_verdict(check, points, group, action):
@@ -641,6 +686,25 @@ def test_coboundary_twist_stays_cocycle_and_shifts_values():
     assert cocycle_check(g, cont) < 1e-12
 
 
+def test_coboundary_twist_stays_exact_past_2_62():
+    # c + b(x) + b(y) - b(xy) reaches 3N: summed before reducing, it wrapped int64
+    n = 2**62 + 1
+    g = point_groupoid(_z2())
+    c = PhaseCocycle(n, [n - 1] * 4, g.composable_pairs())
+    assert coboundary_twist(g, c, [n - 1, n - 1]).values.tolist() == [2**62 - 1] * 4
+    rng = np.random.default_rng(62)
+    g = point_groupoid(group_catalog()["S3"])
+    pairs = g.composable_pairs()
+    for n in (2**62 + 1, 2**63 - 25):
+        for _ in range(20):
+            values = [int(v) for v in rng.integers(n, size=len(pairs))]
+            b = [int(v) for v in rng.integers(n, size=g.n_arrows)]
+            twisted = coboundary_twist(g, PhaseCocycle(n, values, pairs), b)
+            expected = [(k + b[x] + b[y] - b[g.compose[x, y]]) % n for (x, y), k in zip(pairs.tolist(), values)]
+            assert twisted.pairs.tolist() == pairs.tolist() and twisted.values.tolist() == expected
+        assert cocycle_check(g, coboundary_twist(g, zero_cocycle(g, n), b)) == 0.0
+
+
 def test_non_finite_continuous_cocycle_is_rejected():
     g = _swap_groupoid()
     for bad in (complex("nan"), complex("inf"), complex(0, float("nan"))):
@@ -817,6 +881,39 @@ def test_validate_local_data_matches_pairwise_loop():
             assert _verdict(validate_local_data, mutated, modulus) == expected
             cases += 1
     assert cases >= 150
+
+
+def test_validate_local_data_bounds_its_modulus():
+    """The modulus stops at (2^63 - 1) // 3, where the descent and identity sums stay in int64.
+
+    At the bound, a cover of random residues built from chart phases lam, so that
+    descent and the identity hold, passes; with one entry moved by one it fails as the
+    loop says.
+    """
+    top = (2**63 - 1) // 3
+    _, data, _ = _seeded_cover(7)
+    for n in (top + 1, 2**62, 2**63, 2**64):
+        with pytest.raises(DomainError, match=rf"^modulus must lie in \[1, {top}\], got {n}$"):
+            validate_local_data(data, n)
+    rng = np.random.default_rng(63)
+    lam = rng.integers(top, size=(len(data.cover), data.group.order, len(data.points)))
+    act, mult = np.array(data.action), data.group.mult
+    al, be, ga, f, g, a = np.indices(data.omega.shape)
+    data.omega[...] = (lam[ga, mult[f, g], a] - lam[al, f, a] - lam[be, g, act[a, f]]) % top
+    al, be, g, a = np.indices(data.phi.shape)
+    data.phi[...] = (lam[be, g, a] - lam[al, g, a]) % top
+    assert _verdict(validate_local_data, data, top) is None
+    assert _verdict(_loop_validate, data, top) is None
+    failures = set()
+    for name in ("omega", "phi", "omega", "phi"):
+        keys = np.argwhere(getattr(data, name + "_given"))
+        key = tuple(keys[rng.integers(len(keys))])
+        mutated = copy.deepcopy(data)
+        getattr(mutated, name)[key] = (getattr(mutated, name)[key] + 1) % top
+        expected = _verdict(_loop_validate, mutated, top)
+        assert _verdict(validate_local_data, mutated, top) == expected
+        failures.add(expected[0] if expected else None)
+    assert None not in failures
 
 
 def test_local_data_capacity():
