@@ -15,10 +15,14 @@ The chart-change ratio alpha_ratio compares the omega factors seen in two
 charts related by (g, q); it is multiplicative in t and carries no sign.
 w_plus and t already are 1 + A and 1 + B, so each is factored once (see
 regdet): its LU log gates |det| <= 1e-12 and feeds det_p and omega_p.
+Both quotients are taken as exp of a difference of logs, so an omega factor
+that alone under- or overflows float64 still gives the quotient: 0 on a
+true underflow, or a FloatOverflowError naming its log.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 from dataclasses import dataclass
 
@@ -38,7 +42,7 @@ from .linalg import (
     as_matrix,
     as_square,
 )
-from .regdet import LOG_SINGULAR_TOL, _det_p, _factor, _Factored, _omega_p, _quiet, _shift
+from .regdet import LOG_SINGULAR_TOL, _det_p, _exp, _factor, _Factored, _log_omega_p, _quiet, _shift
 
 
 @dataclass(frozen=True)
@@ -111,7 +115,10 @@ def detline_act(element: DetLineElement, t, p) -> DetLineElement:
     tm = as_square(t, element.frame.pol.plus_dim, "transform")
     y = _invertible(tm, SingularTransformError, "frame transform")
     moved = Frame(element.frame.pol, _product("the translated frame", element.frame.matrix, tm))
-    return DetLineElement(frame=moved, coeff=element.coeff / _omega_p(x.a, x.lu_log, y, _check_order(p)))
+    log_omega = _log_omega_p(x.a, x.lu_log, y, _check_order(p))
+    c = element.coeff
+    coeff = 0j if c == 0 else _exp(cmath.log(c) - log_omega, "the translated coefficient")
+    return DetLineElement(frame=moved, coeff=coeff)
 
 
 @_quiet
@@ -139,7 +146,7 @@ def alpha_ratio(g, q, w: Frame, t, p) -> complex:
     moved = _product("(g w q^-1)_plus", gm[:k], w.matrix, q_inv)
     x_moved = _invertible(moved, ChartSingularityError, "(g w q^-1)_plus")
     p = _check_order(p)
-    upper = _omega_p(x.a, x.lu_log, y, p)
+    upper = _log_omega_p(x.a, x.lu_log, y, p)
     t_moved = _product("q t q^-1", qm, tm, q_inv)
-    lower = _omega_p(x_moved.a, x_moved.lu_log, _factor(_shift(t_moved, -1.0), t_moved), p)
-    return upper / lower
+    lower = _log_omega_p(x_moved.a, x_moved.lu_log, _factor(_shift(t_moved, -1.0), t_moved), p)
+    return _exp(upper - lower, "the chart-change ratio")

@@ -85,7 +85,7 @@ def matrix_from_obj(obj) -> np.ndarray:
         if (
             not isinstance(entry, list)
             or len(entry) != 2
-            or not all(isinstance(x, (int, float)) for x in entry)
+            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
         ):
             raise FormatError(f"matrix: entry {i} is not an [re, im] pair")
         try:

@@ -39,6 +39,11 @@ def as_matrix(a) -> np.ndarray:
         m = np.asarray(a, dtype=np.complex128)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ShapeError(f"expected a 2-d array of numbers: {exc}") from None
+    if not (isinstance(a, np.ndarray) and a.dtype.kind in "iufc"):
+        # numpy reads bools and numeric strings as numbers; a numeric array holds neither
+        for x in np.asarray(a, dtype=object).flat:
+            if isinstance(x, (bool, np.bool_, str, bytes)):
+                raise ShapeError(f"an entry is no complex128 number: {x!r}")
     if m.ndim != 2:
         raise ShapeError(f"expected a 2-d array, got ndim={m.ndim}")
     if not np.isfinite(m).all():

@@ -266,14 +266,14 @@ def gamma_p(a, b, p) -> complex:
     return _principal(logs[2] - logs[0] - logs[1])
 
 
-def _omega_p(a: np.ndarray, lu_log_a: complex, y: _Factored, p: int) -> complex:
-    """omega_p from A and the LU log of 1 + A, which is all it reads of 1 + A, and B factored."""
+def _log_omega_p(a: np.ndarray, lu_log_a: complex, y: _Factored, p: int) -> complex:
+    """log omega_p from A and the LU log of 1 + A, which is all it reads of 1 + A, and B factored."""
     if not lu_log_a.real < math.inf:  # inf or nan
         raise FloatOverflowError("the LU factors of 1 + A overflow float64")
     trace_a = _trace_series(a, p)
     _nonsingular(lu_log_a + trace_a.real, p, "1+A")
     trace_c = _trace_series(_product_perturbation(a, y.a), p, "C")
-    return _exp(_checked_log_det_p(y, 1, "B") + trace_c - trace_a, f"omega_{p}")
+    return _checked_log_det_p(y, 1, "B") + trace_c - trace_a
 
 
 @_quiet
@@ -296,4 +296,4 @@ def omega_p(a, b, p) -> complex:
     y = _factor(as_square(b, ma.shape[0], "B"))
     # 1 + A is dropped once its LU log is taken: held on, it slows the
     # products that follow at n = 128 by a few per cent
-    return _omega_p(ma, _lu_log(_shift(ma, 1.0)), y, p)
+    return _exp(_log_omega_p(ma, _lu_log(_shift(ma, 1.0)), y, p), f"omega_{p}")

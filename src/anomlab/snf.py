@@ -7,7 +7,10 @@ near-unimodular face matrices this package feeds in. Each elimination step
 reads and writes only the entries it changes: the rows (row clear) or
 columns (column clear) whose quotient is nonzero, in A and in the
 transforms. The pivot column is clear by the time of the column clear, so
-that step changes only row t of A and row t of V^-1.
+that step changes only row t of A, columns of V and row t of V^-1. A unit
+pivot's row clear leaves its column zero below it, and no later step reads
+row t of A (a[t, t] stays 1); so with neither V nor V^-1 kept, a unit
+pivot's step ends there, and the factors and U are those of the full step.
 
 Arithmetic runs on int64 and falls back to exact object (big-int) arrays
 when a guard trips. Both run the same pivot routine, whose numpy calls
@@ -118,7 +121,7 @@ def _reduce(a, track_u, track_v, track_vinv, object_mode):
             if u is not None:
                 u[t, :] = -u[t, :]
         while True:
-            # rows and columns before t are clear, so row t is zero left of t
+            # columns before t are clear below their pivots, so row t is zero left of t
             p = a[t, t]
             q = a[t + 1:, t] // p
             hit = q.nonzero()[0]
@@ -131,19 +134,25 @@ def _reduce(a, track_u, track_v, track_vinv, object_mode):
                 if u is not None:
                     u[hit, :] -= q[:, None] * u[t, :]
                     guard(u[hit, :])
-            col = a[t + 1:, t]
-            nz = col.nonzero()[0]
-            if nz.size:
-                # positive remainder smaller than the pivot: promote it
-                k = int(nz[np.argmin(col[nz])])
-                swap_rows(t, t + 1 + k)
-                continue
+            if p == 1:
+                # a unit leaves column t zero below it, so nothing is promoted; without v and vinv
+                # the column clear would change only row t of a, which no later step reads
+                if v is None and vinv is None:
+                    break
+            else:
+                col = a[t + 1:, t]
+                nz = col.nonzero()[0]
+                if nz.size:
+                    # positive remainder smaller than the pivot: promote it
+                    k = int(nz[np.argmin(col[nz])])
+                    swap_rows(t, t + 1 + k)
+                    continue
             # column t is now zero off the pivot, so clearing row t changes only
             # row t of a, the hit columns of v and row t of vinv
             q = a[t, t + 1:] // p
             hit = q.nonzero()[0]
             if hit.size:
-                check_products(q, a[:, t], None if v is None else v[:, t])
+                check_products(q, a[t:, t], None if v is None else v[:, t])
                 # the vinv update sums up to len(q) such products
                 check_products(q, None if vinv is None else vinv[t + 1:, :], terms=len(q))
                 q = q[hit]

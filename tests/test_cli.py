@@ -132,6 +132,13 @@ def test_compute_detp_rejects_integers_beyond_float_range(tmp_path, capsys):
     assert "matrix: entries must be finite" in capsys.readouterr().err
 
 
+def test_compute_detp_rejects_bool_entries(tmp_path, capsys):
+    flag = tmp_path / "flag.json"
+    _dump_json({"rows": 1, "cols": 1, "data": [[True, 0]]}, flag)
+    assert main(["compute", "detp", "--matrix", str(flag)]) == 3
+    assert "matrix: entry 0 is not an [re, im] pair" in capsys.readouterr().err
+
+
 def test_compute_omega(tmp_path, capsys):
     a = _write_matrix(tmp_path / "a.json", np.diag([0.1]))
     b = _write_matrix(tmp_path / "b.json", np.diag([0.1]))

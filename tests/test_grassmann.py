@@ -335,3 +335,27 @@ def test_alpha_ratio_on_a_huge_chart_change_raises_no_warning():
         alpha_ratio(g, np.eye(2), STANDARD, t, 2)
     with pytest.raises(FloatOverflowError):
         alpha_ratio(g, np.eye(2), STANDARD, t, 3)
+
+
+# on the shear chart change, (g w q^-1)_plus - 1 = [[-1e6, 1000], [-1000, 0]], so for
+# t = [[1, 0], [s, 1]] (which q t q^-1 equals) the lower omega_2 alone is exp(-1000 s)
+SHEAR_G = np.array([[1.0, 1000.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+SHEAR_Q = np.array([[1.0, 0.0], [1000.0, 1.0]])
+
+
+def test_alpha_ratio_takes_the_quotient_of_logs():
+    # lower omega_2 underflows to 0: the ratio, exp(1000), is a typed overflow
+    with pytest.raises(FloatOverflowError, match="its log is 1000"):
+        alpha_ratio(SHEAR_G, SHEAR_Q, STANDARD, np.array([[1.0, 0.0], [1.0, 1.0]]), 2)
+    # lower omega_2 overflows alone; the ratio exp(-1000) underflows to 0
+    assert alpha_ratio(SHEAR_G, SHEAR_Q, STANDARD, np.array([[1.0, 0.0], [-1.0, 1.0]]), 2) == 0
+
+
+def test_detline_act_takes_the_quotient_of_logs():
+    # omega_2 = 101 exp(-1100) underflows, so 1 / omega_2 is a typed overflow, not a division by 0
+    w = Frame(Polarization(3, 2), np.array([[11.0, 0.0], [0.0, 1.0], [0.0, 0.0]]))
+    t = np.diag([101.0, 1.0])
+    with pytest.raises(FloatOverflowError, match=r"its log is 1095\.38"):
+        detline_act(DetLineElement(w, 1.0), t, 2)
+    # a zero coefficient stays zero
+    assert detline_act(DetLineElement(w, 0.0), t, 2).coeff == 0

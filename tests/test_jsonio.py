@@ -70,6 +70,9 @@ def test_matrix_schema_validation():
         matrix_from_obj({"rows": 1, "cols": 1, "data": [[float("nan"), 0.0]]})
     with pytest.raises(FormatError):
         matrix_from_obj({"rows": 1, "data": [[1.0, 0.0]]})
+    for entry in ([True, 0], [1.0, False]):
+        with pytest.raises(FormatError, match="not an"):
+            matrix_from_obj({"rows": 1, "cols": 1, "data": [entry]})
 
 
 def test_polarization_from_obj():

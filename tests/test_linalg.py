@@ -33,6 +33,15 @@ def test_as_square_rejects_bad_shapes():
         as_square(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [[["1"]], [[True]], [[1.0, True], [0.0, 1.0]], np.array([[True]]), np.array([["1"]]), [np.array([1.0]), ["2"]]],
+)
+def test_as_square_rejects_bools_and_numeric_strings(bad):
+    with pytest.raises(ShapeError, match="no complex128 number"):
+        as_square(bad)
+
+
 def test_polarization_validation():
     pol = Polarization(dim=5, plus_dim=2)
     eps = pol.epsilon

@@ -162,6 +162,20 @@ def test_fuzz_against_sympy():
         assert res.factors == [abs(int(oracle[i, i])) for i in range(n)], mat.tolist()
 
 
+def _assert_partial_calls_match_full(mat):
+    """Factors-only and U-only calls equal the full-transform call in factors, rank and U.
+
+    Returns whether the full call took the object path.
+    """
+    full = smith_normal_form(mat, want_u=True, want_v=True, want_vinv=True)
+    bare = smith_normal_form(mat)
+    u_only = smith_normal_form(mat, want_u=True)
+    for res in (bare, u_only):
+        assert (res.factors, res.rank) == (full.factors, full.rank), np.asarray(mat).tolist()
+    assert u_only.u.tolist() == full.u.tolist(), np.asarray(mat).tolist()
+    return full.u.dtype == object
+
+
 def test_coboundary_matrices_reduce_exactly():
     # the matrices class_reducer reduces, up to 1296 x 216 (d^2 of the
     # translation groupoid of S3); determinants are too slow at these sizes
@@ -171,7 +185,9 @@ def test_coboundary_matrices_reduce_exactly():
     for gpd in groupoids:
         nv = nerve(gpd, 3)
         for d in range(3):
-            _check_transforms(coboundary_matrix(nv, d))
+            mat = coboundary_matrix(nv, d)
+            _check_transforms(mat)
+            _assert_partial_calls_match_full(mat)
 
 
 def _pivot_object(a, t):
@@ -221,6 +237,25 @@ def test_object_elimination_matches_int64_on_coboundaries():
                 got, want = getattr(exact, name), getattr(fast, name)
                 assert got.dtype == object and all(type(x) is int for x in got.flat)
                 assert got.tolist() == want.tolist()
+
+
+def test_unit_pivot_shortcut_keeps_factors_and_u():
+    # a unit pivot's step ends at its row clear when neither v nor vinv is kept
+    rng = np.random.default_rng(605)
+    trials, exact = 600, 0
+    for trial in range(trials):
+        rows, cols = (int(k) for k in rng.integers(1, 9, size=2))
+        mat = rng.integers(-9, 10, size=(rows, cols))
+        mat[rng.random((rows, cols)) < 0.3] = int(rng.choice([-1, 1]))
+        if rng.random() < 0.3:
+            mat[int(rng.integers(rows)), :] = 0
+        if rng.random() < 0.3:
+            mat[:, int(rng.integers(cols))] = 0
+        if trial % 2:
+            big = rng.random((rows, cols)) < 0.4
+            mat[big] = rng.integers(-(2**58), 2**58, size=int(big.sum()))
+        exact += _assert_partial_calls_match_full(mat)
+    assert exact >= trials // 5
 
 
 def test_bad_input_rejected():
