@@ -24,12 +24,14 @@ from __future__ import annotations
 
 import cmath
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     ChartSingularityError,
+    DomainError,
     FloatOverflowError,
     FrameError,
     ShapeError,
@@ -102,10 +104,22 @@ def frame_act(w: Frame, t) -> Frame:
 
 @dataclass(frozen=True)
 class DetLineElement:
-    """Point of the order-p determinant line: a frame with a coefficient."""
+    """Point of the order-p determinant line: a frame with a finite complex coefficient."""
 
     frame: Frame
     coeff: complex
+
+    def __post_init__(self):
+        c = self.coeff
+        if isinstance(c, bool) or not isinstance(c, (int, float, complex, np.number)):
+            raise ShapeError(f"the line coefficient must be a complex number, got {c!r}")
+        try:
+            c = complex(c)
+        except OverflowError:  # an int past the float range
+            c = complex(math.inf)
+        if not cmath.isfinite(c):
+            raise DomainError(f"the line coefficient must be finite, got {c!r}")
+        object.__setattr__(self, "coeff", c)
 
 
 @_quiet

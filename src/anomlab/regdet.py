@@ -12,11 +12,11 @@ in the log domain (Simon, Trace Ideals and Their Applications, 2005, ch. 9):
 with Tr(A^j) the entrywise sum of A^(j-1) * A^T, so p <= 3 takes no matrix
 product and p >= 4 takes p - 3 of them. log det(1 + A) is taken twice: from
 the LU factors (slogdet) and from a Householder QR, as the sum of log r_ii
-and of the log determinants log(1 - tau_i |v_i|^2) of the reflectors. The
-two must agree modulo 2 pi i to an absolute log gap of 1e-9, plus the
-rounding either log may carry when 1 + A is ill-conditioned (to first
-order 32 n eps sum_i |row_i| / |r_ii|), or the call aborts. When that
-rounding reaches 1, as on a singular 1 + A, the logs hold no digit to
+and of the reflector log determinants log(-tau_i / conj(tau_i)). The two
+must agree modulo 2 pi i to an absolute log gap of 1e-9, plus the rounding
+either log may carry when 1 + A is ill-conditioned (to first order 32 n eps
+sum_i |row_i| / |r_ii|, over the rows of 1 + A), or the call aborts. When
+that rounding reaches 1, as on a singular 1 + A, the logs hold no digit to
 compare and the gap counts as 0. The value is exp of the LU log folded to
 the principal branch: 0 only on a true underflow, and a FloatOverflowError,
 naming the finite log, when it is too large to represent. Order 1 is the
@@ -142,34 +142,31 @@ def _factor(m: np.ndarray, one_plus: np.ndarray | None = None) -> _Factored:
     return _Factored(m, one_plus, _lu_log(one_plus))
 
 
-def _log_det_p(x: _Factored, p: int, name: str = "A") -> tuple[complex, float]:
-    """log det_p(1 + A) by the LU route, unfolded, and the LU-QR gap of log det(1 + A)."""
-    n = x.a.shape[0]
-    upper = np.arange(n)[:, None] < np.arange(n)
-    # QR of the transpose, which is already column-major as LAPACK wants
-    # it. numpy hands the factor back transposed: row i holds column i of
-    # R on and left of the diagonal, and v_i without its unit entry right
-    # of it.
+def _qr_gap(x: _Factored, name: str = "A") -> float:
+    """The LU-QR gap of log det(1 + A); FloatOverflowError where either factorization overflows."""
+    # QR of the transpose, which is already column-major as LAPACK wants it;
+    # the factor numpy hands back has the diagonal of R
     h, tau = np.linalg.qr(x.one_plus.T, mode="raw")
-    moduli = np.abs(h)
-    # the entries of v_i have modulus <= 1, so their squares cannot
-    # overflow; those of R, not read here, can
-    reflectors = 1.0 + (moduli * moduli).sum(axis=1, where=upper)
-    # |1 - tau_i |v_i|^2| = 1, so each product has modulus |r_ii|
-    via_qr = complex(np.log(np.diagonal(h) * (1.0 - tau * reflectors)).sum())
-    # |R e_i|, the row norms of 1 + A, over the largest modulus so that no
-    # square overflows
-    scaled = moduli / (moduli.max(initial=0.0) or 1.0)
-    rows = np.sqrt((scaled * scaled).sum(axis=1, where=~upper))
-    # first-order rounding of either log, with room: 32 n eps sum_i |R e_i| / |r_ii|
-    allowance = 32.0 * n * EPS * float((rows / np.diagonal(scaled)).sum())
+    r = np.diagonal(h)
+    # I - tau v v* is unitary, so |tau|^2 |v|^2 = 2 Re tau and its determinant
+    # 1 - tau |v|^2 is -tau / conj(tau), or 1 where tau = 0
+    turns = np.divide(-tau, tau.conj(), out=np.ones_like(tau), where=tau != 0)
+    via_qr = complex(np.log(r * turns).sum())
     if not (x.lu_log.real < math.inf and via_qr.real < math.inf):  # inf or nan
         raise FloatOverflowError(f"the LU or QR factors of 1 + {name} overflow float64")
-    return x.lu_log + _trace_series(x.a, p, name), _route_gap(x.lu_log, via_qr, allowance)
+    # |R e_i| is the norm of row i of 1 + A, as Q is unitary; both are taken
+    # over the largest modulus so that no square overflows
+    moduli = np.abs(x.one_plus)
+    top = moduli.max(initial=0.0) or 1.0
+    moduli /= top
+    # first-order rounding of either log, with room: 32 n eps sum_i |R e_i| / |r_ii|
+    allowance = 32.0 * r.size * EPS * float((np.linalg.norm(moduli, axis=1) / (np.abs(r) / top)).sum())
+    return _route_gap(x.lu_log, via_qr, allowance)
 
 
 def _checked_log_det_p(x: _Factored, p: int, name: str = "A") -> complex:
-    log_value, gap = _log_det_p(x, p, name)
+    gap = _qr_gap(x, name)  # first, so that an overflowing factor is named before Tr F
+    log_value = x.lu_log + _trace_series(x.a, p, name)
     if gap > DUAL_ROUTE_TOL:
         raise InternalConsistencyError(
             f"LU and QR routes to log det(1 + {name}) disagree by {gap:.3e} (mod 2 pi i)"
@@ -190,10 +187,11 @@ def dual_route_gap(a, p) -> float:
 
     Discounted by the rounding the two may carry, so det_p aborts exactly
     when this exceeds 1e-9; 0 on a singular 1 + A. Tr F is shared by both
-    routes, so the gap does not depend on p.
+    routes and not taken here, so the gap does not depend on p, which is
+    only checked, and an overflowing Tr F does not stop it.
     """
-    p = _check_order(p)
-    return _log_det_p(_factor(as_square(a)), p)[1]
+    _check_order(p)
+    return _qr_gap(_factor(as_square(a)))
 
 
 def _det_p(x: _Factored, p: int) -> RegDet:

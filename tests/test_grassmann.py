@@ -5,6 +5,7 @@ import pytest
 
 from anomlab.errors import (
     ChartSingularityError,
+    DomainError,
     FloatOverflowError,
     FrameError,
     InvalidOrderError,
@@ -153,6 +154,24 @@ def test_chart_singularity_raises():
         canonical_section(w, 2)
     with pytest.raises(ChartSingularityError):
         detline_act(DetLineElement(w, 1.0), np.eye(2), 2)
+
+
+@pytest.mark.parametrize(
+    "coeff, error",
+    [
+        ("1", ShapeError),
+        (None, ShapeError),
+        (True, ShapeError),
+        (float("nan"), DomainError),
+        (complex(1.0, float("inf")), DomainError),
+    ],
+)
+def test_line_coefficient_is_a_finite_complex_number(coeff, error):
+    w = standard_frame(Polarization(3, 2))
+    with pytest.raises(error) as info:
+        DetLineElement(w, coeff)
+    assert type(info.value) is error
+    assert DetLineElement(w, 2).coeff == 2 + 0j
 
 
 def test_alpha_ratio_trivial_cases():

@@ -20,11 +20,13 @@ from anomlab.errors import (
     SingularDeterminantError,
 )
 from anomlab.regdet import (
+    EPS,
     _checked_log_det_p,
     _exp,
     _factor,
     _nonsingular,
     _product_perturbation,
+    _route_gap,
     det_p,
     dual_route_gap,
     gamma_p,
@@ -359,6 +361,61 @@ def test_ill_conditioned_input_is_not_an_internal_error():
 def test_route_gap_is_an_absolute_log_gap():
     assert dual_route_gap(np.array([[1e-30 - 1.0]]), 2) < 1e-15
     assert dual_route_gap(np.diag([1e200, 1e200]), 1) < 1e-12
+
+
+def test_route_gap_does_not_read_the_trace_series():
+    # Tr A = 2e308 overflows, so det_p raises at p >= 2; the gap takes no
+    # trace, so it reads the same at every order
+    a = np.diag([1e308, 1e308])
+    gaps = [dual_route_gap(a, p) for p in (1, 2, 3, 4)]
+    assert gaps[0] < 1e-12
+    assert gaps == [gaps[0]] * 4
+
+
+def _reference_route_gap(a):
+    """The gap with the QR factor read in full: each reflector determinant
+    1 - tau_i |v_i|^2 from the v_i in the upper triangle of the raw factor,
+    and |R e_i| from its lower triangle."""
+    n = a.shape[0]
+    one_plus = np.eye(n) + a.astype(np.complex128)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        h, tau = np.linalg.qr(one_plus.T, mode="raw")
+        upper = np.triu(np.ones((n, n), dtype=bool), 1)
+        moduli = np.abs(h)
+        reflectors = 1.0 - tau * (1.0 + (moduli * moduli).sum(axis=1, where=upper))
+        via_qr = complex(np.log(np.diagonal(h) * reflectors).sum())
+        scaled = moduli / (moduli.max(initial=0.0) or 1.0)
+        rows = np.sqrt((scaled * scaled).sum(axis=1, where=~upper))
+        allowance = 32.0 * n * EPS * float((rows / np.diagonal(scaled)).sum())
+    sign, log_abs = np.linalg.slogdet(one_plus)
+    return _route_gap(complex(log_abs, cmath.phase(sign)), via_qr, allowance)
+
+
+def _route_gap_inputs(rng, n):
+    """A complex, real, real diagonal (tau = 0 on every column), with 1 + A
+    at 1e150 and at 1e-150 (there 1 + A has a zero diagonal, which A cannot
+    carry), and with one singular value of 1 + A at 1e-10."""
+    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(n)
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    s = np.ones(n)
+    s[-1] = 1e-10
+    yield "complex", z
+    yield "real", rng.standard_normal((n, n)) / math.sqrt(n)
+    yield "diagonal", np.diag(rng.uniform(-3.0, 1.0, n))
+    yield "1e150", 1e150 * (np.eye(n) + z)
+    yield "1e-150", 1e-150 * z - np.eye(n)
+    yield "singular value 1e-10", (u * s) @ v.conj().T - np.eye(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 32, 128])
+def test_route_gap_matches_the_full_qr_reading(n):
+    # unitarity of I - tau v v* fixes its determinant at -tau / conj(tau), and
+    # unitarity of Q makes |R e_i| the norm of row i of 1 + A. The two QR
+    # logs part by the rounding of the n reflector terms, of order n eps
+    rng = np.random.default_rng(126 + n)
+    for kind, a in _route_gap_inputs(rng, n):
+        assert dual_route_gap(a, 1) == pytest.approx(_reference_route_gap(a), abs=4 * n * EPS), kind
 
 
 @pytest.mark.parametrize("factor", [1.0 + 1e-8, cmath.exp(1e-8j)])
