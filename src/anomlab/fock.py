@@ -24,9 +24,12 @@ built by bit arithmetic beside the hop tables: every entry of the defect, for
 every j, is one gather of a diagonal slot or hop against X or a difference of
 two gathered hops, and no sparse product is formed. The Schwinger term is
 the scalar by which d_gamma fails to be a Lie homomorphism, read off the
-sparse defect operator. scipy.sparse is imported where the first compressed
-matrix is built, so `import anomlab` loads no scipy. dGamma(X) preserves the
-particle number, so its exponential is taken one number sector at a time.
+sparse defect operator. d_gamma writes the verified hop data straight into
+its dense matrix, in row blocks taken by worker threads when the output
+spans several 32-MiB blocks and several CPUs are free. Only schwinger_detail
+builds compressed matrices and imports scipy.sparse, so neither `import
+anomlab` nor d_gamma loads it. dGamma(X) preserves the particle number, so
+its exponential is taken one number sector at a time.
 
 Vacuum lines sit over Hermitian backgrounds: the line of a spectral window
 (lo, hi) is spanned by the wedge of its eigenvectors, tracked here as the
@@ -39,6 +42,8 @@ whole spectrum. The mode count passes errors.integer, in [1, MAX_MODES].
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -293,23 +298,90 @@ def _check_d_gamma(space: FockSpace, data: np.ndarray, x: np.ndarray) -> None:
         raise InternalConsistencyError(f"vacuum expectation {expectation!r} exceeds {bound:.3e}")
 
 
-def _d_gamma_csr(space: FockSpace, x: np.ndarray):
-    """Verified d_gamma(x) as a scipy.sparse CSR matrix on the hop tables.
+def _d_gamma_data(space: FockSpace, x: np.ndarray) -> np.ndarray:
+    """Verified data of d_gamma(x) on the hop tables, in their CSR layout.
 
-    The data is checked by `_check_d_gamma` before the matrix is formed, so
-    this builds exactly one sparse object.
+    One gather of x through the hop tables, the occupation sums on the
+    diagonal slots, then `_check_d_gamma` on the result.
     """
-    dim = space.dim
     diag = np.diag(x)
     with np.errstate(over="ignore", invalid="ignore"):
         data = x.ravel()[space.hop_pairs] * space.hop_signs
         data[space.hop_indptr[:-1]] = space.occupation @ diag - diag[space.pol.plus_dim:].sum()
     _require_finite(data, "d_gamma entries")
     _check_d_gamma(space, data, x)
+    return data
+
+
+def _d_gamma_csr(space: FockSpace, x: np.ndarray):
+    """Verified d_gamma(x) as a scipy.sparse CSR matrix, for the Schwinger products."""
+    data = _d_gamma_data(space, x)
     # imported on first use: scipy.sparse adds about 0.3 s to `import anomlab`
     from scipy import sparse
 
-    return sparse.csr_matrix((data, space.hop_cols, space.hop_indptr), shape=(dim, dim))
+    return sparse.csr_matrix((data, space.hop_cols, space.hop_indptr), shape=(space.dim,) * 2)
+
+
+# one writer block, and at most one thread, per 32 MiB of dense output
+_BLOCK_BYTES = 32 << 20
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _write_entries(flat: np.ndarray, pos: np.ndarray, data: np.ndarray, start: int, stop: int) -> None:
+    """Write hop-table entries start:stop of `data` at their flat positions."""
+    flat[pos[start:stop]] = data[start:stop]
+
+
+def _dense(space: FockSpace, data: np.ndarray) -> np.ndarray:
+    """The dense matrix of hop-table data, written in contiguous row blocks.
+
+    A fresh zero array is faulted in page by page on first write, which is
+    most of the cost at m = 12. numpy releases the GIL in the fancy-index
+    assignment, so the blocks after the first go to worker threads and their
+    page faults are taken in parallel; the first block, or a lone one, is
+    written by the caller. Every worker is joined, and its exception
+    re-raised, before this returns.
+    `data` is changed in place: a -0.0 in it becomes 0.0.
+    """
+    dim, indptr = space.dim, space.hop_indptr
+    out = np.zeros((dim, dim), dtype=np.complex128)
+    flat = out.reshape(-1)
+    # a hop of a zero entry of x may be -0.0; the sum into zeros that
+    # densifies a CSR matrix stores it as 0.0, and so does this
+    data += 0.0
+    # intp positions row * dim + col, which the assignment reads without a
+    # cast; made here so that the workers allocate nothing
+    pos = np.repeat(np.arange(dim) * dim, np.diff(indptr))
+    pos += space.hop_cols
+    blocks = max(1, min(_cpus(), out.nbytes // _BLOCK_BYTES))
+    failed = []
+
+    def write(start, stop):
+        try:
+            _write_entries(flat, pos, data, start, stop)
+        except BaseException as exc:  # re-raised in the caller below
+            failed.append(exc)
+
+    ends = [int(indptr[dim * b // blocks]) for b in range(blocks + 1)]
+    started = []
+    try:
+        for span in zip(ends[1:-1], ends[2:]):
+            worker = threading.Thread(target=write, args=span)
+            worker.start()
+            started.append(worker)
+        _write_entries(flat, pos, data, ends[0], ends[1])
+    finally:
+        for worker in started:
+            worker.join()
+    if failed:
+        raise failed[0]
+    return out
 
 
 def _one_particle_operator(space: FockSpace, x) -> np.ndarray:
@@ -321,10 +393,13 @@ def d_gamma(space: FockSpace, x) -> FockOperator:
 
     Defined by [d_gamma(x), psi*(v)] = psi*(x v) together with a vanishing
     vacuum expectation; both are re-verified after construction, to 1e-10
-    plus the rounding of the diagonal sums over diag(x).
+    plus the rounding of the diagonal sums over diag(x). The verified hop
+    data is written straight into the dense matrix, by worker threads in row
+    blocks when the output spans several 32-MiB blocks and several CPUs are
+    free; no sparse matrix is built.
     """
     xm = _one_particle_operator(space, x)
-    return FockOperator(space=space, matrix=_d_gamma_csr(space, xm).toarray())
+    return FockOperator(space=space, matrix=_dense(space, _d_gamma_data(space, xm)))
 
 
 def schwinger_detail(space: FockSpace, x, y) -> dict:

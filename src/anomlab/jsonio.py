@@ -167,17 +167,21 @@ def groupoid_from_obj(obj) -> FiniteGroupoid:
         ids.append(aid)
         source.append(src)
         target.append(tgt)
-    if len(set(ids)) != len(ids):
+    # an id is keyed with its JSON type, so that `true` and `1.0` name no arrow with id 1
+    pos = {(type(aid), aid): i for i, aid in enumerate(ids)}
+    if len(pos) != len(ids):
         raise FormatError("groupoid: duplicate arrow ids")
-    pos = {aid: i for i, aid in enumerate(ids)}
     compose = np.full((len(ids), len(ids)), -1, dtype=np.int64)
     for i, triple in enumerate(compose_recs):
         if not isinstance(triple, list) or len(triple) != 3:
             raise FormatError(f"groupoid compose entry {i}: expected [x, y, xy]")
+        a, b, ab = triple
         try:
-            x, y, xy = (pos[t] for t in triple)
+            x, y, xy = pos[type(a), a], pos[type(b), b], pos[type(ab), ab]
         except KeyError as exc:
-            raise FormatError(f"groupoid compose entry {i}: unknown arrow id {exc}") from None
+            raise FormatError(f"groupoid compose entry {i}: unknown arrow id {exc.args[0][1]!r}") from None
+        except TypeError:  # a list or object, which no key can hold
+            raise FormatError(f"groupoid compose entry {i}: id must be scalar") from None
         if compose[x, y] >= 0:
             raise FormatError(f"groupoid compose entry {i}: duplicate pair")
         compose[x, y] = xy
@@ -268,7 +272,7 @@ def cover_from_obj(obj):
     source = None
     if "source_cocycle" in obj:
         source = {}
-        for i, rec in enumerate(obj["source_cocycle"]):
+        for i, rec in enumerate(_expect(obj, "source_cocycle", list, "cover")):
             if not isinstance(rec, list) or len(rec) != 3:
                 raise FormatError(f"cover: source cocycle entry {i} malformed")
             x, y, k = (_integer(v, "cover: source cocycle entry {}", i) for v in rec)

@@ -359,6 +359,22 @@ def test_compute_glue_rejects_a_source_pair_given_twice(tmp_path, capsys):
         assert capsys.readouterr() == ("", message)
 
 
+def test_malformed_ids_and_source_cocycle_exit_3(tmp_path, capsys):
+    # a list id in a compose triple and a source cocycle that is no list were bare TypeErrors (exit 1)
+    assert main(["generate", "random-action-groupoid", "--seed", "7", "--out", str(tmp_path / "g.json")]) == 0
+    obj = load_json(tmp_path / "g.json")
+    obj["compose"][0][1] = [obj["compose"][0][1]]
+    _dump_json(obj, tmp_path / "list-id.json")
+    capsys.readouterr()
+    assert main(["compute", "h2", "--groupoid", str(tmp_path / "list-id.json"), "--modulus", "2"]) == 3
+    assert capsys.readouterr() == ("", "format error: groupoid compose entry 0: id must be scalar\n")
+    assert main(["generate", "refined-cover", "--seed", "7", "--out", str(tmp_path / "cover.json")]) == 0
+    _dump_json({**load_json(tmp_path / "cover.json"), "source_cocycle": 0}, tmp_path / "no-list.json")
+    capsys.readouterr()
+    assert main(["compute", "glue", "--data", str(tmp_path / "no-list.json")]) == 3
+    assert capsys.readouterr() == ("", "format error: cover: key 'source_cocycle' has wrong type int\n")
+
+
 # order-3 tables that are no group; jsonio's tests pin the wording of each failure
 NOT_GROUPS = {
     "no identity": [[0, 0, 0], [0, 0, 0], [0, 0, 0]],

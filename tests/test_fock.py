@@ -5,6 +5,7 @@ import itertools
 import os
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -265,7 +266,7 @@ def test_commutation_defect_matches_sparse_oracle(modes):
     for plus in range(modes + 1):
         space = _space(modes, plus)
         x = _random_complex(rng, modes)
-        data = fock._d_gamma_csr(space, x).data
+        data = fock._d_gamma_data(space, x)
         noise = 1e-3 * _random_complex(rng, data.size, 1).ravel()
         # exact data, then noise on every entry, which makes every defect
         # entry nonzero, the hop-difference ones included
@@ -316,7 +317,7 @@ def test_perturbed_diagonal_slot_fails_the_commutation_check():
     rng = np.random.default_rng(452)
     space = _space(4, 2)
     x = _random_complex(rng, 4)
-    data = fock._d_gamma_csr(space, x).data
+    data = fock._d_gamma_data(space, x)
     fock._check_d_gamma(space, data, x)
     data[space.hop_indptr[0b0101]] += 1e-9
     with pytest.raises(InternalConsistencyError, match="commutation defect"):
@@ -338,7 +339,7 @@ def test_overflow_raises_float_overflow_error(action):
             d_gamma(space, np.diag([1e308, 1e308, -1e308, -1e308]))
 
 
-def test_d_gamma_builds_one_sparse_matrix(monkeypatch):
+def test_d_gamma_builds_no_sparse_matrix(monkeypatch):
     built = []
     init = scipy.sparse.csr_matrix.__init__
 
@@ -348,11 +349,106 @@ def test_d_gamma_builds_one_sparse_matrix(monkeypatch):
 
     monkeypatch.setattr(scipy.sparse.csr_matrix, "__init__", counting)
     d_gamma(_space(4, 2), _random_complex(np.random.default_rng(454), 4))
-    assert len(built) == 1
+    assert not built
+
+
+def _bits(a):
+    # compared as bits, so that -0.0 and 0.0 differ
+    return a.view(np.uint64)
+
+
+def test_dense_writer_matches_the_densified_csr_bit_for_bit():
+    # zero and real entries of x make hops of -0.0, which the densified CSR turns into 0.0
+    rng = np.random.default_rng(455)
+    for modes in range(1, 11):
+        for plus in range(modes + 1):
+            space = _space(modes, plus)
+            x = _random_complex(rng, modes)
+            x[rng.random((modes, modes)) < 0.3] = 0
+            if plus % 2:
+                x = x.real + 0j
+            got = d_gamma(space, x).matrix
+            want = fock._d_gamma_csr(space, x).toarray()
+            assert np.array_equal(_bits(got), _bits(want)), (modes, plus)
+
+
+def _recorded_blocks(monkeypatch, space, x, cpus, block_bytes=fock._BLOCK_BYTES):
+    """d_gamma(space, x) with the CPU count and block size forced, and each block's (start, stop, thread)."""
+    monkeypatch.setattr(fock, "_cpus", lambda: cpus)
+    monkeypatch.setattr(fock, "_BLOCK_BYTES", block_bytes)
+    write, spans = fock._write_entries, []
+
+    def recording(flat, pos, data, start, stop):
+        spans.append((start, stop, threading.current_thread()))
+        write(flat, pos, data, start, stop)
+
+    monkeypatch.setattr(fock, "_write_entries", recording)
+    return d_gamma(space, x).matrix, sorted(spans, key=lambda span: span[0])
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 3, 7])
+@pytest.mark.parametrize("spare", ["cpus", "bytes"])
+def test_dense_writer_in_forced_row_blocks(monkeypatch, blocks, spare):
+    # 32 rows: 3 and 7 blocks split them unevenly; the block count is the smaller of the two bounds
+    space = _space(5, 2)
+    x = _random_complex(np.random.default_rng(456), 5)
+    nbytes = 16 * space.dim**2
+    cpus, per_block = (blocks + 2, nbytes // blocks) if spare == "cpus" else (blocks, nbytes // (blocks + 2))
+    before = set(threading.enumerate())
+    got, spans = _recorded_blocks(monkeypatch, space, x, cpus, per_block)
+    assert set(threading.enumerate()) == before
+    # contiguous entry spans that open on the rows dim * b // blocks
+    ends = [span[0] for span in spans] + [spans[-1][1]]
+    assert len(spans) == blocks and ends == [space.hop_indptr[space.dim * b // blocks] for b in range(blocks + 1)]
+    workers = {span[2] for span in spans} - {threading.main_thread()}
+    assert spans[0][2] is threading.main_thread() and len(workers) <= blocks - 1
+    want = fock._d_gamma_csr(space, x).toarray()
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize("modes, blocks", [(10, 1), (11, 2)])
+def test_dense_writer_takes_one_block_per_32_mib(monkeypatch, modes, blocks):
+    # 16 MiB of output at m = 10 is one block however many CPUs there are; 64 MiB at m = 11 is two
+    _, spans = _recorded_blocks(monkeypatch, _space(modes, 1), np.eye(modes), cpus=64)
+    assert len(spans) == blocks
+    assert (blocks == 1) == all(span[2] is threading.main_thread() for span in spans)
+
+
+def test_writer_exception_reaches_the_caller(monkeypatch):
+    space = _space(5, 2)
+    write, raised = fock._write_entries, []
+
+    def failing(flat, pos, data, start, stop):
+        if stop == pos.size:  # the last of three blocks, written by a worker
+            raised.append(threading.current_thread())
+            raise RuntimeError("block write failed")
+        write(flat, pos, data, start, stop)
+
+    monkeypatch.setattr(fock, "_cpus", lambda: 3)
+    monkeypatch.setattr(fock, "_BLOCK_BYTES", 16 * space.dim**2 // 3)
+    monkeypatch.setattr(fock, "_write_entries", failing)
+    before = set(threading.enumerate())
+    with pytest.raises(RuntimeError, match="block write failed"):
+        d_gamma(space, np.eye(5))
+    assert raised and raised[0] is not threading.main_thread()
+    assert set(threading.enumerate()) == before
+
+
+def test_d_gamma_loads_no_scipy_sparse():
+    code = (
+        "import sys, numpy as np\n"
+        "from anomlab import fock\n"
+        "from anomlab.linalg import Polarization\n"
+        "fock.d_gamma(fock.build_car(4, Polarization(4, 2)), np.eye(4))\n"
+        "loaded = sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded\n"
+    )
+    src = os.path.dirname(os.path.dirname(anomlab.__file__))
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
 
 
 def test_import_loads_no_scipy():
-    # scipy.sparse loads where fock builds its first compressed matrix, scipy.linalg in matrix_exponential
+    # scipy.sparse loads in schwinger_detail, scipy.linalg in matrix_exponential
     code = (
         "import sys, anomlab\n"
         "loaded = sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')\n"

@@ -1,11 +1,12 @@
 """JSON schemas for matrices, groups, groupoids, cocycles, and covers."""
 
+import copy
 import json
 
 import numpy as np
 import pytest
 
-from anomlab.errors import CapacityError, FormatError
+from anomlab.errors import AnomlabError, CapacityError, FormatError
 from anomlab.groupoid import PhaseCocycle, validate_local_data, zero_cocycle
 from anomlab.instances import (
     cyclic_group,
@@ -351,3 +352,104 @@ NON_INTEGER_FIELDS = {
 def test_integer_fields_reject_bool_float_and_str(field):
     with pytest.raises(FormatError, match="must be an integer"):
         NON_INTEGER_FIELDS[field]()
+
+
+@pytest.mark.parametrize("bad", [[0], {"id": 0}])
+def test_compose_ids_must_be_scalar(bad):
+    obj = groupoid_to_obj(_Z2)
+    obj["compose"][1] = [obj["compose"][1][0], bad, obj["compose"][1][2]]
+    with pytest.raises(FormatError, match=r"^groupoid compose entry 1: id must be scalar$"):
+        groupoid_from_obj(obj)
+
+
+def test_cover_source_cocycle_must_be_a_list():
+    with pytest.raises(FormatError, match=r"^cover: key 'source_cocycle' has wrong type int$"):
+        _cover_with("source_cocycle", 0)
+
+
+def _relabelled_z2(ids, written):
+    """Point Z2 with arrow ids `ids`, its compose triples written with the ids `written`."""
+    obj = groupoid_to_obj(_Z2)
+    for rec, aid in zip(obj["arrows"], ids):
+        rec["id"] = aid
+    obj["compose"] = [[written[v] for v in triple] for triple in obj["compose"]]
+    return obj
+
+
+@pytest.mark.parametrize("alias", [True, 1.0])
+def test_compose_ids_match_arrow_ids_of_the_same_json_type(alias):
+    with pytest.raises(FormatError, match=f"^groupoid compose entry 1: unknown arrow id {alias}$"):
+        groupoid_from_obj(_relabelled_z2([0, 1], [0, alias]))
+    # the same value under two JSON types names two arrows, both when read and when checked for duplicates
+    g = groupoid_from_obj(_relabelled_z2([1, alias], [1, alias]))
+    assert g.arrows == [1, alias] and type(g.arrows[1]) is type(alias)
+    np.testing.assert_array_equal(g.compose, _Z2.compose)
+    with pytest.raises(FormatError, match="^groupoid: duplicate arrow ids$"):
+        groupoid_from_obj(_relabelled_z2([alias, alias], [alias, alias]))
+
+
+# JSON values a mutation puts in place of a node: every JSON type, integers
+# past int64, and the non-finite floats json.load accepts
+_MUTANTS = [0, 1, -1, 2**70, -(2**70), 1.0, 1.5, True, False, None, "x", "0", [], [0], [[0]], {}, {"a": 0},
+            float("nan"), float("inf"), 1e308]
+
+
+def _nodes(obj, path=()):
+    yield path
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _nodes(value, path + (key,))
+
+
+def _mutation(rng, obj):
+    """obj with one node replaced, deleted, or doubled (in its list, or wrapped in one)."""
+    obj = copy.deepcopy(obj)
+    nodes = list(_nodes(obj))
+    path = nodes[int(rng.integers(len(nodes)))]
+    mutant = copy.deepcopy(_MUTANTS[int(rng.integers(len(_MUTANTS)))])
+    if not path:
+        return mutant
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    key, op = path[-1], int(rng.integers(3))
+    if op == 0:
+        parent[key] = mutant
+    elif op == 1:
+        del parent[key]
+    elif isinstance(parent, list):
+        parent.insert(key, copy.deepcopy(parent[key]))
+    else:
+        parent[key] = [parent[key]]
+    return obj
+
+
+def _valid_files():
+    _, _, _, _, cocycle, data, modulus = random_cover_instance(generator(805))
+    z2_values = [[0, 0, 0], [0, 1, 0], [1, 0, 0], [1, 1, 1]]
+    return {
+        "matrix": (matrix_to_obj(np.arange(6).reshape(3, 2) + 1j), matrix_from_obj),
+        "group": (group_to_obj(group_catalog()["S3"]), group_from_obj),
+        "groupoid": (groupoid_to_obj(translation_groupoid(cyclic_group(3))), groupoid_from_obj),
+        "cocycle": ({"modulus": 2, "values": z2_values}, lambda obj: cocycle_from_obj(obj, _Z2)),
+        "continuous cocycle": (
+            _cocycle_to_obj(zero_cocycle(_Z2, None)), lambda obj: cocycle_from_obj(obj, _Z2)
+        ),
+        "cover": (cover_to_obj(data, modulus, source_cocycle=cocycle), cover_from_obj),
+    }
+
+
+@pytest.mark.parametrize("reader", sorted(_valid_files()))
+def test_mutated_files_load_or_raise_a_package_error(reader):
+    # a bare TypeError or KeyError would reach the CLI as a traceback and exit 1, not the format error's 3
+    obj, read = _valid_files()[reader]
+    read(copy.deepcopy(obj))
+    rng = generator(2900)
+    for _ in range(600):
+        mutated = _mutation(rng, obj)
+        try:
+            read(mutated)
+        except AnomlabError:
+            pass
+        except Exception as exc:
+            pytest.fail(f"{type(exc).__name__}: {exc} on {json.dumps(mutated)}")
