@@ -25,7 +25,7 @@ from .instances import (
     random_hermitian,
     random_perturbation,
 )
-from .nerve import class_reducer, cocycle_vector, cohomology_group
+from .nerve import _check_degree, _cohomology_of_sound, class_reducer, cocycle_vector
 from .regdet import det_p, omega_p
 from .suites import SUITE_NAMES, digest, report_to_text, run_suites
 
@@ -176,8 +176,9 @@ def _cmd_compute(args, parser) -> int:
         }
     elif args.what == "h2":
         _require(parser, args, ["groupoid", "modulus"])
+        # groupoid_from_obj has run axioms_check, the one check of g on this path
         g = jsonio.groupoid_from_obj(jsonio.load_json(args.groupoid))
-        grp = cohomology_group(g, 2, args.modulus)
+        grp = _cohomology_of_sound(g, *_check_degree(2, args.modulus))
         payload = {
             "kind": "h2",
             "degree": 2,

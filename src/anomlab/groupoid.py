@@ -267,12 +267,16 @@ def skeleton(g: FiniteGroupoid) -> tuple:
     kept ascending, and objects keep their order. Each component collapses
     to the vertex group of its least object, and the inclusion is an
     equivalence of groupoids, so the skeleton presents the same quotient
-    stack. g must be sound (axioms_check empty).
+    stack. g must be sound (axioms_check empty). When every object is the
+    least of its component (every arrow a loop), g is its own skeleton and
+    comes back itself, with kept = arange(n_arrows).
     """
     # o's component is {t(x) : s(x) = o}, o itself included through its identity
     least = np.arange(g.n_objects)
     np.minimum.at(least, g.source, g.target)
     is_least = least == np.arange(g.n_objects)
+    if is_least.all():
+        return g, np.arange(g.n_arrows)
     kept = np.flatnonzero(is_least[g.source] & is_least[g.target])
     objects = np.flatnonzero(is_least)
     new_object = np.cumsum(is_least) - 1
@@ -573,9 +577,24 @@ class CentralExtension:
 def central_extend(g: FiniteGroupoid, c: PhaseCocycle) -> CentralExtension:
     """Build the central extension twisted by c; g must satisfy the groupoid
     axioms and c must be a valid 2-cocycle on it."""
+    _require_sound_base(g)
+    return _extend_sound(g, c)
+
+
+def _require_sound_base(g: FiniteGroupoid):
     bad = axioms_check(g)
     if bad:
         raise GroupoidAxiomError("extension needs a sound base groupoid: " + bad[0])
+
+
+def _extend_sound(g: FiniteGroupoid, c: PhaseCocycle) -> CentralExtension:
+    """central_extend with no check of g up front, for a base g built sound.
+
+    The cocycle check and the check of the total groupoid still run. A total
+    over an unsound base fails its check too (it maps onto g, table by
+    table), and g is checked only then, so that an unsound base still raises
+    central_extend's GroupoidAxiomError and not InternalConsistencyError.
+    """
     violation = cocycle_check(g, c)
     limit = 0.0 if not c.continuous else CONTINUOUS_TOL
     if violation > limit:
@@ -613,6 +632,7 @@ def central_extend(g: FiniteGroupoid, c: PhaseCocycle) -> CentralExtension:
     )
     bad = axioms_check(total)
     if bad:
+        _require_sound_base(g)
         raise InternalConsistencyError(
             "extension total groupoid violates axioms: " + "; ".join(bad[:3])
         )
@@ -851,6 +871,7 @@ def glue_local_data(data: LocalExtensionData, modulus: int) -> CentralExtension:
     base = action_groupoid(data.points, data.group, data.action)
     # the targets of the action groupoid are the action table, point by point
     pairs = action_pairs(base.target.reshape(base.n_objects, -1))
-    # central_extend validates the assembled cocycle and the total groupoid
-    return central_extend(base, PhaseCocycle(int(modulus), values.reshape(-1), pairs.reshape(-1, 2)))
+    # the action groupoid of a group is sound once check_right_action passes,
+    # so only the cocycle and the total groupoid are checked up front
+    return _extend_sound(base, PhaseCocycle(int(modulus), values.reshape(-1), pairs.reshape(-1, 2)))
 

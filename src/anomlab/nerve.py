@@ -19,7 +19,8 @@ computes on the normalized cochains (those vanishing on chains that hold
 an identity arrow) of the skeleton of the groupoid, one vertex group per
 connected component. Both keep the cohomology, which depends only
 on the quotient stack the groupoid presents, and both shrink the matrices:
-a translation groupoid collapses to the trivial group.
+a translation groupoid collapses to the trivial group. The groupoid is
+checked once, at the gate; its skeleton is tabulated unchecked.
 
 Class vectors need explicit coordinates. class_reducer and extension_class
 reduce a 2-cocycle to a canonical class vector, which is how central
@@ -70,12 +71,24 @@ def _check_sound(g: FiniteGroupoid):
 
 
 def nerve(g: FiniteGroupoid, p_max: int) -> Nerve:
-    """Tabulate nerve levels 0..p_max with their face maps."""
+    """Tabulate nerve levels 0..p_max with their face maps.
+
+    p_max runs from 0 to MAX_DEGREE (DomainError below, CapacityError above),
+    and g must pass axioms_check (GroupoidAxiomError). The tabulation itself
+    is _tabulate, which cohomology_group calls on a skeleton unchecked.
+    """
     p_max = integer(p_max, "p_max", lo=0)
     if p_max > MAX_DEGREE:
         raise CapacityError(f"nerve degree capped at {MAX_DEGREE}, got {p_max}")
     _check_sound(g)
+    return _tabulate(g, p_max)
 
+
+def _tabulate(g: FiniteGroupoid, p_max: int) -> Nerve:
+    """Nerve levels 0..p_max of g, with no gate: g sound and 0 <= p_max <= MAX_DEGREE.
+
+    A level past MAX_CELLS cells in all still raises CapacityError.
+    """
     levels = [np.arange(g.n_objects)]
     total = g.n_objects
     if p_max >= 1:
@@ -275,18 +288,31 @@ def _normalized_coboundaries(nv: Nerve, degree: int) -> tuple:
 def cohomology_group(g: FiniteGroupoid, degree: int, modulus: int) -> CohomologyGroup:
     """Cohomology of g in one degree with Z_N coefficients.
 
-    It is computed on the normalized cochains of the skeleton of g, one
-    vertex group per connected component: both steps keep the cohomology,
-    which is an invariant of the quotient stack, and shrink the matrices the
-    Smith normal form reduces. The group comes from the invariant factors of
-    the coboundaries out of and into the degree alone, by the universal
-    coefficient theorem (_uct_group), and any positive N works, past int64
-    too. class_reducer stays on the full complex of g, since its class
-    vectors are coordinates in that complex's basis.
+    The degree runs from 0 to MAX_DEGREE - 1 (CapacityError past it), N is a
+    positive integer, past int64 too (DomainError below 1), and g must pass
+    axioms_check (GroupoidAxiomError). These gates are checked here once;
+    the group itself is _cohomology_of_sound's.
     """
     degree, modulus = _check_degree(degree, modulus)
     _check_sound(g)
-    here, below = _normalized_coboundaries(nerve(skeleton(g)[0], degree + 1), degree)
+    return _cohomology_of_sound(g, degree, modulus)
+
+
+def _cohomology_of_sound(g: FiniteGroupoid, degree: int, modulus: int) -> CohomologyGroup:
+    """cohomology_group with no gate: g sound, degree and modulus through _check_degree.
+
+    It is computed on the normalized cochains of the skeleton of g, one
+    vertex group per connected component: both steps keep the cohomology,
+    which is an invariant of the quotient stack, and shrink the matrices the
+    Smith normal form reduces. The skeleton is tabulated unchecked, since a
+    full subgroupoid of a sound groupoid is sound: its identities, inverses
+    and composites are those of g, so each axiom of g holds on it. The group
+    comes from the invariant factors of the coboundaries out of and into the
+    degree alone, by the universal coefficient theorem (_uct_group).
+    class_reducer stays on the full complex of g, since its class vectors
+    are coordinates in that complex's basis.
+    """
+    here, below = _normalized_coboundaries(_tabulate(skeleton(g)[0], degree + 1), degree)
     return _uct_group(here, below, degree, modulus)
 
 
@@ -298,15 +324,34 @@ def _uct_group(here: np.ndarray, below, degree: int, modulus: int) -> Cohomology
     the homology of the dual chain complex. Its free rank is c - rank d^n -
     rank d^(n-1), each contributing Z_N, and its torsion, with that of
     H_(n-1), is read off the nonzero factors s of both matrices, each
-    contributing Z_gcd(s, N). Every number is a Python int, so any N works.
+    contributing Z_gcd(s, N). Those cyclic orders are chained by
+    _invariant_chain. Every number is a Python int, so any N works.
     """
     if below is not None and np.any(here @ below):
         raise CocycleError("coboundary image escapes the cocycle lattice")
     factors = [s for mat in (here, below) if mat is not None for s in smith_normal_form(mat).factors if s]
     free = here.shape[1] - len(factors)
-    cyclic = [c for c in [modulus] * free + [gcd(s, modulus) for s in factors] if c > 1]
-    chain = smith_normal_form(np.diag(np.array(cyclic, dtype=object))).factors if cyclic else []
-    return CohomologyGroup(degree=degree, modulus=modulus, orders=tuple(f for f in chain if f > 1))
+    cyclic = [modulus] * free + [gcd(s, modulus) for s in factors]
+    return CohomologyGroup(degree=degree, modulus=modulus, orders=_invariant_chain(cyclic))
+
+
+def _invariant_chain(cyclic) -> tuple:
+    """Invariant factors > 1 of the direct sum of Z_c over the positive ints c of cyclic.
+
+    Each c is merged into the chain from its top by Z_a + Z_c = Z_gcd(a, c)
+    + Z_lcm(a, c): the lcm stays in the chain and the gcd moves down to the
+    next factor, which it and that factor's lcm still divide. What is left
+    below the bottom heads the chain if it is past 1. All in Python ints.
+    """
+    chain = []
+    for c in cyclic:
+        for i in range(len(chain) - 1, -1, -1):
+            a = chain[i]
+            d = gcd(a, c)
+            chain[i], c = a // d * c, d
+        if c > 1:
+            chain.insert(0, c)
+    return tuple(chain)
 
 
 def class_reducer(g: FiniteGroupoid, degree: int, modulus: int):

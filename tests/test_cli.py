@@ -177,6 +177,19 @@ def test_compute_h2(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["trivial"] is True
 
 
+def test_compute_h2_rejects_a_broken_table_in_the_reader(tmp_path, capsys):
+    # the products of the last two compose triples of seed 7's file, swapped,
+    # pass the identity and inverse recovery and break associativity
+    gfile, bad = tmp_path / "groupoid.json", tmp_path / "bad.json"
+    assert main(["generate", "random-action-groupoid", "--seed", "7", "--out", str(gfile)]) == 0
+    obj = json.loads(gfile.read_text())
+    one, two = obj["compose"][-2:]
+    one[2], two[2] = two[2], one[2]
+    _dump_json(obj, bad)
+    assert main(["compute", "h2", "--groupoid", str(bad), "--modulus", "4"]) == 4
+    assert capsys.readouterr().err.startswith("domain error: associativity fails on ")
+
+
 def test_main_reuses_its_parser(tmp_path, capsys):
     """Calls in one process, a usage error between two of them, print the same bytes.
 

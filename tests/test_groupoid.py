@@ -3,6 +3,7 @@
 import collections
 import copy
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -752,6 +753,28 @@ def test_local_data_validates_and_glues():
     source = extension_class(central_extend(ext.base, cocycle))
     assert glued.orders == source.orders
     assert np.array_equal(glued.vector, source.vector)
+
+
+def test_glue_checks_its_base_only_when_the_total_fails(monkeypatch):
+    _, data, modulus = _seeded_cover(42)
+    calls = []
+    monkeypatch.setattr(groupoid, "axioms_check", lambda g: calls.append(g.n_arrows) or axioms_check(g))
+    ext = glue_local_data(data, modulus)
+    assert calls == [ext.total.n_arrows]
+    # a table that is no group passes check_right_action on one point; the
+    # base it makes is named as central_extend's gate names it
+    for mult, inverse, message in (
+        ([[0, 1], [1, 1]], [0, 1], "x * x^-1 is not the identity for arrow 1"),
+        ([[1, 0], [0, 1]], [0, 1], "left identity fails on arrow 0"),
+        ([[0, 1, 2], [1, 0, 0], [2, 0, 0]], [0, 1, 2], "associativity fails on (1, 1, 2)"),
+    ):
+        m = len(mult)
+        group = FiniteGroup(elements=list(range(m)), mult=mult, identity=0, inverse=inverse)
+        data = LocalExtensionData.blank(group, ["*"], [[0] * m], [list(range(m))])
+        data.phi_given[:] = True
+        data.omega_given[:] = True
+        with pytest.raises(GroupoidAxiomError, match=re.escape("extension needs a sound base groupoid: " + message)):
+            glue_local_data(data, 3)
 
 
 def test_local_data_mutation_detected():

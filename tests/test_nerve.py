@@ -1,6 +1,7 @@
 """Nerve levels, simplicial identities, coboundaries, and cohomology."""
 
 import itertools
+import json
 import sys
 from math import gcd
 
@@ -36,7 +37,10 @@ from anomlab.instances import (
     subgroups,
     translation_groupoid,
 )
+from anomlab.cli import main
+from anomlab.jsonio import groupoid_to_obj
 from anomlab.nerve import (
+    _invariant_chain,
     _normalized_coboundaries,
     _QuotientData,
     _uct_group,
@@ -47,6 +51,7 @@ from anomlab.nerve import (
     extension_class,
     nerve,
 )
+from anomlab.snf import smith_normal_form
 
 
 def _z2():
@@ -290,10 +295,13 @@ def _random_groupoids(count, seed):
 def test_skeleton_structure():
     groupoids = [g for _, g in _catalog_groupoids()] + _random_groupoids(50, 905)
     groupoids.append(action_groupoid([0, 1, 2], cyclic_group(1), [[0], [1], [2]]))
-    several = 0
+    several = itself = 0
     for g in groupoids:
         sk, kept = skeleton(g)
         assert axioms_check(sk) == []
+        # a groupoid of loops alone is its own skeleton, and comes back itself
+        assert (sk is g) == bool(np.all(g.source == g.target))
+        itself += sk is g
         comps = _components(g)
         several += len(comps) > 1
         reps = [comp[0] for comp in comps]
@@ -307,7 +315,7 @@ def test_skeleton_structure():
         np.testing.assert_array_equal(kept[sk.identity], g.identity[sorted(reps)])
         np.testing.assert_array_equal(kept[sk.inverse], g.inverse[kept])
         np.testing.assert_array_equal(np.where(sk.compose >= 0, kept[sk.compose], -1), g.compose[np.ix_(kept, kept)])
-    assert several >= 10
+    assert several >= 10 and itself >= 10
 
 
 def test_skeleton_collapses_free_and_transitive_actions():
@@ -476,3 +484,68 @@ def test_tampered_coboundary_raises_cocycle_error(monkeypatch):
     monkeypatch.setattr(sys.modules["anomlab.nerve"], "_normalized_coboundaries", lambda nv, degree: (here, bad))
     with pytest.raises(CocycleError, match="escapes the cocycle lattice"):
         cohomology_group(g, 2, 2)
+
+
+def _cyclic_lists(count, seed):
+    """Lists of 0 to 8 positive ints: 1s, repeats, coprime pairs and entries past 2^63."""
+    rng = generator(seed)
+    big = [2**63, 2**63 + 1, 3 * 2**63, 2**64 - 1, 3**50, 2**62 * 5**3]
+    for _ in range(count):
+        out = []
+        for _ in range(int(rng.integers(0, 9))):
+            kind = int(rng.integers(0, 4))
+            if kind == 0 and out:
+                out.append(out[int(rng.integers(0, len(out)))])
+            elif kind == 1:
+                out.append(big[int(rng.integers(0, len(big)))] * int(rng.integers(1, 7)))
+            else:
+                out.append(int(rng.integers(1, 37)))
+        yield out
+
+
+def test_invariant_chain_matches_the_normal_form_of_the_diagonal():
+    seen = {"one": 0, "repeat": 0, "coprime": 0, "big": 0, "empty": 0}
+    for cyclic in _cyclic_lists(500, 2211):
+        snf = smith_normal_form(np.diag(np.array(cyclic, dtype=object))).factors if cyclic else []
+        assert _invariant_chain(cyclic) == tuple(f for f in snf if f > 1), cyclic
+        seen["one"] += 1 in cyclic
+        seen["repeat"] += len(set(cyclic)) < len(cyclic)
+        seen["coprime"] += any(gcd(a, b) == 1 < min(a, b) for a, b in itertools.combinations(cyclic, 2))
+        seen["big"] += any(c >= 2**63 for c in cyclic)
+        seen["empty"] += not cyclic
+    assert min(seen.values()) >= 20, seen
+
+
+def _count_axioms_checks(monkeypatch) -> list:
+    """The groupoids axioms_check runs on, where nerve and groupoid bind it."""
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return axioms_check(g)
+
+    for name in ("anomlab.nerve", "anomlab.groupoid"):
+        monkeypatch.setattr(sys.modules[name], "axioms_check", counting)
+    return calls
+
+
+def test_each_h2_call_checks_its_groupoid_once(monkeypatch, tmp_path, capsys):
+    catalog = group_catalog()
+    point, translation = point_groupoid(catalog["D4"]), translation_groupoid(catalog["S3"])
+    gfile = tmp_path / "d4.json"
+    gfile.write_text(json.dumps(groupoid_to_obj(point)))
+    calls = _count_axioms_checks(monkeypatch)
+    for g in (point, translation):
+        cohomology_group(g, 2, 4)
+        assert len(calls) == 1 and calls.pop() is g
+    assert main(["compute", "h2", "--groupoid", str(gfile), "--modulus", "4"]) == 0
+    assert json.loads(capsys.readouterr().out)["orders"] == [2, 2, 2]
+    assert len(calls) == 1
+    # the gates still reject the broken groupoid, each after one check
+    for check in (lambda g: nerve(g, 2), lambda g: cohomology_group(g, 2, 2)):
+        calls.clear()
+        broken = _swap_groupoid()
+        broken.inverse[0] = 1
+        with pytest.raises(GroupoidAxiomError, match="nerve needs a sound groupoid"):
+            check(broken)
+        assert len(calls) == 1
